@@ -24,8 +24,8 @@ from .harness import (
     run_eval,
 )
 from .lm import make_backend
+from .ordering import MODEL_STRATEGIES, strategy_permutation
 from .ordering import STRATEGIES as ORDERING_STRATEGIES
-from .ordering import strategy_permutation
 from .profiling import (
     CONDITIONS,
     build_sets,
@@ -238,12 +238,7 @@ def _cmd_build_sets(args) -> int:
 def _cmd_order(args) -> int:
     train = load_dataset(args.train, split="train")
     example = train.by_id(args.id)
-    needs_model = args.strategy in (
-        "perplexity",
-        "reverse_perplexity",
-        "greedy",
-        "reverse_greedy",
-    )
+    needs_model = args.strategy in MODEL_STRATEGIES
     prefix = ""
     model = None
     if needs_model:

@@ -5,8 +5,10 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import re
 import string
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +29,22 @@ def stable_hash(text: str) -> int:
     """Platform-independent 64-bit hash, used to derive per-item RNG streams."""
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def atomic_write_text(path: Path, text: str) -> None:
+    """Write `text` to `path` through a temp file in the same directory.
+
+    Readers see the old content or the new, never a torn file; a failed write
+    removes its temp file and leaves `path` untouched.
+    """
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def derive_rng(seed: int, *parts: str) -> np.random.Generator:

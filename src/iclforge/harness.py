@@ -14,10 +14,8 @@ import dataclasses
 import hashlib
 import json
 import logging
-import os
-import tempfile
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -28,6 +26,7 @@ from .core import (
     EmbeddingTable,
     Example,
     Prediction,
+    atomic_write_text,
     load_dataset,
     load_embeddings,
     normalize_answer,
@@ -43,7 +42,7 @@ from .metrics import (
     set_scores,
     strategy_ranks,
 )
-from .ordering import MAX_REORDER_ANSWERS, strategy_permutation
+from .ordering import MAX_REORDER_ANSWERS, MODEL_STRATEGIES, strategy_permutation
 from .ordering import STRATEGIES as ORDERING_STRATEGIES
 from .prompting import render_prompt
 from .retrieval import STRATEGIES as RETRIEVAL_STRATEGIES
@@ -159,13 +158,6 @@ def _prompt_hash(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
-def _atomic_write(path: Path, content: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-        fh.write(content)
-    os.replace(tmp, path)
-
-
 def _config_hash(config: RunConfig) -> str:
     # jobs does not affect results, so resuming across job counts is allowed
     snapshot = {k: v for k, v in config.to_dict().items() if k != "jobs"}
@@ -175,7 +167,12 @@ def _config_hash(config: RunConfig) -> str:
 
 
 class _ShotPlanner:
-    """Per-run memo of shot prefixes and strategy-ordered answer lists."""
+    """Per-run memo of shot prefixes and strategy-ordered answer lists.
+
+    Each shot id is planned once: the first thread to ask computes it, and
+    concurrent askers wait for that result, so ``jobs`` never changes the
+    backend calls made.
+    """
 
     def __init__(
         self,
@@ -188,16 +185,32 @@ class _ShotPlanner:
         self.pool = pool
         self.table = table
         self.model = model
-        self._prefixes: dict[str, str] = {}
-        self._orders: dict[str, tuple[str, ...]] = {}
+        self._prefixes: dict[str, Future] = {}
+        self._orders: dict[str, Future] = {}
         self._lock = threading.Lock()
         self.reorder_skipped: set[str] = set()
 
-    def shot_prefix(self, shot: Example) -> str:
+    def _once(self, memo: dict[str, Future], shot_id: str, compute):
         with self._lock:
-            cached = self._prefixes.get(shot.id)
-        if cached is not None:
-            return cached
+            future = memo.get(shot_id)
+            owner = future is None
+            if owner:
+                future = memo[shot_id] = Future()
+        if owner:
+            try:
+                future.set_result(compute())
+            except BaseException as exc:
+                # waiters re-raise the same failure from future.result()
+                future.set_exception(exc)
+        return future.result()
+
+    def shot_prefix(self, shot: Example) -> str:
+        return self._once(self._prefixes, shot.id, lambda: self._plan_prefix(shot))
+
+    def ordered_answers(self, shot: Example) -> tuple[str, ...]:
+        return self._once(self._orders, shot.id, lambda: self._plan_order(shot))
+
+    def _plan_prefix(self, shot: Example) -> str:
         others = [ex for ex in self.pool if ex.id != shot.id]
         k = min(self.config.ordering_prefix_k, len(others))
         if k >= 1:
@@ -206,31 +219,15 @@ class _ShotPlanner:
             )
         else:
             peers = []
-        prefix = render_prompt(
-            [(p.question, p.answers) for p in peers], shot.question
-        )
-        with self._lock:
-            self._prefixes[shot.id] = prefix
-        return prefix
+        return render_prompt([(p.question, p.answers) for p in peers], shot.question)
 
-    def ordered_answers(self, shot: Example) -> tuple[str, ...]:
-        with self._lock:
-            cached = self._orders.get(shot.id)
-        if cached is not None:
-            return cached
+    def _plan_order(self, shot: Example) -> tuple[str, ...]:
         if len(shot.answers) >= MAX_REORDER_ANSWERS:
             # batch policy: oversized shots keep gold order, tallied in the manifest
-            ordered = shot.answers
             with self._lock:
                 self.reorder_skipped.add(shot.id)
-                self._orders[shot.id] = ordered
-            return ordered
-        needs_model = self.config.ordering in (
-            "perplexity",
-            "reverse_perplexity",
-            "greedy",
-            "reverse_greedy",
-        )
+            return shot.answers
+        needs_model = self.config.ordering in MODEL_STRATEGIES
         permutation = strategy_permutation(
             self.config.ordering,
             shot.answers,
@@ -239,10 +236,7 @@ class _ShotPlanner:
             example_id=shot.id,
             seed=self.config.seed,
         )
-        ordered = tuple(shot.answers[i] for i in permutation)
-        with self._lock:
-            self._orders[shot.id] = ordered
-        return ordered
+        return tuple(shot.answers[i] for i in permutation)
 
 
 def _score_example(
@@ -322,7 +316,7 @@ def run_eval(config: RunConfig) -> EvalReport:
                     record = ExampleRecord.from_json(line)
                     resumed[record.example_id] = record
             log.info("resuming run with %d completed examples", len(resumed))
-    _atomic_write(meta_path, json.dumps({"config_hash": cfg_hash}))
+    atomic_write_text(meta_path, json.dumps({"config_hash": cfg_hash}))
 
     not_in_prompt_skips = 0
     retrieval_cfg = RetrievalConfig(
@@ -402,7 +396,7 @@ def run_eval(config: RunConfig) -> EvalReport:
             adherence_skipped = len(records)
 
     summary = render_summary(aggregates)
-    _atomic_write(out_dir / SUMMARY_FILE, summary)
+    atomic_write_text(out_dir / SUMMARY_FILE, summary)
 
     cap_hits = getattr(model, "generation_cap_hits", None)
     manifest = {
@@ -425,7 +419,7 @@ def run_eval(config: RunConfig) -> EvalReport:
             "generation_cap_hits": cap_hits,
         },
     }
-    _atomic_write(out_dir / MANIFEST_FILE, json.dumps(manifest, indent=2, sort_keys=True))
+    atomic_write_text(out_dir / MANIFEST_FILE, json.dumps(manifest, indent=2, sort_keys=True))
     return EvalReport(records=records, aggregates=aggregates, manifest=manifest)
 
 

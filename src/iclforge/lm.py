@@ -21,8 +21,6 @@ import hashlib
 import json
 import logging
 import math
-import os
-import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -31,11 +29,18 @@ from typing import Sequence
 
 import requests
 
+from .core import atomic_write_text
 from .errors import DataError, ProtocolError, TransportError, UsageError
 
 log = logging.getLogger(__name__)
 
 DEFAULT_FLOOR = 1e-6
+
+
+def _check_logprobs(logprobs: Sequence[float]) -> None:
+    for lp in logprobs:
+        if not math.isfinite(lp) or lp > 0.0:
+            raise ProtocolError(f"log-probability {lp} is positive or not finite")
 
 
 @dataclass(frozen=True)
@@ -52,9 +57,7 @@ class TokenScores:
             )
         if not self.tokens:
             raise ProtocolError("empty token list for a non-empty continuation")
-        for lp in self.logprobs:
-            if lp > 0.0:
-                raise ProtocolError(f"log-probability {lp} is positive")
+        _check_logprobs(self.logprobs)
 
     @property
     def token_count(self) -> int:
@@ -319,6 +322,7 @@ class RemoteModel(LanguageModel):
             raise ProtocolError(
                 f"backend returned {len(logprobs)} logprobs for {len(candidates)} candidates"
             )
+        _check_logprobs(logprobs)
         return logprobs
 
     def generate(self, prompt: str, stop: Sequence[str], max_tokens: int) -> str:
@@ -326,10 +330,10 @@ class RemoteModel(LanguageModel):
             "/v1/generate",
             {"prompt": prompt, "stop": list(stop), "max_tokens": int(max_tokens)},
         )
-        try:
-            return str(body["text"])
-        except KeyError as exc:
-            raise ProtocolError(f"bad generate response: {exc}") from exc
+        text = body.get("text")
+        if not isinstance(text, str):
+            raise ProtocolError(f"bad generate response: text is {text!r}, not a string")
+        return text
 
 
 class CachedModel(LanguageModel):
@@ -376,14 +380,7 @@ class CachedModel(LanguageModel):
         body = json.dumps(
             {"request": request, "response": response}, sort_keys=True, ensure_ascii=False
         )
-        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(body)
-            os.replace(tmp, path)
-        except OSError:
-            os.unlink(tmp)
-            raise
+        atomic_write_text(path, body)
         return response
 
     def score_continuation(self, context: str, continuation: str) -> TokenScores:

@@ -15,14 +15,15 @@ from .core import derive_rng
 from .errors import DataError, TooManyAnswers
 from .lm import LanguageModel
 
-STRATEGIES = (
-    "random",
-    "alphabet",
+# strategies that score answers with a model against a shot prefix
+MODEL_STRATEGIES = (
     "perplexity",
     "reverse_perplexity",
     "greedy",
     "reverse_greedy",
 )
+
+STRATEGIES = ("random", "alphabet") + MODEL_STRATEGIES
 
 MAX_REORDER_ANSWERS = 20
 
@@ -78,7 +79,18 @@ def greedy_permutation(
     emitted tokens complete a remaining answer, that answer is recorded, the
     ``" | "`` delimiter joins the working context, and decoding restarts on
     the remaining set.
+
+    Backend cost: one ``score_continuation`` per answer, to tokenize it, plus
+    one ``next_token_distribution`` per step with two or more permissible
+    tokens. A step with a single permissible token is forced, since the
+    argmax over one candidate is that candidate, and costs no call; a
+    one-answer set therefore costs none at all.
     """
+    for answer in answers:
+        if not answer.strip():
+            raise DataError("cannot score an empty answer")
+    if len(answers) == 1:
+        return [0]
     token_seqs = [model.score_continuation(prefix, " " + a).tokens for a in answers]
     remaining = list(range(len(answers)))
     context = prefix
@@ -88,8 +100,11 @@ def greedy_permutation(
         emitted = 0
         while True:
             candidates = sorted({token_seqs[i][emitted] for i in viable})
-            logprobs = model.next_token_distribution(context, candidates)
-            token = max(zip(candidates, logprobs), key=lambda cl: cl[1])[0]
+            if len(candidates) == 1:
+                token = candidates[0]
+            else:
+                logprobs = model.next_token_distribution(context, candidates)
+                token = max(zip(candidates, logprobs), key=lambda cl: cl[1])[0]
             context += " " + token
             emitted += 1
             viable = [i for i in viable if token_seqs[i][emitted - 1] == token]
@@ -174,16 +189,14 @@ def strategy_permutation(
     if strategy == "random":
         return random_permutation(len(answers), example_id, seed)
     _check_reorderable(len(answers))
-    if strategy in ("perplexity", "reverse_perplexity"):
-        if model is None:
-            raise DataError(f"strategy {strategy!r} needs a model backend")
-        order, _ = perplexity_permutation(answers, prefix, model)
-    elif strategy in ("greedy", "reverse_greedy"):
-        if model is None:
-            raise DataError(f"strategy {strategy!r} needs a model backend")
+    if strategy not in MODEL_STRATEGIES:
+        raise DataError(f"unknown ordering strategy {strategy!r}")
+    if model is None:
+        raise DataError(f"strategy {strategy!r} needs a model backend")
+    if strategy in ("greedy", "reverse_greedy"):
         order = greedy_permutation(answers, prefix, model)
     else:
-        raise DataError(f"unknown ordering strategy {strategy!r}")
+        order, _ = perplexity_permutation(answers, prefix, model)
     if strategy.startswith("reverse_"):
         order = order[::-1]
     return order

@@ -11,16 +11,64 @@ from __future__ import annotations
 
 import itertools
 import json
+import threading
+import time
+from collections import Counter
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from iclforge.core import Dataset, EmbeddingTable, Example, save_dataset, save_embeddings
-from iclforge.lm import MockModel, MockRule
+from iclforge.lm import LanguageModel, MockModel, MockRule, TokenScores
 from iclforge.ordering import random_permutation
 from iclforge.prompting import render_prompt
 
 JUNK = "zzz"
+
+
+class CountingModel(LanguageModel):
+    """Backend wrapper that counts calls per op (``score``, ``next_token``,
+    ``generate``) and keeps every next-token candidate list it was asked for.
+
+    ``delay`` seconds of sleep per call widen the window in which concurrent
+    callers overlap. ``refuse_forced`` makes a next-token request with a single
+    candidate raise, as a backend that rejects such requests would.
+    """
+
+    def __init__(self, inner: LanguageModel, delay: float = 0.0, refuse_forced: bool = False):
+        self.inner = inner
+        self.delay = delay
+        self.refuse_forced = refuse_forced
+        self.counts: Counter = Counter()
+        self.candidate_lists: list[tuple[str, ...]] = []
+        self._lock = threading.Lock()
+
+    @property
+    def fingerprint(self) -> str:
+        return self.inner.fingerprint
+
+    def _count(self, op: str) -> None:
+        with self._lock:
+            self.counts[op] += 1
+        if self.delay:
+            time.sleep(self.delay)
+
+    def score_continuation(self, context: str, continuation: str) -> TokenScores:
+        self._count("score")
+        return self.inner.score_continuation(context, continuation)
+
+    def next_token_distribution(self, context: str, candidates: Sequence[str]) -> list[float]:
+        if self.refuse_forced and len(candidates) == 1:
+            raise AssertionError(f"next-token request for a forced step: {candidates}")
+        self._count("next_token")
+        with self._lock:
+            self.candidate_lists.append(tuple(candidates))
+        return self.inner.next_token_distribution(context, candidates)
+
+    def generate(self, prompt: str, stop: Sequence[str], max_tokens: int) -> str:
+        self._count("generate")
+        return self.inner.generate(prompt, stop, max_tokens)
 
 
 def chain_rules(anchor: str, tokens: list[str], weight: float = 100.0) -> list[dict]:

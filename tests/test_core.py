@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from iclforge.core import (
     Dataset,
     Example,
+    atomic_write_text,
     load_dataset,
     load_embeddings,
     normalize_answer,
@@ -214,3 +215,29 @@ class TestLoadEmbeddings:
         assert again.dim == table.dim
         for key in table.vectors:
             assert list(again.vectors[key]) == list(table.vectors[key])
+
+
+class TestAtomicWriteText:
+    def test_replaces_content(self, tmp_path):
+        target = tmp_path / "summary.tsv"
+        target.write_text("old\n", encoding="utf-8")
+        atomic_write_text(target, "new\n")
+        assert target.read_text(encoding="utf-8") == "new\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "summary.tsv"
+        target.write_text("old\n", encoding="utf-8")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(target, "lone surrogate \ud800")
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert target.read_text(encoding="utf-8") == "old\n"
+
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError("read-only target")
+
+        monkeypatch.setattr("iclforge.core.os.replace", refuse)
+        with pytest.raises(PermissionError):
+            atomic_write_text(tmp_path / "manifest.json", "{}")
+        assert list(tmp_path.iterdir()) == []

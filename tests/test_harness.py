@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from iclforge import harness
 from iclforge.errors import DataError, UsageError
 from iclforge.harness import (
     RECORDS_FILE,
@@ -15,9 +17,10 @@ from iclforge.harness import (
     load_report,
     run_eval,
 )
+from iclforge.lm import make_backend
 from iclforge.metrics import answer_count_stats
 
-from rigs import build_copycat_rig, build_listcont_rig
+from rigs import CountingModel, build_copycat_rig, build_listcont_rig
 
 
 def toy_config(fixtures_dir: Path, out_dir: Path, **overrides) -> RunConfig:
@@ -93,6 +96,33 @@ class TestDeterminism:
         report = run_eval(second)
         assert report.manifest["counts"]["cache_misses"] == 0
         assert report_bytes(tmp_path / "one") == report_bytes(tmp_path / "two")
+
+
+class TestSingleFlightPlanning:
+    def counted_run(self, fixtures_dir, out_dir, monkeypatch, jobs):
+        built: list[CountingModel] = []
+
+        def counting_backend(spec, cache_dir=None):
+            # the sleep keeps every backend call open long enough for other
+            # workers to ask for the same shot meanwhile
+            built.append(CountingModel(make_backend(spec, cache_dir), delay=0.002))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "make_backend", counting_backend)
+        run_eval(toy_config(fixtures_dir, out_dir, ordering="greedy", jobs=jobs))
+        return built[0].counts
+
+    def test_jobs_do_not_change_backend_calls(self, fixtures_dir, tmp_path, monkeypatch):
+        serial = self.counted_run(fixtures_dir, tmp_path / "serial", monkeypatch, jobs=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            parallel = self.counted_run(fixtures_dir, tmp_path / "parallel", monkeypatch, jobs=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert serial["score"] > 0
+        assert parallel == serial
+        assert report_bytes(tmp_path / "serial") == report_bytes(tmp_path / "parallel")
 
 
 class TestResume:

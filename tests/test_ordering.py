@@ -11,6 +11,7 @@ from iclforge.lm import DEFAULT_FLOOR, MockModel, MockRule
 from iclforge.ordering import (
     OrderedAnswerSet,
     answer_perplexity,
+    greedy_permutation,
     order_alphabet,
     order_greedy,
     order_perplexity,
@@ -20,6 +21,7 @@ from iclforge.ordering import (
 )
 
 from oracles import oracle_answer_perplexity, oracle_greedy_order
+from rigs import CountingModel
 
 
 def example(answers, example_id="ex"):
@@ -166,6 +168,42 @@ def random_fixture(rng: np.random.Generator):
     return vocab, rules, answers
 
 
+class TestGreedyForcedSteps:
+    def test_only_contested_steps_reach_the_backend(self, f1_mock):
+        model = CountingModel(f1_mock, refuse_forced=True)
+        ex = example(["new york", "new jersey", "boston"])
+        result = order_greedy(ex, "", model)
+        assert result.apply(ex.answers) == ["boston", "new jersey", "new york"]
+        # one score per answer; next-token only for {boston, new} and {jersey, york}
+        assert model.counts == {"score": 3, "next_token": 2}
+        assert model.candidate_lists == [("boston", "new"), ("jersey", "york")]
+
+    def test_one_answer_set_makes_no_backend_call(self, f1_mock):
+        model = CountingModel(f1_mock)
+        for strategy in ("greedy", "reverse_greedy"):
+            assert strategy_permutation(strategy, ["new york"], model=model) == [0]
+        assert model.counts == {}
+
+    def test_blank_answer_rejected_before_any_call(self, f1_mock):
+        model = CountingModel(f1_mock)
+        for answers in (["  "], ["boston", " "]):
+            with pytest.raises(DataError):
+                greedy_permutation(answers, "", model)
+        assert model.counts == {}
+
+
+# answer sets whose answers share leading tokens or are token prefixes of one
+# another, so decoding passes through steps that only one token can take
+SHARED_PREFIX_SETS = (
+    ["a", "a b"],
+    ["a b", "a"],
+    ["a b c", "a b", "a"],
+    ["a b", "a c", "b"],
+    ["c d a", "c d", "d"],
+    ["b a", "b a", "b"],
+)
+
+
 class TestGreedyAgainstSimulation:
     def test_hundred_random_rule_tables(self):
         rng = np.random.default_rng(20240817)
@@ -178,6 +216,17 @@ class TestGreedyAgainstSimulation:
             expected = oracle_greedy_order(vocab, rules, DEFAULT_FLOOR, "p:", answers)
             assert got == expected, (vocab, rules, answers)
             checked += 1
+
+    def test_forced_steps_skipped_on_random_rule_tables(self):
+        rng = np.random.default_rng(20261018)
+        for table in range(100):
+            vocab, rules, random_answers = random_fixture(rng)
+            inner = MockModel(vocab, tuple(MockRule(*r) for r in rules))
+            for answers in (random_answers, *SHARED_PREFIX_SETS):
+                model = CountingModel(inner, refuse_forced=True)
+                got = greedy_permutation(answers, "p:", model)
+                expected = oracle_greedy_order(vocab, rules, DEFAULT_FLOOR, "p:", answers)
+                assert got == expected, (table, rules, answers)
 
 
 class TestOrderAlphabet:

@@ -28,14 +28,17 @@ def make_handler(model: MockModel, failures: dict):
             payload = json.loads(self.rfile.read(length))
             if self.path == "/v1/score":
                 scores = model.score_continuation(payload["context"], payload["continuation"])
-                body = {"tokens": list(scores.tokens), "logprobs": list(scores.logprobs)}
+                body = {
+                    "tokens": list(scores.tokens),
+                    "logprobs": failures.get("score_logprobs", list(scores.logprobs)),
+                }
             elif self.path == "/v1/next_token":
                 logprobs = model.next_token_distribution(payload["context"], payload["candidates"])
                 if failures.get("truncate_next_token"):
                     logprobs = logprobs[:-1]
-                body = {"logprobs": logprobs}
+                body = {"logprobs": failures.get("next_token_logprobs", logprobs)}
             elif self.path == "/v1/generate":
-                body = {
+                body = failures.get("generate_body") or {
                     "text": model.generate(
                         payload["prompt"], payload["stop"], payload["max_tokens"]
                     )
@@ -70,6 +73,7 @@ def server(backing_model):
     thread.start()
     yield f"http://127.0.0.1:{httpd.server_port}", failures
     httpd.shutdown()
+    httpd.server_close()
 
 
 def test_remote_matches_mock(server, backing_model):
@@ -113,6 +117,36 @@ def test_length_mismatch_is_protocol_error_and_not_retried(server):
         remote.next_token_distribution("q", ["a", "b"])
 
 
+BAD_LOGPROBS = [float("nan"), float("inf"), float("-inf"), 0.5]
+
+
+@pytest.mark.parametrize("bad", BAD_LOGPROBS)
+def test_bad_next_token_logprob_is_protocol_error(server, bad):
+    url, failures = server
+    failures["next_token_logprobs"] = [-0.1, bad]
+    remote = RemoteModel(url, retries=3, backoff=0.01)
+    with pytest.raises(ProtocolError):
+        remote.next_token_distribution("q", ["a", "b"])
+
+
+@pytest.mark.parametrize("bad", BAD_LOGPROBS)
+def test_bad_score_logprob_is_protocol_error(server, bad):
+    url, failures = server
+    failures["score_logprobs"] = [bad]
+    remote = RemoteModel(url, retries=3, backoff=0.01)
+    with pytest.raises(ProtocolError):
+        remote.score_continuation("q", "a")
+
+
+@pytest.mark.parametrize("body", [{"text": None}, {"text": 7}, {"text": ["a"]}, {"other": "a"}])
+def test_non_string_generation_is_protocol_error(server, body):
+    url, failures = server
+    failures["generate_body"] = body
+    remote = RemoteModel(url, retries=3, backoff=0.01)
+    with pytest.raises(ProtocolError):
+        remote.generate("q", ["\n"], 10)
+
+
 def test_fingerprint_is_url_based(server):
     url, _ = server
     assert RemoteModel(url).fingerprint == f"remote:{url}"
@@ -152,6 +186,7 @@ def test_full_harness_over_remote_backend(tmp_path, fixtures_dir):
         )
     finally:
         httpd.shutdown()
+        httpd.server_close()
     assert (tmp_path / "remote" / RECORDS_FILE).read_bytes() == (
         tmp_path / "local" / RECORDS_FILE
     ).read_bytes()

@@ -15,7 +15,7 @@ from .core import (  # noqa: E402
     save_dataset,
     save_embeddings,
 )
-from .lm import CachedModel, LanguageModel, MockModel, MockRule, RemoteModel, TokenScores, cached, make_backend
+from .lm import CachedModel, LanguageModel, MockModel, MockRule, RemoteModel, TokenScores, make_backend
 from .metrics import (
     AdherenceResult,
     SetScores,
@@ -27,15 +27,7 @@ from .metrics import (
     set_scores,
     token_f1,
 )
-from .ordering import (
-    OrderedAnswerSet,
-    answer_perplexity,
-    order_alphabet,
-    order_greedy,
-    order_perplexity,
-    order_random,
-    select_quantile_answer,
-)
+from .ordering import answer_perplexity, select_quantile_answer, strategy_permutation
 from .profiling import (
     ExampleSet,
     KnowledgeProfile,
@@ -44,7 +36,7 @@ from .profiling import (
     profile_dataset,
     profile_example,
 )
-from .prompting import Prompt, parse_answers, render_prompt
+from .prompting import parse_answers, render_prompt
 from .retrieval import RetrievalConfig, kmeans, retrieve, similarity
 from .harness import EvalReport, RunConfig, compare_runs, load_report, run_eval
 
@@ -61,9 +53,7 @@ __all__ = [
     "LanguageModel",
     "MockModel",
     "MockRule",
-    "OrderedAnswerSet",
     "Prediction",
-    "Prompt",
     "RemoteModel",
     "RetrievalConfig",
     "RunConfig",
@@ -73,7 +63,6 @@ __all__ = [
     "answer_count_stats",
     "answer_perplexity",
     "build_sets",
-    "cached",
     "compare_runs",
     "exact_match",
     "kmeans",
@@ -84,10 +73,6 @@ __all__ = [
     "median_similarity_filter",
     "normalize_answer",
     "not_in_prompt_scores",
-    "order_alphabet",
-    "order_greedy",
-    "order_perplexity",
-    "order_random",
     "paired_bootstrap",
     "parse_answers",
     "profile_dataset",
@@ -100,5 +85,6 @@ __all__ = [
     "select_quantile_answer",
     "set_scores",
     "similarity",
+    "strategy_permutation",
     "token_f1",
 ]

@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .core import load_dataset, load_embeddings
+from .core import atomic_write_text, load_dataset, load_embeddings
 from .errors import BackendError, DataError, UsageError
 from .harness import (
     RunConfig,
@@ -24,7 +24,7 @@ from .harness import (
     run_eval,
 )
 from .lm import make_backend
-from .ordering import MODEL_STRATEGIES, strategy_permutation
+from .ordering import MODEL_STRATEGIES, peer_prefix, strategy_permutation
 from .ordering import STRATEGIES as ORDERING_STRATEGIES
 from .profiling import (
     CONDITIONS,
@@ -33,10 +33,9 @@ from .profiling import (
     load_sets,
     median_similarity_filter,
     profile_dataset,
-    save_profiles,
     save_sets,
 )
-from .prompting import ANSWER_DELIMITER, render_prompt
+from .prompting import ANSWER_DELIMITER
 from .retrieval import STRATEGIES as RETRIEVAL_STRATEGIES
 from .retrieval import RetrievalConfig, retrieve, similarity
 
@@ -59,9 +58,7 @@ def _write_manifest(out_dir: Path, command: str, payload: dict) -> None:
         "written_at": datetime.now(timezone.utc).isoformat(),
         **payload,
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
-    )
+    atomic_write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def _build_parser() -> _Parser:
@@ -79,7 +76,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--backend", required=True)
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cache-dir")
     p.add_argument("--out", required=True)
 
@@ -176,13 +172,11 @@ def _cmd_profile(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     store = out_dir / "profiles.jsonl"
     profiles = profile_dataset(train, table, model, k=args.k, store_path=store)
-    save_profiles(profiles, store)
     _write_manifest(
         out_dir,
         "profile",
         {
             "model_fingerprint": model.fingerprint,
-            "seed": args.seed,
             "k": args.k,
             "counts": {
                 "profiled": len(profiles),
@@ -246,14 +240,8 @@ def _cmd_order(args) -> int:
             raise UsageError(f"strategy {args.strategy} needs --backend and --embeddings")
         table = load_embeddings(args.embeddings, train)
         model = make_backend(args.backend, _cache_dir(args))
-        pool = [ex for ex in train if ex.id != example.id and ex.prompt_safe]
-        k = min(args.k, len(pool))
-        shots = (
-            retrieve(example, pool, table, RetrievalConfig(strategy="similar", k=k))
-            if k >= 1
-            else []
-        )
-        prefix = render_prompt([(s.question, s.answers) for s in shots], example.question)
+        pool = [ex for ex in train if ex.prompt_safe]
+        prefix = peer_prefix(example, pool, table, args.k)
     permutation = strategy_permutation(
         args.strategy,
         example.answers,

@@ -15,12 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .prompting import parse_answers
+from .prompting import ANSWER_DELIMITER, parse_answers
 
 log = logging.getLogger(__name__)
 
 FORMAT_VERSION = "icl-forge/v1"
-ANSWER_DELIMITER = " | "
 
 SPLITS = ("train", "dev", "test")
 

@@ -23,6 +23,7 @@ from typing import Sequence
 
 from . import __version__
 from .core import (
+    Dataset,
     EmbeddingTable,
     Example,
     Prediction,
@@ -42,7 +43,12 @@ from .metrics import (
     set_scores,
     strategy_ranks,
 )
-from .ordering import MAX_REORDER_ANSWERS, MODEL_STRATEGIES, strategy_permutation
+from .ordering import (
+    MAX_REORDER_ANSWERS,
+    MODEL_STRATEGIES,
+    peer_prefix,
+    strategy_permutation,
+)
 from .ordering import STRATEGIES as ORDERING_STRATEGIES
 from .prompting import render_prompt
 from .retrieval import STRATEGIES as RETRIEVAL_STRATEGIES
@@ -158,6 +164,40 @@ def _prompt_hash(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
+def _parse_records(data: bytes, path: Path) -> list[ExampleRecord]:
+    records = []
+    # bytes.splitlines breaks on newlines only, not inside a record's text
+    for lineno, line in enumerate(data.splitlines(), 1):
+        if line.strip():
+            try:
+                records.append(ExampleRecord.from_json(line.decode("utf-8")))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise DataError(f"{path}: line {lineno}: bad record: {exc}") from exc
+    return records
+
+
+def _resume_records(path: Path) -> list[ExampleRecord]:
+    """Records of an interrupted run, with a torn last line cut off the file.
+
+    The last line is torn when it lacks its newline or does not parse; the
+    file is truncated after the last whole record so appending continues
+    there. Any other bad line raises DataError.
+    """
+    data = path.read_bytes()
+    whole = data[: data.rfind(b"\n") + 1]
+    try:
+        records = _parse_records(whole, path)
+    except DataError:
+        # drop the last line; if it was not the bad one, this raises again
+        whole = whole[: whole.rfind(b"\n", 0, -1) + 1]
+        records = _parse_records(whole, path)
+    if len(whole) < len(data):
+        log.warning("dropping a torn last line of %s", path)
+        with path.open("r+b") as fh:
+            fh.truncate(len(whole))
+    return records
+
+
 def _config_hash(config: RunConfig) -> str:
     # jobs does not affect results, so resuming across job counts is allowed
     snapshot = {k: v for k, v in config.to_dict().items() if k != "jobs"}
@@ -166,8 +206,8 @@ def _config_hash(config: RunConfig) -> str:
     ).hexdigest()
 
 
-class _ShotPlanner:
-    """Per-run memo of shot prefixes and strategy-ordered answer lists.
+class _PromptPlanner:
+    """The run's prompt planner: shots, shot answer orders and rendered prompts.
 
     Each shot id is planned once: the first thread to ask computes it, and
     concurrent askers wait for that result, so ``jobs`` never changes the
@@ -177,49 +217,57 @@ class _ShotPlanner:
     def __init__(
         self,
         config: RunConfig,
-        pool: list[Example],
+        train: Dataset,
         table: EmbeddingTable,
         model: LanguageModel,
     ) -> None:
         self.config = config
-        self.pool = pool
         self.table = table
         self.model = model
-        self._prefixes: dict[str, Future] = {}
+        self.pool = [ex for ex in train if ex.prompt_safe]
+        self.shot_duty_excluded = len(train) - len(self.pool)
+        if not self.pool:
+            raise DataError("no shot-safe training examples")
+        self.fixed_shots: list[Example] | None = None
+        if config.fixed_set_ids is not None:
+            self.fixed_shots = [train.by_id(i) for i in config.fixed_set_ids]
+            for shot in self.fixed_shots:
+                if not shot.prompt_safe:
+                    raise DataError(f"fixed-set member {shot.id!r} is not shot-safe")
+        self.retrieval = RetrievalConfig(
+            strategy=config.retrieval_strategy, k=config.k, seed=config.seed
+        )
         self._orders: dict[str, Future] = {}
         self._lock = threading.Lock()
         self.reorder_skipped: set[str] = set()
 
-    def _once(self, memo: dict[str, Future], shot_id: str, compute):
+    def plan(self, example: Example) -> tuple[str, tuple[str, ...], set[str]]:
+        """The prompt for `example`, its shot ids, and the normalized shot answers."""
+        if self.fixed_shots is not None:
+            shots: Sequence[Example] = self.fixed_shots
+        else:
+            local_pool = [ex for ex in self.pool if ex.id != example.id]
+            shots = retrieve(example, local_pool, self.table, self.retrieval)
+        shot_pairs = [(s.question, self._ordered_answers(s)) for s in shots]
+        prompt = render_prompt(shot_pairs, example.question)
+        prompt_answer_pool = {
+            normalize_answer(a) for _, answers in shot_pairs for a in answers
+        }
+        return prompt, tuple(s.id for s in shots), prompt_answer_pool
+
+    def _ordered_answers(self, shot: Example) -> tuple[str, ...]:
         with self._lock:
-            future = memo.get(shot_id)
+            future = self._orders.get(shot.id)
             owner = future is None
             if owner:
-                future = memo[shot_id] = Future()
+                future = self._orders[shot.id] = Future()
         if owner:
             try:
-                future.set_result(compute())
+                future.set_result(self._plan_order(shot))
             except BaseException as exc:
                 # waiters re-raise the same failure from future.result()
                 future.set_exception(exc)
         return future.result()
-
-    def shot_prefix(self, shot: Example) -> str:
-        return self._once(self._prefixes, shot.id, lambda: self._plan_prefix(shot))
-
-    def ordered_answers(self, shot: Example) -> tuple[str, ...]:
-        return self._once(self._orders, shot.id, lambda: self._plan_order(shot))
-
-    def _plan_prefix(self, shot: Example) -> str:
-        others = [ex for ex in self.pool if ex.id != shot.id]
-        k = min(self.config.ordering_prefix_k, len(others))
-        if k >= 1:
-            peers = retrieve(
-                shot, others, self.table, RetrievalConfig(strategy="similar", k=k)
-            )
-        else:
-            peers = []
-        return render_prompt([(p.question, p.answers) for p in peers], shot.question)
 
     def _plan_order(self, shot: Example) -> tuple[str, ...]:
         if len(shot.answers) >= MAX_REORDER_ANSWERS:
@@ -228,15 +276,46 @@ class _ShotPlanner:
                 self.reorder_skipped.add(shot.id)
             return shot.answers
         needs_model = self.config.ordering in MODEL_STRATEGIES
+        prefix = (
+            peer_prefix(shot, self.pool, self.table, self.config.ordering_prefix_k)
+            if needs_model
+            else ""
+        )
         permutation = strategy_permutation(
             self.config.ordering,
             shot.answers,
-            prefix=self.shot_prefix(shot) if needs_model else "",
+            prefix=prefix,
             model=self.model,
             example_id=shot.id,
             seed=self.config.seed,
         )
         return tuple(shot.answers[i] for i in permutation)
+
+
+def _load_run(config: RunConfig) -> tuple[Dataset, _PromptPlanner]:
+    """The eval split and the prompt planner over the run's inputs."""
+    train = load_dataset(config.train_path, split="train")
+    eval_ds = load_dataset(config.eval_path, split=config.eval_split)
+    table = load_embeddings(config.embeddings_path, train)
+    table.require(eval_ds.ids())
+    model = make_backend(config.backend, config.cache_dir)
+    return eval_ds, _PromptPlanner(config, train, table, model)
+
+
+def _rederive_prompts(
+    planner: _PromptPlanner, eval_ds: Dataset, records: Sequence[ExampleRecord]
+) -> dict[str, str]:
+    """Each record's prompt, planned again and checked against its stored hash."""
+    prompts: dict[str, str] = {}
+    for record in records:
+        prompt, _, _ = planner.plan(eval_ds.by_id(record.example_id))
+        if _prompt_hash(prompt) != record.prompt_sha256:
+            raise DataError(
+                f"re-derived prompt for {record.example_id!r} does not match the "
+                "stored prompt hash; inputs changed since the run"
+            )
+        prompts[record.example_id] = prompt
+    return prompts
 
 
 def _score_example(
@@ -263,41 +342,11 @@ def _score_example(
     return scores, skipped
 
 
-def _build_prompt(
-    example: Example,
-    shots: Sequence[Example],
-    planner: _ShotPlanner,
-) -> tuple[str, tuple[str, ...], set[str]]:
-    shot_pairs = [(s.question, planner.ordered_answers(s)) for s in shots]
-    prompt = render_prompt(shot_pairs, example.question)
-    prompt_answer_pool = {
-        normalize_answer(a) for _, answers in shot_pairs for a in answers
-    }
-    return prompt, tuple(s.id for s in shots), prompt_answer_pool
-
-
 def run_eval(config: RunConfig) -> EvalReport:
     """Evaluate the configured strategy over the eval split and persist a report."""
     started = datetime.now(timezone.utc).isoformat()
-    train = load_dataset(config.train_path, split="train")
-    eval_ds = load_dataset(config.eval_path, split=config.eval_split)
-    table = load_embeddings(config.embeddings_path, train)
-    table.require(eval_ds.ids())
-    model = make_backend(config.backend, config.cache_dir)
-
-    pool = [ex for ex in train if ex.prompt_safe]
-    shot_duty_excluded = len(train) - len(pool)
-    if not pool:
-        raise DataError("no shot-safe training examples")
-
-    fixed_shots: list[Example] | None = None
-    if config.fixed_set_ids is not None:
-        fixed_shots = [train.by_id(i) for i in config.fixed_set_ids]
-        for shot in fixed_shots:
-            if not shot.prompt_safe:
-                raise DataError(f"fixed-set member {shot.id!r} is not shot-safe")
-
-    planner = _ShotPlanner(config, pool, table, model)
+    eval_ds, planner = _load_run(config)
+    model = planner.model
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / RECORDS_FILE
@@ -311,25 +360,15 @@ def run_eval(config: RunConfig) -> EvalReport:
         except json.JSONDecodeError:
             meta = {}
         if meta.get("config_hash") == cfg_hash:
-            for line in records_path.read_text(encoding="utf-8").splitlines():
-                if line.strip():
-                    record = ExampleRecord.from_json(line)
-                    resumed[record.example_id] = record
+            for record in _resume_records(records_path):
+                resumed[record.example_id] = record
             log.info("resuming run with %d completed examples", len(resumed))
     atomic_write_text(meta_path, json.dumps({"config_hash": cfg_hash}))
 
     not_in_prompt_skips = 0
-    retrieval_cfg = RetrievalConfig(
-        strategy=config.retrieval_strategy, k=config.k, seed=config.seed
-    )
 
     def evaluate(example: Example) -> tuple[ExampleRecord, bool, str]:
-        if fixed_shots is not None:
-            shots: Sequence[Example] = fixed_shots
-        else:
-            local_pool = [ex for ex in pool if ex.id != example.id]
-            shots = retrieve(example, local_pool, table, retrieval_cfg)
-        prompt, shot_ids, prompt_answer_pool = _build_prompt(example, shots, planner)
+        prompt, shot_ids, prompt_answer_pool = planner.plan(example)
         raw = model.generate(prompt, stop=[GENERATION_STOP], max_tokens=config.max_tokens)
         prediction = Prediction.from_generation(example.id, raw)
         scores, nip_skipped = _score_example(example, prediction, prompt_answer_pool)
@@ -371,21 +410,8 @@ def run_eval(config: RunConfig) -> EvalReport:
     aggregates = compute_aggregates(records)
     adherence_skipped = 0
     if config.compute_adherence and config.ordering != "random":
-        for record in records:
-            if record.example_id not in prompts:
-                example = eval_ds.by_id(record.example_id)
-                if fixed_shots is not None:
-                    shots = fixed_shots
-                else:
-                    local_pool = [ex for ex in pool if ex.id != example.id]
-                    shots = retrieve(example, local_pool, table, retrieval_cfg)
-                prompt, _, _ = _build_prompt(example, shots, planner)
-                if _prompt_hash(prompt) != record.prompt_sha256:
-                    raise DataError(
-                        f"re-derived prompt for {record.example_id!r} does not match "
-                        "the stored prompt hash; inputs changed since the run"
-                    )
-                prompts[record.example_id] = prompt
+        unplanned = [r for r in records if r.example_id not in prompts]
+        prompts.update(_rederive_prompts(planner, eval_ds, unplanned))
         try:
             result = adherence_for_records(
                 records, config.ordering, prompts, model, seed=config.seed
@@ -410,7 +436,7 @@ def run_eval(config: RunConfig) -> EvalReport:
         "counts": {
             "examples": len(records),
             "resumed": len(resumed),
-            "shot_duty_excluded": shot_duty_excluded,
+            "shot_duty_excluded": planner.shot_duty_excluded,
             "reorder_skipped": len(planner.reorder_skipped),
             "not_in_prompt_skipped": not_in_prompt_skips,
             "adherence_skipped": adherence_skipped,
@@ -464,37 +490,8 @@ def derive_prompts(
     Evaluation runs are deterministic, so the prompts can be reconstructed from
     the config plus the input files; the stored hash guards against drift.
     """
-    train = load_dataset(config.train_path, split="train")
-    eval_ds = load_dataset(config.eval_path, split=config.eval_split)
-    table = load_embeddings(config.embeddings_path, train)
-    table.require(eval_ds.ids())
-    model = make_backend(config.backend, config.cache_dir)
-    pool = [ex for ex in train if ex.prompt_safe]
-    planner = _ShotPlanner(config, pool, table, model)
-    fixed_shots = (
-        [train.by_id(i) for i in config.fixed_set_ids]
-        if config.fixed_set_ids is not None
-        else None
-    )
-    retrieval_cfg = RetrievalConfig(
-        strategy=config.retrieval_strategy, k=config.k, seed=config.seed
-    )
-    prompts: dict[str, str] = {}
-    for record in records:
-        example = eval_ds.by_id(record.example_id)
-        if fixed_shots is not None:
-            shots: Sequence[Example] = fixed_shots
-        else:
-            local_pool = [ex for ex in pool if ex.id != example.id]
-            shots = retrieve(example, local_pool, table, retrieval_cfg)
-        prompt, _, _ = _build_prompt(example, shots, planner)
-        if _prompt_hash(prompt) != record.prompt_sha256:
-            raise DataError(
-                f"re-derived prompt for {record.example_id!r} does not match the "
-                "stored prompt hash; inputs changed since the run"
-            )
-        prompts[record.example_id] = prompt
-    return prompts, model
+    eval_ds, planner = _load_run(config)
+    return _rederive_prompts(planner, eval_ds, records), planner.model
 
 
 def adherence_from_report(
@@ -526,11 +523,7 @@ def compute_aggregates(records: Sequence[ExampleRecord]) -> dict[str, float]:
     if not records:
         raise DataError("no records to aggregate")
     aggregates: dict[str, float] = {"n_examples": float(len(records))}
-    for key in SCORE_KEYS:
-        values = [r.scores[key] for r in records if r.scores.get(key) is not None]
-        if values:
-            aggregates[key] = sum(values) / len(values)
-    for key in ("not_in_prompt_p", "not_in_prompt_r"):
+    for key in SCORE_KEYS + ("not_in_prompt_p", "not_in_prompt_r"):
         values = [r.scores[key] for r in records if r.scores.get(key) is not None]
         if values:
             aggregates[key] = sum(values) / len(values)
@@ -558,21 +551,23 @@ def load_report(out_dir: str | Path) -> EvalReport:
     records_path = out_dir / RECORDS_FILE
     if not records_path.exists():
         raise DataError(f"no {RECORDS_FILE} in {out_dir}")
-    records = [
-        ExampleRecord.from_json(line)
-        for line in records_path.read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+    records = _parse_records(records_path.read_bytes(), records_path)
     if not records:
         raise DataError(f"{records_path} holds no records")
     manifest = {}
     manifest_path = out_dir / MANIFEST_FILE
     if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        try:
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise DataError(f"malformed manifest {manifest_path}: {exc}") from exc
     summary_path = out_dir / SUMMARY_FILE
     aggregates = compute_aggregates(records)
     if summary_path.exists():
-        stored = parse_summary(summary_path.read_text(encoding="utf-8"))
+        try:
+            stored = parse_summary(summary_path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise DataError(f"malformed summary {summary_path}: {exc}") from exc
         for key, value in aggregates.items():
             if key not in stored or abs(stored[key] - value) > 1e-12:
                 raise DataError(

@@ -427,11 +427,6 @@ class CachedModel(LanguageModel):
         return str(response["text"])
 
 
-def cached(model: LanguageModel, cache_dir: str | Path) -> CachedModel:
-    """Wrap any backend with the persistent call cache."""
-    return CachedModel(model, cache_dir)
-
-
 def make_backend(spec: str, cache_dir: str | Path | None = None) -> LanguageModel:
     """Build a backend from a ``mock:<fixture>`` or ``remote:<url>`` spec string."""
     scheme, _, rest = spec.partition(":")
@@ -444,5 +439,5 @@ def make_backend(spec: str, cache_dir: str | Path | None = None) -> LanguageMode
             f"bad backend spec {spec!r}; expected mock:<fixture> or remote:<url>"
         )
     if cache_dir is not None:
-        return cached(model, cache_dir)
+        return CachedModel(model, cache_dir)
     return model

@@ -1,19 +1,22 @@
 """Answer-set ordering strategies and single-answer quantile selection.
 
 Knowledge-aware strategies score answers against a prompt prefix ending in
-``Answers:``, so the scored continuation is a single space followed by the raw
-answer, mirroring the answer's position in a rendered shot.
+``Answers:`` (for a shot, its ``peer_prefix``), so the scored continuation is
+a single space followed by the raw answer, mirroring the answer's position in
+a rendered shot. ``strategy_permutation`` is the entry point for every
+strategy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from .core import derive_rng
+from .core import EmbeddingTable, Example, derive_rng
 from .errors import DataError, TooManyAnswers
 from .lm import LanguageModel
+from .prompting import render_prompt
+from .retrieval import RetrievalConfig, retrieve
 
 # strategies that score answers with a model against a shot prefix
 MODEL_STRATEGIES = (
@@ -28,19 +31,23 @@ STRATEGIES = ("random", "alphabet") + MODEL_STRATEGIES
 MAX_REORDER_ANSWERS = 20
 
 
-@dataclass(frozen=True)
-class OrderedAnswerSet:
-    example_id: str
-    strategy: str
-    order: tuple[int, ...]
-    scores: tuple[float, ...] | None = None
+def peer_prefix(
+    example: Example, pool: Sequence[Example], table: EmbeddingTable, k: int
+) -> str:
+    """Prompt for `example` after its k most similar peers, each in gold order.
 
-    def __post_init__(self) -> None:
-        if sorted(self.order) != list(range(len(self.order))):
-            raise DataError(f"order {self.order} is not a permutation")
-
-    def apply(self, answers: Sequence[str]) -> list[str]:
-        return [answers[i] for i in self.order]
+    This is the prefix the model-scored strategies order `example`'s answers
+    against. `example` itself is left out of `pool`, and k is capped at the
+    peers left, so with no peer the prefix is the bare query block.
+    """
+    others = [ex for ex in pool if ex.id != example.id]
+    k = min(k, len(others))
+    peers = (
+        retrieve(example, others, table, RetrievalConfig(strategy="similar", k=k))
+        if k >= 1
+        else []
+    )
+    return render_prompt([(p.question, p.answers) for p in peers], example.question)
 
 
 def answer_perplexity(prefix: str, answer: str, model: LanguageModel) -> float:
@@ -61,11 +68,10 @@ def _check_reorderable(n: int) -> None:
 
 def perplexity_permutation(
     answers: Sequence[str], prefix: str, model: LanguageModel
-) -> tuple[list[int], list[float]]:
-    """Indices sorted by ascending perplexity (stable), plus the raw perplexities."""
+) -> list[int]:
+    """Indices sorted by ascending perplexity (stable)."""
     scores = [answer_perplexity(prefix, a, model) for a in answers]
-    order = sorted(range(len(answers)), key=lambda i: scores[i])
-    return order, scores
+    return sorted(range(len(answers)), key=lambda i: scores[i])
 
 
 def greedy_permutation(
@@ -128,47 +134,6 @@ def random_permutation(n: int, example_id: str, seed: int) -> list[int]:
     return [int(i) for i in rng.permutation(n)]
 
 
-def order_perplexity(example, prefix: str, model: LanguageModel, reverse: bool = False) -> OrderedAnswerSet:
-    _check_reorderable(len(example.answers))
-    order, scores = perplexity_permutation(example.answers, prefix, model)
-    if reverse:
-        order = order[::-1]
-    return OrderedAnswerSet(
-        example_id=example.id,
-        strategy="reverse_perplexity" if reverse else "perplexity",
-        order=tuple(order),
-        scores=tuple(scores),
-    )
-
-
-def order_greedy(example, prefix: str, model: LanguageModel, reverse: bool = False) -> OrderedAnswerSet:
-    _check_reorderable(len(example.answers))
-    order = greedy_permutation(example.answers, prefix, model)
-    if reverse:
-        order = order[::-1]
-    return OrderedAnswerSet(
-        example_id=example.id,
-        strategy="reverse_greedy" if reverse else "greedy",
-        order=tuple(order),
-    )
-
-
-def order_alphabet(example) -> OrderedAnswerSet:
-    return OrderedAnswerSet(
-        example_id=example.id,
-        strategy="alphabet",
-        order=tuple(alphabet_permutation(example.answers)),
-    )
-
-
-def order_random(example, seed: int) -> OrderedAnswerSet:
-    return OrderedAnswerSet(
-        example_id=example.id,
-        strategy="random",
-        order=tuple(random_permutation(len(example.answers), example.id, seed)),
-    )
-
-
 def strategy_permutation(
     strategy: str,
     answers: Sequence[str],
@@ -196,7 +161,7 @@ def strategy_permutation(
     if strategy in ("greedy", "reverse_greedy"):
         order = greedy_permutation(answers, prefix, model)
     else:
-        order, _ = perplexity_permutation(answers, prefix, model)
+        order = perplexity_permutation(answers, prefix, model)
     if strategy.startswith("reverse_"):
         order = order[::-1]
     return order

@@ -19,9 +19,9 @@ from .core import Dataset, EmbeddingTable, Example, derive_rng
 from .errors import DataError
 from .lm import LanguageModel
 from .metrics import set_scores
-from .ordering import answer_perplexity
-from .prompting import parse_answers, render_prompt
-from .retrieval import RetrievalConfig, retrieve, similarity
+from .ordering import answer_perplexity, peer_prefix
+from .prompting import parse_answers
+from .retrieval import similarity
 
 log = logging.getLogger(__name__)
 
@@ -61,10 +61,9 @@ def profile_example(
         raise DataError(f"pool contains the profiled example {example.id!r}")
     if not pool:
         raise DataError("empty candidate pool")
-    shots = retrieve(
-        example, pool, table, RetrievalConfig(strategy="similar", k=min(k, len(pool)))
-    )
-    prefix = render_prompt([(s.question, s.answers) for s in shots], example.question)
+    if k < 1:
+        raise DataError("shot budget k must be at least 1")
+    prefix = peer_prefix(example, pool, table, k)
     raw = model.generate(prefix, stop=["\n"], max_tokens=PROFILE_MAX_TOKENS)
     predicted = parse_answers(raw)
     f1_em = set_scores(predicted, example.answers, matcher="exact").f1

@@ -7,7 +7,6 @@ at the bare ``Answers:`` so the model supplies the leading space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DataError
@@ -42,15 +41,3 @@ def parse_answers(generated: str) -> list[str]:
     """
     head = generated.split("\n", 1)[0]
     return [piece.strip() for piece in head.split(ANSWER_DELIMITER) if piece.strip()]
-
-
-@dataclass(frozen=True)
-class Prompt:
-    shots: tuple[tuple[str, tuple[str, ...]], ...]
-    query: str
-    rendered: str
-
-    @classmethod
-    def build(cls, shots: Sequence[Shot], query: str) -> "Prompt":
-        frozen = tuple((q, tuple(a)) for q, a in shots)
-        return cls(shots=frozen, query=query, rendered=render_prompt(frozen, query))

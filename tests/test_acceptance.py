@@ -21,7 +21,7 @@ from iclforge.metrics import (
     set_scores,
     strategy_ranks,
 )
-from iclforge.ordering import alphabet_permutation, answer_perplexity, order_greedy
+from iclforge.ordering import alphabet_permutation, answer_perplexity, strategy_permutation
 from iclforge.profiling import build_sets, profile_dataset
 from iclforge.prompting import parse_answers, render_prompt
 from iclforge.retrieval import RetrievalConfig, retrieve
@@ -61,11 +61,10 @@ def test_criterion_01_metric_oracle_equivalence():
 def test_criterion_02_greedy_oracle_equivalence():
     start = time.perf_counter()
     rng = np.random.default_rng(202)
-    for case in range(100):
+    for _ in range(100):
         vocab, rules, answers = random_fixture(rng)
         model = MockModel(vocab, tuple(MockRule(*r) for r in rules))
-        example = Example(id=f"c{case}", question="q", answers=tuple(answers))
-        got = list(order_greedy(example, "p:", model).order)
+        got = strategy_permutation("greedy", answers, prefix="p:", model=model)
         expected = oracle_greedy_order(vocab, rules, DEFAULT_FLOOR, "p:", answers)
         assert got == expected, (vocab, rules, answers)
     elapsed = time.perf_counter() - start

@@ -121,6 +121,33 @@ class TestOrder:
         assert code == 0
         assert out.strip() == "g000x | g000y"
 
+    def test_k_zero_orders_against_the_bare_query(self, capsys, knowledge_files):
+        from iclforge.core import load_dataset
+        from iclforge.lm import make_backend
+        from iclforge.ordering import strategy_permutation
+        from iclforge.prompting import render_prompt
+
+        example = load_dataset(knowledge_files["train"]).by_id("p000")
+        model = make_backend(knowledge_files["mock"])
+        permutation = strategy_permutation(
+            "reverse_perplexity",
+            example.answers,
+            prefix=render_prompt([], example.question),
+            model=model,
+        )
+        code, out, _ = run_cli(
+            capsys,
+            "order",
+            "--train", knowledge_files["train"],
+            "--id", "p000",
+            "--strategy", "reverse_perplexity",
+            "--backend", knowledge_files["mock"],
+            "--embeddings", knowledge_files["embeddings"],
+            "--k", "0",
+        )
+        assert code == 0
+        assert out.strip() == " | ".join(example.answers[i] for i in permutation)
+
 
 class TestRetrieve:
     def test_prints_k_shots(self, capsys, fixtures_dir):
@@ -239,6 +266,20 @@ class TestEvalAndReports:
             key = line.split("\t")[0]
             if not key.startswith("phi_"):  # phi needs the model, not just records
                 assert kept[key] == line
+
+    def test_torn_records_exit_2_on_report_and_resume_on_eval(
+        self, capsys, fixtures_dir, tmp_path
+    ):
+        run_cli(capsys, *self.eval_args(fixtures_dir, tmp_path / "a"))
+        records = tmp_path / "a" / "records.jsonl"
+        full = records.read_bytes()
+        records.write_bytes(full[:-20])
+        code, _, err = run_cli(capsys, "report", "--report", str(tmp_path / "a"))
+        assert code == 2
+        assert "line 3" in err
+        code, _, _ = run_cli(capsys, *self.eval_args(fixtures_dir, tmp_path / "a"))
+        assert code == 0
+        assert records.read_bytes() == full
 
     def test_compare_self_not_significant(self, capsys, fixtures_dir, tmp_path):
         run_cli(capsys, *self.eval_args(fixtures_dir, tmp_path / "a"))

@@ -143,6 +143,47 @@ class TestResume:
         report = run_eval(toy_config(fixtures_dir, out, seed=1))
         assert report.manifest["counts"]["resumed"] == 0
 
+    def test_greedy_resume_rederives_prompts(self, fixtures_dir, tmp_path):
+        # resumed records get their prompts re-derived for adherence
+        expected = run_eval(toy_config(fixtures_dir, tmp_path / "full", ordering="greedy"))
+        assert "phi_greedy" in expected.aggregates
+        out = tmp_path / "run"
+        run_eval(toy_config(fixtures_dir, out, ordering="greedy"))
+        lines = (out / RECORDS_FILE).read_text(encoding="utf-8").splitlines()
+        (out / RECORDS_FILE).write_text(lines[0] + "\n", encoding="utf-8")
+        (out / SUMMARY_FILE).unlink()
+        report = run_eval(toy_config(fixtures_dir, out, ordering="greedy"))
+        assert report.manifest["counts"]["resumed"] == 1
+        assert report.aggregates["phi_greedy"] == expected.aggregates["phi_greedy"]
+        assert report_bytes(out) == report_bytes(tmp_path / "full")
+
+    def test_torn_last_line_dropped(self, fixtures_dir, tmp_path):
+        out = tmp_path / "run"
+        run_eval(toy_config(fixtures_dir, out))
+        full = report_bytes(out)
+        (out / RECORDS_FILE).write_bytes(full[0][:-20])
+        report = run_eval(toy_config(fixtures_dir, out))
+        assert report.manifest["counts"]["resumed"] == 2
+        assert report_bytes(out) == full
+
+    def test_unparsable_last_line_dropped(self, fixtures_dir, tmp_path):
+        out = tmp_path / "run"
+        run_eval(toy_config(fixtures_dir, out))
+        full = report_bytes(out)
+        first = full[0].splitlines(keepends=True)[0]
+        (out / RECORDS_FILE).write_bytes(first + b'{"id": "e2"}\n')
+        report = run_eval(toy_config(fixtures_dir, out))
+        assert report.manifest["counts"]["resumed"] == 1
+        assert report_bytes(out) == full
+
+    def test_bad_inner_line_raises(self, fixtures_dir, tmp_path):
+        out = tmp_path / "run"
+        run_eval(toy_config(fixtures_dir, out))
+        lines = (out / RECORDS_FILE).read_bytes().splitlines(keepends=True)
+        (out / RECORDS_FILE).write_bytes(lines[0] + b"{not json\n" + lines[2])
+        with pytest.raises(DataError, match="line 2"):
+            run_eval(toy_config(fixtures_dir, out))
+
 
 class TestFixedSet:
     def test_same_shots_for_every_query(self, fixtures_dir, tmp_path):
@@ -226,6 +267,46 @@ class TestLoadReport:
         with pytest.raises(DataError, match="does not match"):
             load_report(out)
 
+    def test_torn_records_raise_data_error(self, fixtures_dir, tmp_path):
+        out = tmp_path / "run"
+        run_eval(toy_config(fixtures_dir, out))
+        records = (out / RECORDS_FILE).read_bytes()
+        (out / RECORDS_FILE).write_bytes(records[:-20])
+        with pytest.raises(DataError, match="line 3"):
+            load_report(out)
+
+    def test_missing_key_raises_data_error(self, fixtures_dir, tmp_path):
+        out = tmp_path / "run"
+        run_eval(toy_config(fixtures_dir, out))
+        lines = (out / RECORDS_FILE).read_bytes().splitlines(keepends=True)
+        (out / RECORDS_FILE).write_bytes(b'{"id": "e1"}\n' + b"".join(lines[1:]))
+        with pytest.raises(DataError, match="line 1"):
+            load_report(out)
+
+    def test_malformed_manifest_or_summary_raises_data_error(self, fixtures_dir, tmp_path):
+        out = tmp_path / "run"
+        run_eval(toy_config(fixtures_dir, out))
+        manifest = (out / "manifest.json").read_text(encoding="utf-8")
+        (out / "manifest.json").write_text("{", encoding="utf-8")
+        with pytest.raises(DataError, match="manifest"):
+            load_report(out)
+        (out / "manifest.json").write_text(manifest, encoding="utf-8")
+        (out / SUMMARY_FILE).write_text("f1_em\tnot-a-number\n", encoding="utf-8")
+        with pytest.raises(DataError, match="summary"):
+            load_report(out)
+
+    def test_line_separator_inside_a_record(self, fixtures_dir, tmp_path):
+        # records are split on newlines only, not on every Unicode line break
+        out = tmp_path / "run"
+        run_eval(toy_config(fixtures_dir, out))
+        path = out / RECORDS_FILE
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = json.loads(lines[0])
+        record["raw_text"] += "\u2028"
+        lines[0] = json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        assert load_report(out).records[0].raw_text.endswith("\u2028")
+
 
 class TestCompareRuns:
     def test_self_comparison_p_one(self, fixtures_dir, tmp_path):
@@ -308,6 +389,18 @@ class TestAdherenceThroughHarness:
         assert result.phi == 100.0
         reverse = adherence_from_report(tmp_path / "out", "reverse_greedy")
         assert reverse.phi == 0.0
+
+    def test_edited_training_answers_detected(self, fixtures_dir, tmp_path):
+        train = tmp_path / "train.jsonl"
+        text = (fixtures_dir / "toy_train.jsonl").read_text(encoding="utf-8")
+        train.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        run_eval(toy_config(fixtures_dir, out, ordering="greedy", train_path=str(train)))
+        edited = text.replace('["ada lenz"]', '["ada lenz", "bo lenz"]')
+        assert edited != text
+        train.write_text(edited, encoding="utf-8")
+        with pytest.raises(DataError, match="does not match"):
+            adherence_from_report(out, "greedy")
 
 
 class TestAnswerCountDeltas:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iclforge.errors import DataError
-from iclforge.lm import DEFAULT_FLOOR, MockModel, MockRule, cached, make_backend
+from iclforge.lm import DEFAULT_FLOOR, CachedModel, MockModel, MockRule, make_backend
 
 from oracles import oracle_mock_distribution
 
@@ -196,7 +196,7 @@ class TestMockFixtureFile:
 
 class TestCache:
     def test_hit_on_identical_call(self, tmp_path):
-        model = cached(mock(["a", "b"]), tmp_path / "cache")
+        model = CachedModel(mock(["a", "b"]), tmp_path / "cache")
         first = model.score_continuation("ctx", "a b")
         assert model.hits == 0 and model.misses == 1
         second = model.score_continuation("ctx", "a b")
@@ -204,14 +204,14 @@ class TestCache:
         assert first == second
 
     def test_one_char_context_difference_misses(self, tmp_path):
-        model = cached(mock(["a"]), tmp_path / "cache")
+        model = CachedModel(mock(["a"]), tmp_path / "cache")
         model.score_continuation("ctx", "a")
         model.score_continuation("ctX", "a")
         assert model.hits == 0 and model.misses == 2
 
     def test_clear_then_recompute_identical(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        model = cached(mock(["a", "b"], rules=[("", "a", 2.0)]), cache_dir)
+        model = CachedModel(mock(["a", "b"], rules=[("", "a", 2.0)]), cache_dir)
         first = model.generate("p", [], 3)
         for entry in cache_dir.glob("*.json"):
             entry.unlink()
@@ -221,7 +221,7 @@ class TestCache:
 
     def test_corrupt_entry_recovered(self, tmp_path, caplog):
         cache_dir = tmp_path / "cache"
-        model = cached(mock(["a", "b"]), cache_dir)
+        model = CachedModel(mock(["a", "b"]), cache_dir)
         expected = model.next_token_distribution("c", ["a"])
         (entry,) = cache_dir.glob("*.json")
         entry.write_text("{broken", encoding="utf-8")
@@ -232,7 +232,7 @@ class TestCache:
 
     def test_transparent_over_all_ops(self, tmp_path):
         plain = mock(["a", "b", "\n"], rules=[("", "a", 3.0), ("a", "\n", 9.0)])
-        wrapped = cached(
+        wrapped = CachedModel(
             mock(["a", "b", "\n"], rules=[("", "a", 3.0), ("a", "\n", 9.0)]),
             tmp_path / "cache",
         )
@@ -244,7 +244,7 @@ class TestCache:
             assert wrapped.generate("q", ["\n"], 5) == plain.generate("q", ["\n"], 5)
 
     def test_concurrent_access(self, tmp_path):
-        model = cached(mock(["a", "b"]), tmp_path / "cache")
+        model = CachedModel(mock(["a", "b"]), tmp_path / "cache")
         errors = []
 
         def worker(i):

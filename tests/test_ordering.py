@@ -9,13 +9,8 @@ from iclforge.core import Example
 from iclforge.errors import DataError, TooManyAnswers
 from iclforge.lm import DEFAULT_FLOOR, MockModel, MockRule
 from iclforge.ordering import (
-    OrderedAnswerSet,
     answer_perplexity,
     greedy_permutation,
-    order_alphabet,
-    order_greedy,
-    order_perplexity,
-    order_random,
     select_quantile_answer,
     strategy_permutation,
 )
@@ -26,6 +21,12 @@ from rigs import CountingModel
 
 def example(answers, example_id="ex"):
     return Example(id=example_id, question="q", answers=tuple(answers))
+
+
+def order(strategy, answers, model=None, prefix="", example_id="ex", seed=0):
+    return strategy_permutation(
+        strategy, answers, prefix=prefix, model=model, example_id=example_id, seed=seed
+    )
 
 
 F1_VOCAB = ["new", "york", "jersey", "boston", "|", "\n"]
@@ -74,72 +75,67 @@ class TestOrderPerplexity:
 
     def test_ascending_and_reverse(self):
         model = self.rigged_model()
-        ex = example(["b", "c", "a"])
-        forward = order_perplexity(ex, "", model)
-        assert forward.order == (2, 0, 1)
-        assert forward.scores is not None
-        sorted_scores = [forward.scores[i] for i in forward.order]
+        answers = ["b", "c", "a"]
+        forward = order("perplexity", answers, model)
+        assert forward == [2, 0, 1]
+        scores = [answer_perplexity("", a, model) for a in answers]
+        sorted_scores = [scores[i] for i in forward]
         assert sorted_scores == sorted(sorted_scores)
-        reverse = order_perplexity(ex, "", model, reverse=True)
-        assert reverse.order == forward.order[::-1]
+        reverse = order("reverse_perplexity", answers, model)
+        assert reverse == forward[::-1]
 
     def test_single_answer(self):
         model = self.rigged_model()
-        assert order_perplexity(example(["a"]), "", model).order == (0,)
-        assert order_perplexity(example(["a"]), "", model, reverse=True).order == (0,)
+        assert order("perplexity", ["a"], model) == [0]
+        assert order("reverse_perplexity", ["a"], model) == [0]
 
     def test_ties_keep_gold_order(self):
         model = MockModel(["a", "b", "c"])  # uniform: all perplexities equal
-        assert order_perplexity(example(["c", "a", "b"]), "", model).order == (0, 1, 2)
+        assert order("perplexity", ["c", "a", "b"], model) == [0, 1, 2]
 
     def test_twenty_answers_rejected(self):
         model = self.rigged_model()
-        ex = example([f"a{i}" for i in range(20)])
         with pytest.raises(TooManyAnswers):
-            order_perplexity(ex, "", model)
+            order("perplexity", [f"a{i}" for i in range(20)], model)
 
     def test_matches_recomputed_perplexities(self, f1_mock):
-        ex = example(["new york", "new jersey", "boston"])
-        result = order_perplexity(ex, "", f1_mock)
-        pps = [answer_perplexity("", a, f1_mock) for a in ex.answers]
+        answers = ["new york", "new jersey", "boston"]
+        result = order("perplexity", answers, f1_mock)
+        pps = [answer_perplexity("", a, f1_mock) for a in answers]
         expected = sorted(range(3), key=lambda i: pps[i])
-        assert list(result.order) == expected
+        assert result == expected
 
 
 class TestOrderGreedy:
     def test_spec_ordering_on_f1_fixture(self, f1_mock):
-        ex = example(["new york", "new jersey", "boston"])
-        result = order_greedy(ex, "", f1_mock)
-        assert result.apply(ex.answers) == ["boston", "new jersey", "new york"]
-        reverse = order_greedy(ex, "", f1_mock, reverse=True)
-        assert reverse.order == result.order[::-1]
+        answers = ["new york", "new jersey", "boston"]
+        result = order("greedy", answers, f1_mock)
+        assert [answers[i] for i in result] == ["boston", "new jersey", "new york"]
+        reverse = order("reverse_greedy", answers, f1_mock)
+        assert reverse == result[::-1]
 
     def test_single_answer(self, f1_mock):
-        assert order_greedy(example(["boston"]), "", f1_mock).order == (0,)
+        assert order("greedy", ["boston"], f1_mock) == [0]
 
     def test_prefix_answer_completes_first(self):
         # "a" completes while "a b" is still viable; completion wins
         model = MockModel(["a", "b"])
-        result = order_greedy(example(["a", "a b"]), "", model)
-        assert result.order == (0, 1)
+        assert order("greedy", ["a", "a b"], model) == [0, 1]
 
     def test_dominant_answer_emitted_first(self):
         model = MockModel(
             ["win", "x", "y"],
             (MockRule("", "win", 50.0), MockRule("", "x", 1.0), MockRule("", "y", 1.0)),
         )
-        result = order_greedy(example(["x", "win", "y"]), "", model)
-        assert result.order[0] == 1
+        assert order("greedy", ["x", "win", "y"], model)[0] == 1
 
     def test_twenty_answers_rejected(self, f1_mock):
-        ex = example([f"boston{i}" for i in range(20)])
         with pytest.raises(TooManyAnswers):
-            order_greedy(ex, "", f1_mock)
+            order("greedy", [f"boston{i}" for i in range(20)], f1_mock)
 
     def test_duplicate_answers_both_emitted(self):
         model = MockModel(["a", "b"])
-        result = order_greedy(example(["a", "a"]), "", model)
-        assert sorted(result.order) == [0, 1]
+        assert sorted(order("greedy", ["a", "a"], model)) == [0, 1]
 
 
 def random_fixture(rng: np.random.Generator):
@@ -171,9 +167,9 @@ def random_fixture(rng: np.random.Generator):
 class TestGreedyForcedSteps:
     def test_only_contested_steps_reach_the_backend(self, f1_mock):
         model = CountingModel(f1_mock, refuse_forced=True)
-        ex = example(["new york", "new jersey", "boston"])
-        result = order_greedy(ex, "", model)
-        assert result.apply(ex.answers) == ["boston", "new jersey", "new york"]
+        answers = ["new york", "new jersey", "boston"]
+        result = order("greedy", answers, model)
+        assert [answers[i] for i in result] == ["boston", "new jersey", "new york"]
         # one score per answer; next-token only for {boston, new} and {jersey, york}
         assert model.counts == {"score": 3, "next_token": 2}
         assert model.candidate_lists == [("boston", "new"), ("jersey", "york")]
@@ -211,8 +207,7 @@ class TestGreedyAgainstSimulation:
         while checked < 100:
             vocab, rules, answers = random_fixture(rng)
             model = MockModel(vocab, tuple(MockRule(*r) for r in rules))
-            ex = example(answers, example_id=f"fix{checked}")
-            got = list(order_greedy(ex, "p:", model).order)
+            got = order("greedy", answers, model, prefix="p:")
             expected = oracle_greedy_order(vocab, rules, DEFAULT_FLOOR, "p:", answers)
             assert got == expected, (vocab, rules, answers)
             checked += 1
@@ -231,40 +226,39 @@ class TestGreedyAgainstSimulation:
 
 class TestOrderAlphabet:
     def test_case_insensitive(self):
-        result = order_alphabet(example(["banana", "Apple"]))
-        assert result.apply(("banana", "Apple")) == ["Apple", "banana"]
+        answers = ("banana", "Apple")
+        assert [answers[i] for i in order("alphabet", answers)] == ["Apple", "banana"]
 
     def test_no_size_limit(self):
         answers = [f"item {i:02d}" for i in range(25)]
-        assert len(order_alphabet(example(answers)).order) == 25
+        assert len(order("alphabet", answers)) == 25
 
     def test_ties_keep_original_order(self):
-        assert order_alphabet(example(["a", "a"])).order == (0, 1)
+        assert order("alphabet", ["a", "a"]) == [0, 1]
 
     def test_sorted_input_is_identity(self):
-        assert order_alphabet(example(["a", "b", "c"])).order == (0, 1, 2)
+        assert order("alphabet", ["a", "b", "c"]) == [0, 1, 2]
 
 
 class TestOrderRandom:
     def test_single_answer(self):
-        assert order_random(example(["only"]), seed=3).order == (0,)
+        assert order("random", ["only"], seed=3) == [0]
 
     def test_deterministic_per_seed(self):
-        ex = example(list("abcdefg"))
-        assert order_random(ex, seed=5).order == order_random(ex, seed=5).order
+        answers = list("abcdefg")
+        assert order("random", answers, seed=5) == order("random", answers, seed=5)
 
     def test_varies_with_example_id(self):
-        a = order_random(example(list("abcdefg"), example_id="one"), seed=5).order
-        b = order_random(example(list("abcdefg"), example_id="two"), seed=5).order
+        a = order("random", list("abcdefg"), example_id="one", seed=5)
+        b = order("random", list("abcdefg"), example_id="two", seed=5)
         assert a != b  # astronomically unlikely collision for 7! permutations
 
     def test_uniform_over_permutations(self):
-        ex = example(["x", "y", "z"])
         counts: dict[tuple, int] = {}
         trials = 10_000
         for seed in range(trials):
-            order = order_random(ex, seed=seed).order
-            counts[order] = counts.get(order, 0) + 1
+            permutation = tuple(order("random", ["x", "y", "z"], seed=seed))
+            counts[permutation] = counts.get(permutation, 0) + 1
         assert set(counts) == set(itertools.permutations(range(3)))
         for permutation, count in counts.items():
             assert abs(count / trials - 1 / 6) < 0.02, permutation
@@ -312,7 +306,3 @@ class TestPermutationProperties:
             fwd = strategy_permutation(forward, answers, prefix="", model=f1_mock)
             bwd = strategy_permutation(backward, answers, prefix="", model=f1_mock)
             assert bwd == fwd[::-1]
-
-    def test_invalid_permutation_rejected(self):
-        with pytest.raises(DataError):
-            OrderedAnswerSet(example_id="e", strategy="alphabet", order=(0, 0, 1))

@@ -89,6 +89,18 @@ class TestProfileExample:
         with pytest.raises(DataError):
             profile_example(example, list(dataset.examples), table, model)
 
+    def test_empty_pool_rejected(self, rig):
+        dataset, table, model = rig
+        with pytest.raises(DataError):
+            profile_example(dataset.examples[0], [], table, model)
+
+    def test_k_below_one_rejected(self, rig):
+        dataset, table, model = rig
+        example = dataset.examples[0]
+        pool = [ex for ex in dataset if ex.id != example.id]
+        with pytest.raises(DataError):
+            profile_example(example, pool, table, model, k=0)
+
     def test_avg_similarity_is_mean_over_pool(self, rig):
         dataset, table, model = rig
         example = dataset.examples[0]

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from iclforge.errors import DataError
-from iclforge.prompting import Prompt, parse_answers, render_prompt
+from iclforge.prompting import parse_answers, render_prompt
 
 clean_text = st.text(
     alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd"), whitelist_characters=" '-"),
@@ -63,11 +63,6 @@ def test_parse_answers_drops_empty_pieces_and_cuts_at_newline():
 
 def test_parse_answers_keeps_duplicates():
     assert parse_answers("x | x | y") == ["x", "x", "y"]
-
-
-def test_prompt_dataclass_carries_rendering():
-    prompt = Prompt.build([("q", ["a", "b"])], "query")
-    assert prompt.rendered == render_prompt([("q", ["a", "b"])], "query")
 
 
 @given(st.lists(clean_text, min_size=1, max_size=6), clean_text)

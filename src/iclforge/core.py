@@ -154,14 +154,20 @@ def normalize_answer(text: str) -> str:
     return " ".join(out.split())
 
 
-def _read_versioned_lines(path: Path, kind: str):
+def _read_versioned_records(path: Path, kind: str):
+    """(line number, JSON object) for each non-blank line after the format header."""
     try:
         raw = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {kind} file {path}: {exc}") from exc
-    lines = raw.splitlines()
-    if not lines:
+    except UnicodeDecodeError as exc:
+        # exc.start is a byte offset into the whole file
+        lineno = path.read_bytes().count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}: line {lineno}: not valid UTF-8: {exc.reason}") from exc
+    if not raw:
         raise DataError(f"{kind} file {path} is empty (missing format header)")
+    # "\n" only: JSON strings may hold U+2028, U+2029 and U+0085 unescaped
+    lines = raw.split("\n")
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
@@ -171,7 +177,16 @@ def _read_versioned_lines(path: Path, kind: str):
             f"{path}: unsupported format header {lines[0]!r}; expected "
             f'{{"format": "{FORMAT_VERSION}"}}'
         )
-    return lines[1:]
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: line {lineno}: malformed record: {exc}") from exc
+        if not isinstance(record, dict):
+            raise DataError(f"{path}: line {lineno}: record is not a JSON object")
+        yield lineno, record
 
 
 def load_dataset(path: str | Path, split: str = "train") -> Dataset:
@@ -185,13 +200,9 @@ def load_dataset(path: str | Path, split: str = "train") -> Dataset:
     examples: list[Example] = []
     seen_ids: set[str] = set()
     seen_questions: set[str] = set()
-    for lineno, line in enumerate(_read_versioned_lines(path, "dataset"), start=2):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: line {lineno}: malformed record: {exc}") from exc
+    for lineno, record in _read_versioned_records(path, "dataset"):
+        if not isinstance(record.get("answers", []), list):
+            raise DataError(f"{path}: line {lineno}: answers must be a list")
         try:
             example = Example(
                 id=str(record["id"]),
@@ -237,17 +248,11 @@ def load_embeddings(path: str | Path, dataset: Dataset | None = None) -> Embeddi
     path = Path(path)
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    for lineno, line in enumerate(_read_versioned_lines(path, "embedding"), start=2):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: line {lineno}: malformed record: {exc}") from exc
+    for lineno, record in _read_versioned_records(path, "embedding"):
         try:
             vec_id = str(record["id"])
             vector = np.asarray(record["vector"], dtype=np.float64)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: line {lineno}: bad embedding record: {exc}") from exc
         if vector.ndim != 1 or vector.size == 0:
             raise DataError(f"{path}: line {lineno}: vector must be a non-empty list")

@@ -4,7 +4,8 @@ metrics, and report persistence.
 A report directory holds three artifacts: ``records.jsonl`` (one record per
 evaluation example, flushed incrementally in dataset order so interrupted runs
 can resume), ``summary.tsv`` (aggregate metrics, full-precision), and
-``manifest.json`` (config snapshot, fingerprint, seed, counters, timestamps).
+``manifest.json`` (config snapshot, input file hashes, fingerprint, seed,
+counters, timestamps).
 Records and summary are byte-identical across reruns and across job counts.
 """
 
@@ -198,9 +199,21 @@ def _resume_records(path: Path) -> list[ExampleRecord]:
     return records
 
 
-def _config_hash(config: RunConfig) -> str:
+def _file_sha256(path: str) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        # fixed-size chunks keep memory flat whatever the file size
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _config_hash(config: RunConfig, input_sha256: dict[str, str], fingerprint: str) -> str:
+    """Resume key: the config, the input file contents and the backend fingerprint."""
     # jobs does not affect results, so resuming across job counts is allowed
     snapshot = {k: v for k, v in config.to_dict().items() if k != "jobs"}
+    snapshot["input_sha256"] = input_sha256
+    snapshot["model_fingerprint"] = fingerprint
     return hashlib.sha256(
         json.dumps(snapshot, sort_keys=True).encode("utf-8")
     ).hexdigest()
@@ -352,7 +365,12 @@ def run_eval(config: RunConfig) -> EvalReport:
     records_path = out_dir / RECORDS_FILE
     meta_path = out_dir / META_FILE
 
-    cfg_hash = _config_hash(config)
+    input_sha256 = {
+        "train": _file_sha256(config.train_path),
+        "eval": _file_sha256(config.eval_path),
+        "embeddings": _file_sha256(config.embeddings_path),
+    }
+    cfg_hash = _config_hash(config, input_sha256, model.fingerprint)
     resumed: dict[str, ExampleRecord] = {}
     if records_path.exists() and meta_path.exists():
         try:
@@ -400,9 +418,14 @@ def run_eval(config: RunConfig) -> EvalReport:
         if config.jobs > 1 and len(todo) > 1:
             with ThreadPoolExecutor(max_workers=config.jobs) as executor:
                 futures = [executor.submit(evaluate, ex) for ex in todo]
-                # consume in submission order so the on-disk prefix stays sorted
-                for future in futures:
-                    flush(future.result())
+                try:
+                    # consume in submission order so the on-disk prefix stays sorted
+                    for future in futures:
+                        flush(future.result())
+                except BaseException:
+                    # a failed run evaluates no queued example
+                    executor.shutdown(cancel_futures=True)
+                    raise
         else:
             for example in todo:
                 flush(evaluate(example))
@@ -429,6 +452,7 @@ def run_eval(config: RunConfig) -> EvalReport:
         "tool_version": __version__,
         "config": config.to_dict(),
         "config_hash": cfg_hash,
+        "input_sha256": input_sha256,
         "model_fingerprint": model.fingerprint,
         "seed": config.seed,
         "started_at": started,
@@ -482,27 +506,20 @@ def adherence_for_records(
     return adherence_phi([r.prediction for r in records], reorderer)
 
 
-def derive_prompts(
-    config: RunConfig, records: Sequence[ExampleRecord]
-) -> tuple[dict[str, str], LanguageModel]:
-    """Re-derive each record's prompt from the run config, checking hashes.
-
-    Evaluation runs are deterministic, so the prompts can be reconstructed from
-    the config plus the input files; the stored hash guards against drift.
-    """
-    eval_ds, planner = _load_run(config)
-    return _rederive_prompts(planner, eval_ds, records), planner.model
-
-
 def adherence_from_report(
     out_dir: str | Path,
     strategy: str,
     backend: str | None = None,
     cache_dir: str | None = None,
 ) -> AdherenceResult:
-    """Compute adherence of a stored report's predictions to any strategy."""
+    """Compute adherence of a stored report's predictions to any strategy.
+
+    Model strategies score each prediction after its prompt, so the prompts are
+    re-derived from the manifest config and the input files; the stored prompt
+    hashes guard against drift.
+    """
     report = load_report(out_dir)
-    if strategy == "alphabet":
+    if strategy not in MODEL_STRATEGIES:
         return adherence_for_records(report.records, strategy, {}, None)
     config_data = report.manifest.get("config")
     if config_data is None:
@@ -512,9 +529,10 @@ def adherence_from_report(
         config.backend = backend
     if cache_dir is not None:
         config.cache_dir = cache_dir
-    prompts, model = derive_prompts(config, report.records)
+    eval_ds, planner = _load_run(config)
+    prompts = _rederive_prompts(planner, eval_ds, report.records)
     return adherence_for_records(
-        report.records, strategy, prompts, model, seed=config.seed
+        report.records, strategy, prompts, planner.model, seed=config.seed
     )
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, EmbeddingTable, Example, derive_rng
+from .core import Dataset, EmbeddingTable, Example, atomic_write_text, derive_rng
 from .errors import DataError
 from .lm import LanguageModel
 from .metrics import set_scores
@@ -112,22 +112,31 @@ def profile_dataset(
     return profiles
 
 
+def _store_lines(path: str | Path, kind: str) -> list[str]:
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {kind} file {path}: {exc}") from exc
+
+
 def save_profiles(profiles: list[KnowledgeProfile], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for p in profiles:
-            record = {
-                "example_id": p.example_id,
-                "f1_em": p.f1_em,
-                "answer_perplexities": list(p.answer_perplexities),
-                "avg_similarity": p.avg_similarity,
-                "model_fingerprint": p.model_fingerprint,
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    """Replace the store at `path` atomically, so a crash never tears it."""
+    lines = []
+    for p in profiles:
+        record = {
+            "example_id": p.example_id,
+            "f1_em": p.f1_em,
+            "answer_perplexities": list(p.answer_perplexities),
+            "avg_similarity": p.avg_similarity,
+            "model_fingerprint": p.model_fingerprint,
+        }
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    atomic_write_text(Path(path), "".join(lines))
 
 
 def load_profiles(path: str | Path) -> list[KnowledgeProfile]:
     profiles = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_store_lines(path, "profile store"), 1):
         if not line.strip():
             continue
         try:
@@ -262,20 +271,21 @@ def build_sets(
 
 
 def save_sets(sets: tuple[ExampleSet, ...] | list[ExampleSet], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for s in sets:
-            fh.write(
-                json.dumps(
-                    {"condition": s.condition, "member_ids": list(s.member_ids), "seed": s.seed},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    """Replace the set file at `path` atomically, so a crash never tears it."""
+    text = "".join(
+        json.dumps(
+            {"condition": s.condition, "member_ids": list(s.member_ids), "seed": s.seed},
+            sort_keys=True,
+        )
+        + "\n"
+        for s in sets
+    )
+    atomic_write_text(Path(path), text)
 
 
 def load_sets(path: str | Path) -> list[ExampleSet]:
     sets = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_store_lines(path, "set"), 1):
         if not line.strip():
             continue
         try:

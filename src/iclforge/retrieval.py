@@ -84,15 +84,6 @@ def kmeans(vectors: np.ndarray, k: int, seed: int, max_iter: int = KMEANS_MAX_IT
     return labels
 
 
-def _arranged(query: Example, chosen: list[Example], table: EmbeddingTable) -> list[Example]:
-    return sorted(chosen, key=lambda ex: (similarity(query.id, ex.id, table), ex.id))
-
-
-def _by_similarity(query: Example, pool: list[Example], table: EmbeddingTable) -> list[Example]:
-    """Pool sorted most-similar first; ties broken by smaller id."""
-    return sorted(pool, key=lambda ex: (-similarity(query.id, ex.id, table), ex.id))
-
-
 def retrieve(
     query: Example,
     pool: Dataset | list[Example],
@@ -109,8 +100,20 @@ def retrieve(
         )
     table.require([query.id] + [ex.id for ex in candidates])
 
+    # each candidate is scored against the query at most once, on first use
+    sims: dict[str, float] = {}
+
+    def sim(ex: Example) -> float:
+        if ex.id not in sims:
+            sims[ex.id] = similarity(query.id, ex.id, table)
+        return sims[ex.id]
+
+    def rank(ex: Example) -> tuple[float, str]:
+        """Most similar first; ties broken by smaller id."""
+        return -sim(ex), ex.id
+
     if config.strategy == "similar":
-        chosen = _by_similarity(query, candidates, table)[: config.k]
+        chosen = sorted(candidates, key=rank)[: config.k]
     elif config.strategy == "random":
         ordered = sorted(candidates, key=lambda ex: ex.id)
         rng = derive_rng(config.seed, "retrieval", query.id)
@@ -120,24 +123,17 @@ def retrieve(
         if query.category is None:
             raise DataError(f"query {query.id!r} lacks a category for topical retrieval")
         same = [ex for ex in candidates if ex.category == query.category]
-        chosen = _by_similarity(query, same, table)[: config.k]
-        if len(chosen) < config.k:
-            chosen_ids = {ex.id for ex in chosen}
-            backfill = [ex for ex in _by_similarity(query, candidates, table)
-                        if ex.id not in chosen_ids]
-            chosen += backfill[: config.k - len(chosen)]
-    else:  # diverse
+        chosen = sorted(same, key=rank)[: config.k]
+    else:  # diverse: the top-ranked member of each non-empty cluster
         matrix = np.stack([table.vector(ex.id) for ex in candidates])
         labels = kmeans(matrix, config.k, config.seed)
-        chosen = []
-        for cluster in range(config.k):
-            members = [ex for ex, lab in zip(candidates, labels) if lab == cluster]
-            if members:
-                chosen.append(_by_similarity(query, members, table)[0])
-        if len(chosen) < config.k:
-            chosen_ids = {ex.id for ex in chosen}
-            backfill = [ex for ex in _by_similarity(query, candidates, table)
-                        if ex.id not in chosen_ids]
-            chosen += backfill[: config.k - len(chosen)]
-
-    return _arranged(query, chosen, table)
+        chosen = [
+            min((ex for ex, lab in zip(candidates, labels) if lab == cluster), key=rank)
+            for cluster in set(labels.tolist())
+        ]
+    if len(chosen) < config.k:
+        # a sparse category or an empty cluster: backfill from the full ranking
+        chosen_ids = {ex.id for ex in chosen}
+        backfill = [ex for ex in sorted(candidates, key=rank) if ex.id not in chosen_ids]
+        chosen += backfill[: config.k - len(chosen)]
+    return sorted(chosen, key=lambda ex: (sim(ex), ex.id))

@@ -151,6 +151,38 @@ def oracle_top_k(query_id, pool_ids, vectors, k):
     return [pid for _, pid in sims[:k]]
 
 
+def oracle_arrangement(query_id, ids, vectors):
+    """Shots in non-decreasing dot product with the query, ties to the smaller id."""
+    def dot(pid):
+        return sum(x * y for x, y in zip(vectors[query_id], vectors[pid]))
+
+    return sorted(ids, key=lambda pid: (dot(pid), pid))
+
+
+def _oracle_backfill(query_id, pool_ids, vectors, k, chosen):
+    for pid in oracle_top_k(query_id, pool_ids, vectors, len(pool_ids)):
+        if len(chosen) >= k:
+            break
+        if pid not in chosen:
+            chosen.append(pid)
+    return chosen
+
+
+def oracle_topical(query_id, pool_ids, categories, vectors, k):
+    """Top-k of the query's category, topped up from the whole pool's ranking."""
+    same = [pid for pid in pool_ids if categories[pid] == categories[query_id]]
+    return _oracle_backfill(query_id, pool_ids, vectors, k, oracle_top_k(query_id, same, vectors, k))
+
+
+def oracle_diverse(query_id, pool_ids, labels, vectors, k):
+    """Most similar member of each non-empty cluster, topped up from the ranking."""
+    chosen = []
+    for cluster in sorted(set(labels)):
+        members = [pid for pid, label in zip(pool_ids, labels) if label == cluster]
+        chosen += oracle_top_k(query_id, members, vectors, 1)
+    return _oracle_backfill(query_id, pool_ids, vectors, k, chosen)
+
+
 def oracle_pair_counts(ranks):
     preserved = sum(1 for a, b in zip(ranks, ranks[1:]) if a < b)
     violated = sum(1 for a, b in zip(ranks, ranks[1:]) if a > b)

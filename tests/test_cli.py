@@ -59,6 +59,48 @@ class TestValidate:
         assert code == 2
         assert "data error" in err
 
+    @pytest.mark.parametrize(
+        "flag, body, message",
+        [
+            pytest.param(
+                "--train",
+                b'{"format": "icl-forge/v1"}\n{"id": "t\xff"}\n',
+                "line 2: not valid UTF-8",
+                id="non-utf8",
+            ),
+            pytest.param(
+                "--train",
+                b'{"format": "icl-forge/v1"}\n["t1", "q", ["a"]]\n',
+                "line 2: record is not",
+                id="dataset-array",
+            ),
+            pytest.param(
+                "--embeddings",
+                b'{"format": "icl-forge/v1"}\n["t1", [1.0]]\n',
+                "line 2: record is not",
+                id="embedding-array",
+            ),
+            pytest.param(
+                "--train",
+                b'{"format": "icl-forge/v1"}\n{"id": "t1", "question": "q", "answers": 5}\n',
+                "line 2: answers must be a list",
+                id="answers-a-number",
+            ),
+            pytest.param(
+                "--train",
+                b'{"format": "icl-forge/v1"}\n{"id": "t1", "question": "q", "answers": "boston"}\n',
+                "line 2: answers must be a list",
+                id="answers-a-string",
+            ),
+        ],
+    )
+    def test_malformed_input_exits_2(self, capsys, tmp_path, flag, body, message):
+        path = tmp_path / "input.jsonl"
+        path.write_bytes(body)
+        code, _, err = run_cli(capsys, "validate", flag, str(path))
+        assert code == 2
+        assert f"data error: {path}: {message}" in err
+
     def test_nothing_to_do_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "validate")
         assert code == 1
@@ -200,6 +242,21 @@ class TestProfileAndBuildSets:
         record = json.loads(sets_file.read_text(encoding="utf-8").splitlines()[0])
         assert record["condition"] == "unknown"
         assert len(record["member_ids"]) == 5
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build-sets", "--profiles", "{missing}", "--condition", "known", "--out", "{out}"],
+            ["eval", "--fixed-set", "{missing}"],
+        ],
+        ids=["build-sets-profiles", "eval-fixed-set"],
+    )
+    def test_missing_store_exits_2(self, capsys, tmp_path, argv):
+        missing = tmp_path / "absent.jsonl"
+        argv = [a.format(missing=missing, out=tmp_path / "out") for a in argv]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "cannot read" in err and str(missing) in err
 
     def test_insufficient_candidates_exits_2(self, capsys, knowledge_files, tmp_path):
         profile_dir = tmp_path / "profiles"

@@ -130,6 +130,13 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="q7"):
             load_dataset(path)
 
+    def test_crlf_line_endings_load(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        lines = [HEADER, record("q1", "where?", ["here", "there"])]
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
+        ds = load_dataset(path, split="dev")
+        assert ds.examples[0].answers == ("here", "there")
+
     def test_delimiter_answer_flagged_not_dropped(self, tmp_path, caplog):
         path = tmp_path / "d.jsonl"
         write_lines(path, HEADER, record("q1", "one", ["left | right"]))
@@ -139,24 +146,24 @@ class TestLoadDataset:
         assert "shot duty" in caplog.text
 
 
+# any text, with the line separators JSON leaves unescaped drawn often
+ANY_TEXT = st.text(
+    alphabet=st.one_of(
+        st.characters(blacklist_categories=("Cs",)), st.sampled_from("\u2028\u2029\u0085")
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
 class TestRoundTrip:
     @given(
         st.lists(
             st.tuples(
-                st.text(
-                    alphabet=st.characters(whitelist_categories=("Ll", "Nd")),
-                    min_size=1,
-                    max_size=8,
-                ),
-                st.lists(
-                    st.text(
-                        alphabet=st.characters(whitelist_categories=("Ll", "Nd")),
-                        min_size=1,
-                        max_size=12,
-                    ),
-                    min_size=1,
-                    max_size=4,
-                ),
+                ANY_TEXT,
+                ANY_TEXT,
+                st.lists(ANY_TEXT.filter(str.strip), min_size=1, max_size=4),
+                st.one_of(st.none(), ANY_TEXT),
             ),
             min_size=1,
             max_size=6,
@@ -166,13 +173,21 @@ class TestRoundTrip:
     def test_save_load_identity(self, tmp_path_factory, rows):
         tmp_path = tmp_path_factory.mktemp("roundtrip")
         examples = tuple(
-            Example(id=f"id{i}-{rid}", question=f"question {i}", answers=tuple(answers))
-            for i, (rid, answers) in enumerate(rows)
+            Example(id=f"id{i}-{rid}", question=question, answers=tuple(answers), category=category)
+            for i, (rid, question, answers, category) in enumerate(rows)
         )
         ds = Dataset(split="dev", examples=examples)
         path = tmp_path / "ds.jsonl"
         save_dataset(ds, path)
         assert load_dataset(path, split="dev") == ds
+
+    def test_toy_fixtures_round_trip_byte_for_byte(self, fixtures_dir, tmp_path):
+        for name, split in (("toy_train.jsonl", "train"), ("toy_eval.jsonl", "dev")):
+            save_dataset(load_dataset(fixtures_dir / name, split=split), tmp_path / name)
+            assert (tmp_path / name).read_bytes() == (fixtures_dir / name).read_bytes()
+        name = "toy_embeddings.jsonl"
+        save_embeddings(load_embeddings(fixtures_dir / name), tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (fixtures_dir / name).read_bytes()
 
 
 class TestLoadEmbeddings:

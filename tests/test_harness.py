@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from iclforge import harness
-from iclforge.errors import DataError, UsageError
+from iclforge.core import Dataset, EmbeddingTable, Example, save_dataset, save_embeddings
+from iclforge.errors import BackendError, DataError, UsageError
 from iclforge.harness import (
     RECORDS_FILE,
     SUMMARY_FILE,
@@ -125,6 +128,57 @@ class TestSingleFlightPlanning:
         assert report_bytes(tmp_path / "serial") == report_bytes(tmp_path / "parallel")
 
 
+class TestParallelFailure:
+    def test_first_failure_cancels_queued_examples(self, fixtures_dir, tmp_path, monkeypatch):
+        shots = [
+            Example(id=f"s{i}", question=f"which stars name sign {i}?", answers=("a", "b"))
+            for i in range(3)
+        ]
+        evals = [
+            Example(id=f"e{i:02d}", question=f"which stars name mark {i}?", answers=("a",))
+            for i in range(12)
+        ]
+        rng = np.random.default_rng(0)
+        table = EmbeddingTable(
+            dim=3, vectors={ex.id: rng.normal(size=3) for ex in shots + evals}
+        )
+        save_dataset(Dataset(split="train", examples=tuple(shots)), tmp_path / "train.jsonl")
+        save_dataset(Dataset(split="dev", examples=tuple(evals)), tmp_path / "eval.jsonl")
+        save_embeddings(table, tmp_path / "emb.jsonl")
+        first_query = f"Question: {evals[0].question}\nAnswers:"
+
+        class FirstExampleFails(CountingModel):
+            # the first example fails at once; every other generation takes a while
+            def generate(self, prompt, stop, max_tokens):
+                if prompt.endswith(first_query):
+                    with self._lock:
+                        self.counts["generate"] += 1
+                    raise BackendError("backend refused the request")
+                return super().generate(prompt, stop, max_tokens)
+
+        built: list[CountingModel] = []
+
+        def failing_backend(spec, cache_dir=None):
+            built.append(FirstExampleFails(make_backend(spec, cache_dir), delay=0.05))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "make_backend", failing_backend)
+        jobs = 2
+        config = RunConfig(
+            train_path=str(tmp_path / "train.jsonl"),
+            eval_path=str(tmp_path / "eval.jsonl"),
+            embeddings_path=str(tmp_path / "emb.jsonl"),
+            backend=f"mock:{fixtures_dir / 'mock_uniform.json'}",
+            out_dir=str(tmp_path / "out"),
+            k=1,
+            max_tokens=2,
+            jobs=jobs,
+        )
+        with pytest.raises(BackendError, match="refused"):
+            run_eval(config)
+        assert built[0].counts["generate"] <= 2 * jobs
+
+
 class TestResume:
     def test_resume_completes_prefix(self, fixtures_dir, tmp_path):
         out = tmp_path / "run"
@@ -156,6 +210,54 @@ class TestResume:
         assert report.manifest["counts"]["resumed"] == 1
         assert report.aggregates["phi_greedy"] == expected.aggregates["phi_greedy"]
         assert report_bytes(out) == report_bytes(tmp_path / "full")
+
+    def copied_inputs(self, fixtures_dir, tmp_path) -> dict:
+        paths = {}
+        for key, name in (
+            ("train_path", "toy_train.jsonl"),
+            ("eval_path", "toy_eval.jsonl"),
+            ("embeddings_path", "toy_embeddings.jsonl"),
+            ("backend", "mock_toy.json"),
+        ):
+            copy = tmp_path / name
+            copy.write_bytes((fixtures_dir / name).read_bytes())
+            paths[key] = str(copy)
+        paths["backend"] = f"mock:{paths['backend']}"
+        return paths
+
+    def cut_to_first_record(self, out):
+        lines = (out / RECORDS_FILE).read_text(encoding="utf-8").splitlines()
+        (out / RECORDS_FILE).write_text(lines[0] + "\n", encoding="utf-8")
+
+    def test_edited_train_file_restarts_run(self, fixtures_dir, tmp_path):
+        inputs = self.copied_inputs(fixtures_dir, tmp_path)
+        out = tmp_path / "run"
+        first = run_eval(toy_config(fixtures_dir, out, **inputs))
+        self.cut_to_first_record(out)
+        train = Path(inputs["train_path"])
+        text = train.read_text(encoding="utf-8")
+        edited = text.replace('["ada lenz"]', '["ada lenz", "bo lenz"]')
+        assert edited != text
+        train.write_text(edited, encoding="utf-8")
+        report = run_eval(toy_config(fixtures_dir, out, **inputs))
+        assert report.manifest["counts"]["resumed"] == 0
+        sha = report.manifest["input_sha256"]
+        assert sha["train"] == hashlib.sha256(edited.encode("utf-8")).hexdigest()
+        assert sha["train"] != first.manifest["input_sha256"]["train"]
+        assert sha["eval"] == first.manifest["input_sha256"]["eval"]
+
+    def test_edited_mock_fixture_restarts_run(self, fixtures_dir, tmp_path):
+        inputs = self.copied_inputs(fixtures_dir, tmp_path)
+        out = tmp_path / "run"
+        first = run_eval(toy_config(fixtures_dir, out, **inputs))
+        self.cut_to_first_record(out)
+        mock = Path(inputs["backend"].removeprefix("mock:"))
+        fixture = json.loads(mock.read_text(encoding="utf-8"))
+        fixture["rules"][0]["weight"] = 50.0
+        mock.write_text(json.dumps(fixture), encoding="utf-8")
+        report = run_eval(toy_config(fixtures_dir, out, **inputs))
+        assert report.manifest["model_fingerprint"] != first.manifest["model_fingerprint"]
+        assert report.manifest["counts"]["resumed"] == 0
 
     def test_torn_last_line_dropped(self, fixtures_dir, tmp_path):
         out = tmp_path / "run"
@@ -389,6 +491,21 @@ class TestAdherenceThroughHarness:
         assert result.phi == 100.0
         reverse = adherence_from_report(tmp_path / "out", "reverse_greedy")
         assert reverse.phi == 0.0
+
+    def test_random_raises_before_planning_any_prompt(self, fixtures_dir, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        run_eval(toy_config(fixtures_dir, out, ordering="greedy"))
+        planned = []
+        plan = harness._PromptPlanner.plan
+
+        def counting_plan(self, example):
+            planned.append(example.id)
+            return plan(self, example)
+
+        monkeypatch.setattr(harness._PromptPlanner, "plan", counting_plan)
+        with pytest.raises(DataError, match="random strategy"):
+            adherence_from_report(out, "random")
+        assert planned == []
 
     def test_edited_training_answers_detected(self, fixtures_dir, tmp_path):
         train = tmp_path / "train.jsonl"

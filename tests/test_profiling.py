@@ -140,6 +140,16 @@ class TestProfileDataset:
         save_profiles(profiles, path)
         assert load_profiles(path) == profiles
 
+    def test_failed_save_keeps_the_old_store(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        save_profiles([profile("a", 0.5)], path)
+        before = path.read_bytes()
+        unserializable = KnowledgeProfile("b", 1.0, (object(),), 0.25, "mock:test")
+        with pytest.raises(TypeError):
+            save_profiles([profile("a", 0.5), profile("c", 0.0), unserializable], path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
 
 class TestMedianSimilarityFilter:
     def test_takes_nearest_on_each_side(self):

@@ -5,11 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iclforge import retrieval
 from iclforge.core import EmbeddingTable, Example
 from iclforge.errors import DataError
 from iclforge.retrieval import RetrievalConfig, kmeans, retrieve, similarity
 
-from oracles import oracle_best_two_partition, oracle_sse, oracle_top_k
+from oracles import (
+    oracle_arrangement,
+    oracle_best_two_partition,
+    oracle_diverse,
+    oracle_sse,
+    oracle_top_k,
+    oracle_topical,
+)
 
 
 def make_pool(vectors: dict[str, list[float]], categories: dict[str, str] | None = None):
@@ -130,23 +138,66 @@ class TestRetrieveSimilar:
         st.integers(min_value=0, max_value=10_000),
         st.integers(min_value=1, max_value=10),
         st.integers(min_value=10, max_value=50),
+        st.sampled_from(("similar", "topical", "diverse")),
     )
-    @settings(max_examples=40, deadline=None)
-    def test_matches_brute_force_top_k(self, seed, k, pool_size):
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force_top_k(self, seed, k, pool_size, strategy):
+        # coordinates in {-1, 0, 1} over one to four dimensions give exact dot
+        # products, many exact ties, and repeated points that leave k-means
+        # clusters empty, so the backfill runs too
         rng = np.random.default_rng(seed)
-        vectors = {"query": rng.normal(size=4).tolist()}
+        dim = int(rng.integers(1, 5))
+        vectors = {"query": rng.integers(-1, 2, size=dim).tolist()}
+        categories = {"query": "c0"}
         for i in range(pool_size):
-            vectors[f"p{i:02d}"] = rng.normal(size=4).tolist()
-        pool, table = make_pool(vectors)
+            vectors[f"p{i:02d}"] = rng.integers(-1, 2, size=dim).tolist()
+            categories[f"p{i:02d}"] = f"c{int(rng.integers(3))}"
+        pool, table = make_pool(vectors, categories)
         query = next(ex for ex in pool if ex.id == "query")
         candidates = [ex for ex in pool if ex.id != "query"]
-        result = retrieve(query, candidates, table, RetrievalConfig("similar", k=k))
-        expected = set(
-            oracle_top_k("query", [ex.id for ex in candidates], vectors, k)
-        )
-        assert {ex.id for ex in result} == expected
-        sims = [similarity("query", ex.id, table) for ex in result]
-        assert sims == sorted(sims)
+        pool_ids = [ex.id for ex in candidates]
+        config = RetrievalConfig(strategy, k=k, seed=seed)
+        result = retrieve(query, candidates, table, config)
+        if strategy == "similar":
+            expected = oracle_top_k("query", pool_ids, vectors, k)
+        elif strategy == "topical":
+            expected = oracle_topical("query", pool_ids, categories, vectors, k)
+        else:
+            # the reference takes the library's k-means labels as given
+            matrix = np.stack([table.vector(i) for i in pool_ids])
+            labels = kmeans(matrix, k, seed).tolist()
+            expected = oracle_diverse("query", pool_ids, labels, vectors, k)
+        assert [ex.id for ex in result] == oracle_arrangement("query", expected, vectors)
+
+
+class TestSimilarityCallBudget:
+    """Each candidate is scored against the query at most once per call."""
+
+    @pytest.mark.parametrize(
+        "strategy, expected",
+        [("similar", 20), ("topical", 7), ("diverse", 20), ("random", 5)],
+    )
+    def test_calls_per_retrieve(self, strategy, expected, monkeypatch):
+        rng = np.random.default_rng(4)
+        vectors = {f"p{i:02d}": rng.normal(size=3).tolist() for i in range(20)}
+        vectors["q"] = rng.normal(size=3).tolist()
+        # seven of the twenty candidates share the query's category
+        categories = {i: ("one" if n < 7 else "two") for n, i in enumerate(sorted(vectors))}
+        categories["q"] = "one"
+        pool, table = make_pool(vectors, categories)
+        query = next(ex for ex in pool if ex.id == "q")
+        candidates = [ex for ex in pool if ex.id != "q"]
+        calls = []
+
+        def counting(id_a, id_b, table):
+            calls.append(id_b)
+            return similarity(id_a, id_b, table)
+
+        monkeypatch.setattr(retrieval, "similarity", counting)
+        result = retrieve(query, candidates, table, RetrievalConfig(strategy, k=5, seed=1))
+        assert len(result) == 5
+        assert len(calls) == expected
+        assert len(set(calls)) == expected
 
 
 class TestRetrieveDiverse:

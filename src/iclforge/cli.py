@@ -6,15 +6,15 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 backend error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .core import atomic_write_text, load_dataset, load_embeddings
+from .core import load_dataset, load_embeddings
 from .errors import BackendError, DataError, UsageError
 from .harness import (
     RunConfig,
@@ -22,6 +22,7 @@ from .harness import (
     compare_runs,
     load_report,
     run_eval,
+    write_manifest,
 )
 from .lm import make_backend
 from .ordering import MODEL_STRATEGIES, peer_prefix, strategy_permutation
@@ -49,16 +50,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _cache_dir(args) -> str | None:
     return args.cache_dir or os.environ.get(CACHE_ENV_VAR) or None
-
-
-def _write_manifest(out_dir: Path, command: str, payload: dict) -> None:
-    manifest = {
-        "tool_version": __version__,
-        "command": command,
-        "written_at": datetime.now(timezone.utc).isoformat(),
-        **payload,
-    }
-    atomic_write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def _build_parser() -> _Parser:
@@ -108,24 +99,25 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
 
+    # each flag's dest is the RunConfig field it sets; unset flags stay None
     p = sub.add_parser("eval", help="run the full evaluation pipeline")
     p.add_argument("--config", help="JSON config file mirroring the run fields")
-    p.add_argument("--train")
+    p.add_argument("--train", dest="train_path")
     p.add_argument("--eval", dest="eval_path")
-    p.add_argument("--embeddings")
+    p.add_argument("--embeddings", dest="embeddings_path")
     p.add_argument("--backend")
-    p.add_argument("--retrieval", choices=RETRIEVAL_STRATEGIES)
-    p.add_argument("--strategy", choices=ORDERING_STRATEGIES)
+    p.add_argument("--retrieval", dest="retrieval_strategy", choices=RETRIEVAL_STRATEGIES)
+    p.add_argument("--strategy", dest="ordering", choices=ORDERING_STRATEGIES)
     p.add_argument("--k", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out")
+    p.add_argument("--out", dest="out_dir")
     p.add_argument("--cache-dir")
     p.add_argument("--jobs", type=int)
     p.add_argument("--max-tokens", type=int)
     p.add_argument("--eval-split", choices=("train", "dev", "test"))
     p.add_argument("--fixed-set", help="sets file produced by build-sets")
     p.add_argument("--fixed-set-index", type=int, default=0)
-    p.add_argument("--no-adherence", action="store_true")
+    p.add_argument("--no-adherence", dest="compute_adherence", action="store_false", default=None)
 
     p = sub.add_parser("adherence", help="compute ordering adherence from a report")
     p.add_argument("--report", required=True)
@@ -172,7 +164,7 @@ def _cmd_profile(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     store = out_dir / "profiles.jsonl"
     profiles = profile_dataset(train, table, model, k=args.k, store_path=store)
-    _write_manifest(
+    write_manifest(
         out_dir,
         "profile",
         {
@@ -210,7 +202,7 @@ def _cmd_build_sets(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     sets_path = out_dir / "sets.jsonl"
     save_sets(result.sets, sets_path)
-    _write_manifest(
+    write_manifest(
         out_dir,
         "build-sets",
         {
@@ -275,30 +267,14 @@ def _cmd_eval(args) -> int:
     if args.config:
         try:
             data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
             raise UsageError(f"cannot read config {args.config}: {exc}") from exc
-    overrides = {
-        "train_path": args.train,
-        "eval_path": args.eval_path,
-        "embeddings_path": args.embeddings,
-        "backend": args.backend,
-        "retrieval_strategy": args.retrieval,
-        "ordering": args.strategy,
-        "k": args.k,
-        "seed": args.seed,
-        "out_dir": args.out,
-        "cache_dir": args.cache_dir,
-        "jobs": args.jobs,
-        "max_tokens": args.max_tokens,
-        "eval_split": args.eval_split,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            data[key] = value
-    if args.no_adherence:
-        data["compute_adherence"] = False
+        if not isinstance(data, dict):
+            raise UsageError(f"config {args.config} is not a JSON object")
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    data.update((k, v) for k, v in vars(args).items() if k in fields and v is not None)
     if args.fixed_set:
-        if args.retrieval is not None:
+        if args.retrieval_strategy is not None:
             raise UsageError("--fixed-set and --retrieval are mutually exclusive")
         sets = load_sets(args.fixed_set)
         if not 0 <= args.fixed_set_index < len(sets):

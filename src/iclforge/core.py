@@ -189,6 +189,15 @@ def _read_versioned_records(path: Path, kind: str):
         yield lineno, record
 
 
+def _string(value, field: str, path: Path, lineno: int) -> str:
+    """`value` if it is a JSON string; a field of any other type is a data error."""
+    if not isinstance(value, str):
+        raise DataError(
+            f"{path}: line {lineno}: {field} must be a string, got {json.dumps(value)}"
+        )
+    return value
+
+
 def load_dataset(path: str | Path, split: str = "train") -> Dataset:
     """Load a line-delimited dataset file, enforcing all Dataset invariants.
 
@@ -203,12 +212,13 @@ def load_dataset(path: str | Path, split: str = "train") -> Dataset:
     for lineno, record in _read_versioned_records(path, "dataset"):
         if not isinstance(record.get("answers", []), list):
             raise DataError(f"{path}: line {lineno}: answers must be a list")
+        category = record.get("category")
         try:
             example = Example(
-                id=str(record["id"]),
-                question=str(record["question"]),
-                answers=tuple(str(a) for a in record["answers"]),
-                category=record.get("category"),
+                id=_string(record["id"], "id", path, lineno),
+                question=_string(record["question"], "question", path, lineno),
+                answers=tuple(_string(a, "answer", path, lineno) for a in record["answers"]),
+                category=None if category is None else _string(category, "category", path, lineno),
             )
         except KeyError as exc:
             raise DataError(f"{path}: line {lineno}: missing field {exc}") from exc
@@ -250,7 +260,7 @@ def load_embeddings(path: str | Path, dataset: Dataset | None = None) -> Embeddi
     dim: int | None = None
     for lineno, record in _read_versioned_records(path, "embedding"):
         try:
-            vec_id = str(record["id"])
+            vec_id = _string(record["id"], "id", path, lineno)
             vector = np.asarray(record["vector"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: line {lineno}: bad embedding record: {exc}") from exc

@@ -4,8 +4,9 @@ metrics, and report persistence.
 A report directory holds three artifacts: ``records.jsonl`` (one record per
 evaluation example, flushed incrementally in dataset order so interrupted runs
 can resume), ``summary.tsv`` (aggregate metrics, full-precision), and
-``manifest.json`` (config snapshot, input file hashes, fingerprint, seed,
-counters, timestamps).
+``manifest.json`` (the only state file: config snapshot and resume key, input
+file hashes, fingerprint, seed, timestamps; written when a run starts and
+rewritten with its counters when it ends).
 Records and summary are byte-identical across reruns and across job counts.
 """
 
@@ -60,7 +61,6 @@ log = logging.getLogger(__name__)
 RECORDS_FILE = "records.jsonl"
 SUMMARY_FILE = "summary.tsv"
 MANIFEST_FILE = "manifest.json"
-META_FILE = "run_meta.json"
 
 GENERATION_STOP = "\n"
 SIGNIFICANCE_LEVEL = 0.05
@@ -219,6 +219,18 @@ def _config_hash(config: RunConfig, input_sha256: dict[str, str], fingerprint: s
     ).hexdigest()
 
 
+def write_manifest(out_dir: Path, command: str, payload: dict) -> dict:
+    """Replace `out_dir`'s manifest with `payload`, stamped; return what was written."""
+    manifest = {
+        "tool_version": __version__,
+        "command": command,
+        "written_at": datetime.now(timezone.utc).isoformat(),
+        **payload,
+    }
+    atomic_write_text(out_dir / MANIFEST_FILE, json.dumps(manifest, indent=2, sort_keys=True))
+    return manifest
+
+
 class _PromptPlanner:
     """The run's prompt planner: shots, shot answer orders and rendered prompts.
 
@@ -363,7 +375,6 @@ def run_eval(config: RunConfig) -> EvalReport:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / RECORDS_FILE
-    meta_path = out_dir / META_FILE
 
     input_sha256 = {
         "train": _file_sha256(config.train_path),
@@ -371,19 +382,30 @@ def run_eval(config: RunConfig) -> EvalReport:
         "embeddings": _file_sha256(config.embeddings_path),
     }
     cfg_hash = _config_hash(config, input_sha256, model.fingerprint)
+    try:
+        prior = json.loads((out_dir / MANIFEST_FILE).read_text(encoding="utf-8"))
+    except (FileNotFoundError, ValueError):
+        prior = None  # an unreadable manifest means no resume
     resumed: dict[str, ExampleRecord] = {}
-    if records_path.exists() and meta_path.exists():
-        try:
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            meta = {}
-        if meta.get("config_hash") == cfg_hash:
-            for record in _resume_records(records_path):
-                resumed[record.example_id] = record
-            log.info("resuming run with %d completed examples", len(resumed))
-    atomic_write_text(meta_path, json.dumps({"config_hash": cfg_hash}))
+    if records_path.exists() and isinstance(prior, dict) and prior.get("config_hash") == cfg_hash:
+        for record in _resume_records(records_path):
+            resumed[record.example_id] = record
+        log.info("resuming run with %d completed examples", len(resumed))
+    if not resumed:
+        # a fresh run must not leave an older run's summary beside its records
+        (out_dir / SUMMARY_FILE).unlink(missing_ok=True)
+    manifest = {
+        "config": config.to_dict(),
+        "config_hash": cfg_hash,
+        "input_sha256": input_sha256,
+        "model_fingerprint": model.fingerprint,
+        "seed": config.seed,
+        "started_at": started,
+    }
 
     not_in_prompt_skips = 0
+    # only model strategies read a prompt when computing adherence
+    keep_prompts = config.compute_adherence and config.ordering in MODEL_STRATEGIES
 
     def evaluate(example: Example) -> tuple[ExampleRecord, bool, str]:
         prompt, shot_ids, prompt_answer_pool = planner.plan(example)
@@ -405,12 +427,15 @@ def run_eval(config: RunConfig) -> EvalReport:
     prompts: dict[str, str] = {}
     mode = "a" if resumed else "w"
     with records_path.open(mode, encoding="utf-8") as fh:
+        # written once the records file holds only this run's records
+        write_manifest(out_dir, "eval", manifest)
 
         def flush(outcome: tuple[ExampleRecord, bool, str]) -> None:
             nonlocal not_in_prompt_skips
             record, nip_skipped, prompt = outcome
             not_in_prompt_skips += int(nip_skipped)
-            prompts[record.example_id] = prompt
+            if keep_prompts:
+                prompts[record.example_id] = prompt
             records.append(record)
             fh.write(record.to_json() + "\n")
             fh.flush()
@@ -433,8 +458,9 @@ def run_eval(config: RunConfig) -> EvalReport:
     aggregates = compute_aggregates(records)
     adherence_skipped = 0
     if config.compute_adherence and config.ordering != "random":
-        unplanned = [r for r in records if r.example_id not in prompts]
-        prompts.update(_rederive_prompts(planner, eval_ds, unplanned))
+        if keep_prompts:
+            unplanned = [r for r in records if r.example_id not in prompts]
+            prompts.update(_rederive_prompts(planner, eval_ds, unplanned))
         try:
             result = adherence_for_records(
                 records, config.ordering, prompts, model, seed=config.seed
@@ -447,29 +473,18 @@ def run_eval(config: RunConfig) -> EvalReport:
     summary = render_summary(aggregates)
     atomic_write_text(out_dir / SUMMARY_FILE, summary)
 
-    cap_hits = getattr(model, "generation_cap_hits", None)
-    manifest = {
-        "tool_version": __version__,
-        "config": config.to_dict(),
-        "config_hash": cfg_hash,
-        "input_sha256": input_sha256,
-        "model_fingerprint": model.fingerprint,
-        "seed": config.seed,
-        "started_at": started,
-        "finished_at": datetime.now(timezone.utc).isoformat(),
-        "counts": {
-            "examples": len(records),
-            "resumed": len(resumed),
-            "shot_duty_excluded": planner.shot_duty_excluded,
-            "reorder_skipped": len(planner.reorder_skipped),
-            "not_in_prompt_skipped": not_in_prompt_skips,
-            "adherence_skipped": adherence_skipped,
-            "cache_hits": getattr(model, "hits", None),
-            "cache_misses": getattr(model, "misses", None),
-            "generation_cap_hits": cap_hits,
-        },
+    manifest["counts"] = {
+        "examples": len(records),
+        "resumed": len(resumed),
+        "shot_duty_excluded": planner.shot_duty_excluded,
+        "reorder_skipped": len(planner.reorder_skipped),
+        "not_in_prompt_skipped": not_in_prompt_skips,
+        "adherence_skipped": adherence_skipped,
+        "cache_hits": getattr(model, "hits", None),
+        "cache_misses": getattr(model, "misses", None),
+        "generation_cap_hits": getattr(model, "generation_cap_hits", None),
     }
-    atomic_write_text(out_dir / MANIFEST_FILE, json.dumps(manifest, indent=2, sort_keys=True))
+    manifest = write_manifest(out_dir, "eval", manifest)
     return EvalReport(records=records, aggregates=aggregates, manifest=manifest)
 
 

@@ -89,22 +89,14 @@ def profile_dataset(
     k: int = 5,
     store_path: str | Path | None = None,
 ) -> list[KnowledgeProfile]:
-    """Profile every shot-safe example, reusing stored profiles when present.
+    """Profile every shot-safe example against the others, then replace the store.
 
-    Stored profiles only count when their model fingerprint matches, so mock
-    and remote profiles never mix.
+    Each profile depends on the whole pool, so every call computes all of
+    them; a rerun gets its backend results from a caching model (``--cache-dir``).
     """
     candidates = [ex for ex in dataset if ex.prompt_safe]
-    existing: dict[str, KnowledgeProfile] = {}
-    if store_path is not None and Path(store_path).exists():
-        for profile in load_profiles(store_path):
-            if profile.model_fingerprint == model.fingerprint:
-                existing[profile.example_id] = profile
     profiles: list[KnowledgeProfile] = []
     for example in candidates:
-        if example.id in existing:
-            profiles.append(existing[example.id])
-            continue
         pool = [ex for ex in candidates if ex.id != example.id]
         profiles.append(profile_example(example, pool, table, model, k=k))
     if store_path is not None:

@@ -92,6 +92,37 @@ class TestValidate:
                 "line 2: answers must be a list",
                 id="answers-a-string",
             ),
+            pytest.param(
+                "--train",
+                b'{"format": "icl-forge/v1"}\n{"id": "t1", "question": null, "answers": ["a"]}\n',
+                "line 2: question must be a string, got null",
+                id="question-null",
+            ),
+            pytest.param(
+                "--train",
+                b'{"format": "icl-forge/v1"}\n{"id": "t1", "question": "q", "answers": ["a", 7]}\n',
+                "line 2: answer must be a string, got 7",
+                id="answer-a-number",
+            ),
+            pytest.param(
+                "--train",
+                b'{"format": "icl-forge/v1"}\n'
+                b'{"id": "t1", "question": "q", "answers": ["a"], "category": 3}\n',
+                "line 2: category must be a string, got 3",
+                id="category-a-number",
+            ),
+            pytest.param(
+                "--train",
+                b'{"format": "icl-forge/v1"}\n{"id": 1, "question": "q", "answers": ["a"]}\n',
+                "line 2: id must be a string, got 1",
+                id="id-a-number",
+            ),
+            pytest.param(
+                "--embeddings",
+                b'{"format": "icl-forge/v1"}\n{"id": 1, "vector": [1.0]}\n',
+                "line 2: id must be a string, got 1",
+                id="embedding-id-a-number",
+            ),
         ],
     )
     def test_malformed_input_exits_2(self, capsys, tmp_path, flag, body, message):
@@ -379,6 +410,65 @@ class TestEvalAndReports:
             (tmp_path / "from-config" / "manifest.json").read_text(encoding="utf-8")
         )
         assert manifest["config"]["seed"] == 3
+
+    def test_every_flag_sets_its_config_field(self, capsys, fixtures_dir, tmp_path, monkeypatch):
+        # precedence: flag, then --config, then ICLFORGE_CACHE
+        monkeypatch.setenv("ICLFORGE_CACHE", str(tmp_path / "env-cache"))
+        config_path = tmp_path / "run.json"
+        config_path.write_text(
+            json.dumps({"k": 1, "seed": 9, "ordering_prefix_k": 3, "compute_adherence": True}),
+            encoding="utf-8",
+        )
+        paths = {
+            "train_path": str(fixtures_dir / "toy_train.jsonl"),
+            "eval_path": str(fixtures_dir / "toy_eval.jsonl"),
+            "embeddings_path": str(fixtures_dir / "toy_embeddings.jsonl"),
+            "backend": f"mock:{fixtures_dir / 'mock_toy.json'}",
+            "out_dir": str(tmp_path / "run"),
+            "cache_dir": str(tmp_path / "cache"),
+        }
+        code, _, err = run_cli(
+            capsys,
+            "eval",
+            "--config", str(config_path),
+            "--train", paths["train_path"],
+            "--eval", paths["eval_path"],
+            "--embeddings", paths["embeddings_path"],
+            "--backend", paths["backend"],
+            "--retrieval", "topical",
+            "--strategy", "alphabet",
+            "--k", "2",
+            "--seed", "4",
+            "--out", paths["out_dir"],
+            "--cache-dir", paths["cache_dir"],
+            "--jobs", "2",
+            "--max-tokens", "32",
+            "--eval-split", "dev",
+            "--no-adherence",
+        )
+        assert code == 0, err
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config"] == dict(
+            paths,
+            retrieval_strategy="topical",
+            ordering="alphabet",
+            k=2,
+            seed=4,
+            jobs=2,
+            max_tokens=32,
+            eval_split="dev",
+            fixed_set_ids=None,
+            ordering_prefix_k=3,
+            compute_adherence=False,
+        )
+        assert not (tmp_path / "env-cache").exists()
+
+    def test_config_file_not_an_object_exits_1(self, capsys, tmp_path):
+        config_path = tmp_path / "run.json"
+        config_path.write_text("[1, 2]", encoding="utf-8")
+        code, _, err = run_cli(capsys, "eval", "--config", str(config_path))
+        assert code == 1
+        assert "usage error" in err and "not a JSON object" in err
 
     def test_missing_required_settings_exit_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "eval", "--out", str(tmp_path / "x"))

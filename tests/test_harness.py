@@ -57,6 +57,15 @@ class TestRunEvalSmoke:
             assert report.aggregates[key] == report.aggregates[key]  # not NaN
         assert (tmp_path / "run" / "manifest.json").exists()
 
+    def test_manifest_is_the_only_state_file(self, fixtures_dir, tmp_path):
+        out = tmp_path / "run"
+        run_eval(toy_config(fixtures_dir, out))
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json",
+            RECORDS_FILE,
+            SUMMARY_FILE,
+        ]
+
     def test_expected_toy_scores(self, fixtures_dir, tmp_path):
         report = run_eval(toy_config(fixtures_dir, tmp_path / "run"))
         by_id = {r.example_id: r for r in report.records}
@@ -258,6 +267,64 @@ class TestResume:
         report = run_eval(toy_config(fixtures_dir, out, **inputs))
         assert report.manifest["model_fingerprint"] != first.manifest["model_fingerprint"]
         assert report.manifest["counts"]["resumed"] == 0
+
+    def test_alphabet_resume_plans_only_new_examples(self, fixtures_dir, tmp_path, monkeypatch):
+        # alphabet adherence reads no prompt, so resumed records are not re-planned
+        out = tmp_path / "run"
+        run_eval(toy_config(fixtures_dir, out, ordering="alphabet"))
+        self.cut_to_first_record(out)
+        retrieved = []
+        retrieve = harness.retrieve
+
+        def counting_retrieve(query, *args, **kwargs):
+            retrieved.append(query.id)
+            return retrieve(query, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "retrieve", counting_retrieve)
+        report = run_eval(toy_config(fixtures_dir, out, ordering="alphabet"))
+        assert report.manifest["counts"]["resumed"] == 1
+        assert len(retrieved) == 2
+        assert "phi_alphabet" in report.aggregates
+
+    def test_failed_rerun_with_new_config_leaves_no_stale_state(
+        self, fixtures_dir, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "run"
+        run_eval(toy_config(fixtures_dir, out, ordering="greedy"))
+
+        class FailsAfterFirstRecord(CountingModel):
+            def generate(self, prompt, stop, max_tokens):
+                if self.counts["generate"]:
+                    raise BackendError("backend went away")
+                return super().generate(prompt, stop, max_tokens)
+
+        def failing_backend(spec, cache_dir=None):
+            return FailsAfterFirstRecord(make_backend(spec, cache_dir))
+
+        monkeypatch.setattr(harness, "make_backend", failing_backend)
+        config = toy_config(fixtures_dir, out, ordering="alphabet")
+        with pytest.raises(BackendError, match="went away"):
+            run_eval(config)
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config"] == config.to_dict()
+        assert "counts" not in manifest
+        assert not (out / SUMMARY_FILE).exists()
+        report = load_report(out)
+        assert len(report.records) == 1
+        assert report.aggregates["n_examples"] == 1.0
+
+    @pytest.mark.parametrize("manifest", ["{", "[]", None], ids=["torn", "array", "missing"])
+    def test_unreadable_manifest_restarts_run(self, fixtures_dir, tmp_path, manifest):
+        out = tmp_path / "run"
+        run_eval(toy_config(fixtures_dir, out))
+        full = report_bytes(out)
+        if manifest is None:
+            (out / "manifest.json").unlink()
+        else:
+            (out / "manifest.json").write_text(manifest, encoding="utf-8")
+        report = run_eval(toy_config(fixtures_dir, out))
+        assert report.manifest["counts"]["resumed"] == 0
+        assert report_bytes(out) == full
 
     def test_torn_last_line_dropped(self, fixtures_dir, tmp_path):
         out = tmp_path / "run"

@@ -3,7 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from iclforge.core import Dataset, EmbeddingTable, Example
 from iclforge.errors import DataError
+from iclforge.lm import CachedModel
 from iclforge.profiling import (
     ExampleSet,
     KnowledgeProfile,
@@ -15,7 +17,7 @@ from iclforge.profiling import (
     save_profiles,
 )
 
-from rigs import build_knowledge_rig
+from rigs import JUNK, CountingModel, build_knowledge_rig
 
 
 def profile(example_id: str, f1: float, avg_sim: float = 0.5) -> KnowledgeProfile:
@@ -133,6 +135,44 @@ class TestProfileDataset:
         other = MockModel(["only", "\n", "|"])
         fresh = profile_dataset(dataset, table, other, store_path=store)
         assert all(p.model_fingerprint == other.fingerprint for p in fresh)
+
+    @pytest.mark.parametrize("change", ["edited-answer", "added-example"])
+    def test_changed_pool_recomputes_every_profile(self, tmp_path, change):
+        # a profile depends on the whole pool, so no stored one may survive a change
+        dataset, table, model = build_knowledge_rig(2, 2, 2)
+        store = tmp_path / "profiles.jsonl"
+        profile_dataset(dataset, table, model, store_path=store)
+        examples = list(dataset.examples)
+        vectors = dict(table.vectors)
+        if change == "edited-answer":
+            edited = examples[0]
+            examples[0] = Example(edited.id, edited.question, edited.answers + (JUNK,))
+        else:
+            examples.append(Example(id="p999", question="an extra question?", answers=(JUNK,)))
+            vectors["p999"] = np.asarray([0.0, 0.0, 1.0])
+        changed = Dataset(split="train", examples=tuple(examples))
+        changed_table = EmbeddingTable(dim=3, vectors=vectors)
+        rerun = profile_dataset(changed, changed_table, model, store_path=store)
+        fresh_store = tmp_path / "fresh.jsonl"
+        fresh = profile_dataset(changed, changed_table, model, store_path=fresh_store)
+        assert rerun == fresh
+        assert store.read_bytes() == fresh_store.read_bytes()
+
+    def test_cached_rerun_sends_no_backend_calls(self, tmp_path):
+        # reruns are served by the call cache, not by the profile store
+        dataset, table, model = build_knowledge_rig(2, 2, 2)
+        counting = CountingModel(model)
+        store = tmp_path / "profiles.jsonl"
+        cold = profile_dataset(
+            dataset, table, CachedModel(counting, tmp_path / "cache"), store_path=store
+        )
+        assert counting.counts["generate"] > 0 and counting.counts["score"] > 0
+        counting.counts.clear()
+        warm = profile_dataset(
+            dataset, table, CachedModel(counting, tmp_path / "cache"), store_path=store
+        )
+        assert sum(counting.counts.values()) == 0
+        assert warm == cold
 
     def test_round_trip(self, tmp_path):
         profiles = [profile("a", 0.5), profile("b", 1.0, avg_sim=0.25)]

@@ -7,14 +7,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
 from pathlib import Path
 
 from . import __version__
-from .core import load_dataset, load_embeddings
+from .core import load_dataset, load_embeddings, read_json_object
 from .errors import BackendError, DataError, UsageError
 from .harness import (
     RunConfig,
@@ -266,11 +265,9 @@ def _cmd_eval(args) -> int:
     data: dict = {}
     if args.config:
         try:
-            data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
-            raise UsageError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise UsageError(f"config {args.config} is not a JSON object")
+            data = read_json_object(Path(args.config), "config").data
+        except DataError as exc:  # a bad --config is a usage error
+            raise UsageError(str(exc)) from exc
     fields = {f.name for f in dataclasses.fields(RunConfig)}
     data.update((k, v) for k, v in vars(args).items() if k in fields and v is not None)
     if args.fixed_set:

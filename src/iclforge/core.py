@@ -8,6 +8,7 @@ import logging
 import os
 import re
 import string
+import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -154,48 +155,106 @@ def normalize_answer(text: str) -> str:
     return " ".join(out.split())
 
 
-def _read_versioned_records(path: Path, kind: str):
-    """(line number, JSON object) for each non-blank line after the format header."""
+# kind -> (description, check); str.__instancecheck__(v) is isinstance(v, str)
+_KINDS = {
+    str: ("a string", str.__instancecheck__),
+    # finite, and a float once converted: NaN fails every comparison
+    float: (
+        "a finite number",
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+        and abs(v) <= sys.float_info.max,
+    ),
+    int: ("an int", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    dict: ("an object", dict.__instancecheck__),
+    list: ("a list", list.__instancecheck__),
+}
+
+
+class Fields:
+    """A decoded JSON object and where it came from: a file and line, or a URL.
+
+    A field that is missing or of the wrong kind raises `error` (DataError for
+    a file, ProtocolError for a backend reply) naming the place and the field.
+    """
+
+    __slots__ = ("data", "source", "line", "error")
+
+    def __init__(self, data, source, line: int | None = None, error=DataError) -> None:
+        self.data, self.source, self.line, self.error = data, source, line, error
+        if not isinstance(data, dict):
+            raise self.fail("record is not a JSON object" if line else "not a JSON object")
+
+    def fail(self, message: str) -> Exception:
+        where = f"{self.source}: line {self.line}" if self.line else self.source
+        return self.error(f"{where}: {message}")
+
+    def get(self, name: str, kind: type, default=..., of: type | None = None, item=""):
+        """Field `name` of `kind` (str; float, any finite number but a boolean; int;
+        dict, returned as Fields; list, of elements of kind `of`), or `default` when
+        one is given and the field is absent or null. An element error names `item`."""
+        value = self.data.get(name)
+        if value is None and default is not ...:
+            return default
+        what, check = _KINDS[kind]
+        if not check(value):
+            if name not in self.data:
+                raise self.fail(f"missing field {name!r}")
+            raise self.fail(f"{name} must be {what}, got {json.dumps(value)}")
+        if of is not None:
+            what, check = _KINDS[of]
+            if not all(map(check, value)):
+                i = next(i for i, element in enumerate(value) if not check(element))
+                item = item or f"{name}[{i}]"
+                raise self.fail(f"{item} must be {what}, got {json.dumps(value[i])}")
+            return [float(x) for x in value] if of is float else value
+        if kind is dict:
+            return Fields(value, self.source, self.line, self.error)
+        return float(value) if kind is float else value
+
+
+def decode_json(text: str, source, line: int | None = None):
+    """`text` as JSON; malformed JSON is a DataError naming `source` and `line`."""
     try:
-        raw = path.read_text(encoding="utf-8")
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        where = f"{source}: line {line}" if line else source
+        raise DataError(f"{where}: malformed JSON: {exc}") from exc
+
+
+def read_text(path: Path, kind: str, data: bytes | None = None) -> str:
+    """The UTF-8 text of the `kind` file at `path`, or of its bytes `data`."""
+    try:
+        if data is None:
+            data = path.read_bytes()
+        return data.decode("utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {kind} file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         # exc.start is a byte offset into the whole file
-        lineno = path.read_bytes().count(b"\n", 0, exc.start) + 1
+        lineno = data.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{path}: line {lineno}: not valid UTF-8: {exc.reason}") from exc
-    if not raw:
-        raise DataError(f"{kind} file {path} is empty (missing format header)")
+
+
+def read_jsonl(path: Path, kind: str, header: bool = False, data: bytes | None = None):
+    """Fields for each non-blank line of the JSON-lines `kind` file at `path`, or of
+    its bytes `data`. With `header`, line 1 must be the format header."""
     # "\n" only: JSON strings may hold U+2028, U+2029 and U+0085 unescaped
-    lines = raw.split("\n")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: line 1: malformed header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != FORMAT_VERSION:
-        raise DataError(
-            f"{path}: unsupported format header {lines[0]!r}; expected "
-            f'{{"format": "{FORMAT_VERSION}"}}'
-        )
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: line {lineno}: malformed record: {exc}") from exc
-        if not isinstance(record, dict):
-            raise DataError(f"{path}: line {lineno}: record is not a JSON object")
-        yield lineno, record
+    lines = read_text(path, kind, data).split("\n")
+    if header:
+        head = decode_json(lines[0], path, 1) if lines[0] else None
+        if not isinstance(head, dict) or head.get("format") != FORMAT_VERSION:
+            raise DataError(
+                f"{path}: unsupported format header {lines[0]!r}; expected "
+                f'{{"format": "{FORMAT_VERSION}"}}'
+            )
+    for lineno, line in enumerate(lines[1:] if header else lines, 2 if header else 1):
+        if line.strip():
+            yield Fields(decode_json(line, path, lineno), path, lineno)
 
 
-def _string(value, field: str, path: Path, lineno: int) -> str:
-    """`value` if it is a JSON string; a field of any other type is a data error."""
-    if not isinstance(value, str):
-        raise DataError(
-            f"{path}: line {lineno}: {field} must be a string, got {json.dumps(value)}"
-        )
-    return value
+def read_json_object(path: Path, kind: str) -> Fields:
+    """The JSON object that fills the `kind` file at `path`."""
+    return Fields(decode_json(read_text(path, kind), path), path)
 
 
 def load_dataset(path: str | Path, split: str = "train") -> Dataset:
@@ -209,21 +268,15 @@ def load_dataset(path: str | Path, split: str = "train") -> Dataset:
     examples: list[Example] = []
     seen_ids: set[str] = set()
     seen_questions: set[str] = set()
-    for lineno, record in _read_versioned_records(path, "dataset"):
-        if not isinstance(record.get("answers", []), list):
-            raise DataError(f"{path}: line {lineno}: answers must be a list")
-        category = record.get("category")
-        try:
-            example = Example(
-                id=_string(record["id"], "id", path, lineno),
-                question=_string(record["question"], "question", path, lineno),
-                answers=tuple(_string(a, "answer", path, lineno) for a in record["answers"]),
-                category=None if category is None else _string(category, "category", path, lineno),
-            )
-        except KeyError as exc:
-            raise DataError(f"{path}: line {lineno}: missing field {exc}") from exc
+    for record in read_jsonl(path, "dataset", header=True):
+        example = Example(
+            id=record.get("id", str),
+            question=record.get("question", str),
+            answers=tuple(record.get("answers", list, of=str, item="answer")),
+            category=record.get("category", str, None),
+        )
         if example.id in seen_ids:
-            raise DataError(f"{path}: line {lineno}: duplicate id {example.id!r}")
+            raise record.fail(f"duplicate id {example.id!r}")
         seen_ids.add(example.id)
         if split == "train":
             if example.question in seen_questions:
@@ -257,27 +310,32 @@ def load_embeddings(path: str | Path, dataset: Dataset | None = None) -> Embeddi
     """Load an embedding file and check it covers every id of `dataset`."""
     path = Path(path)
     vectors: dict[str, np.ndarray] = {}
-    dim: int | None = None
-    for lineno, record in _read_versioned_records(path, "embedding"):
-        try:
-            vec_id = _string(record["id"], "id", path, lineno)
-            vector = np.asarray(record["vector"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: line {lineno}: bad embedding record: {exc}") from exc
-        if vector.ndim != 1 or vector.size == 0:
-            raise DataError(f"{path}: line {lineno}: vector must be a non-empty list")
-        if dim is None:
-            dim = int(vector.size)
-        elif vector.size != dim:
-            raise DataError(
-                f"{path}: line {lineno}: dimension mismatch "
-                f"(expected {dim}, got {vector.size})"
-            )
+    dim = 0
+    for record in read_jsonl(path, "embedding", header=True):
+        vec_id = record.get("id", str)
+        row = record.get("vector", list)
+        try:  # converted while the line is fresh in memory
+            vector = np.array(row)
+        except ValueError:  # elements of different shapes
+            vector = None
+        # numpy infers a float or int array only when every element is a number (or a
+        # boolean among numbers); any other vector is checked element by element
+        if vector is None or vector.ndim != 1 or vector.dtype.kind not in "fi":
+            vector = np.array(record.get("vector", list, of=float))  # raises, bar ints > 2**63
+        if not len(vector):
+            raise record.fail("vector must be a non-empty list")
+        if vectors and len(vector) != dim:
+            raise record.fail(f"dimension mismatch (expected {dim}, got {len(vector)})")
         if vec_id in vectors:
-            raise DataError(f"{path}: line {lineno}: duplicate id {vec_id!r}")
-        vectors[vec_id] = vector
-    if dim is None:
+            raise record.fail(f"duplicate id {vec_id!r}")
+        dim = len(vector)
+        vectors[vec_id] = np.asarray(vector, dtype=np.float64)
+    if not vectors:
         raise DataError(f"{path}: no vectors")
+    # one check for the whole file; only when it fails is the file read again
+    if not np.isfinite(np.array(list(vectors.values()))).all():
+        for record in read_jsonl(path, "embedding", header=True):
+            record.get("vector", list, of=float)  # raises for the first non-finite element
     table = EmbeddingTable(dim=dim, vectors=vectors)
     if dataset is not None:
         table.require(dataset.ids())

@@ -29,10 +29,15 @@ from .core import (
     EmbeddingTable,
     Example,
     Prediction,
+    Fields,
     atomic_write_text,
+    decode_json,
     load_dataset,
     load_embeddings,
     normalize_answer,
+    read_json_object,
+    read_jsonl,
+    read_text,
 )
 from .errors import DataError, TooManyAnswers, UsageError
 from .lm import LanguageModel, make_backend
@@ -138,15 +143,17 @@ class ExampleRecord:
         )
 
     @classmethod
-    def from_json(cls, line: str) -> "ExampleRecord":
-        data = json.loads(line)
+    def from_fields(cls, record: Fields) -> "ExampleRecord":
+        scores = record.get("scores", dict)
+        for key in SCORE_KEYS + ("not_in_prompt_p", "not_in_prompt_r"):
+            scores.get(key, float, None if key.startswith("not_in_prompt") else ...)
         return cls(
-            example_id=data["id"],
-            prompt_sha256=data["prompt_sha256"],
-            shot_ids=tuple(data["shot_ids"]),
-            answers=tuple(data["answers"]),
-            raw_text=data["raw_text"],
-            scores=data["scores"],
+            example_id=record.get("id", str),
+            prompt_sha256=record.get("prompt_sha256", str),
+            shot_ids=tuple(record.get("shot_ids", list, of=str)),
+            answers=tuple(record.get("answers", list, of=str)),
+            raw_text=record.get("raw_text", str),
+            scores=scores.data,
         )
 
     @property
@@ -165,16 +172,8 @@ def _prompt_hash(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
-def _parse_records(data: bytes, path: Path) -> list[ExampleRecord]:
-    records = []
-    # bytes.splitlines breaks on newlines only, not inside a record's text
-    for lineno, line in enumerate(data.splitlines(), 1):
-        if line.strip():
-            try:
-                records.append(ExampleRecord.from_json(line.decode("utf-8")))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise DataError(f"{path}: line {lineno}: bad record: {exc}") from exc
-    return records
+def _parse_records(path: Path, data: bytes | None = None) -> list[ExampleRecord]:
+    return [ExampleRecord.from_fields(r) for r in read_jsonl(path, "records", data=data)]
 
 
 def _resume_records(path: Path) -> list[ExampleRecord]:
@@ -187,11 +186,11 @@ def _resume_records(path: Path) -> list[ExampleRecord]:
     data = path.read_bytes()
     whole = data[: data.rfind(b"\n") + 1]
     try:
-        records = _parse_records(whole, path)
+        records = _parse_records(path, whole)
     except DataError:
         # drop the last line; if it was not the bad one, this raises again
         whole = whole[: whole.rfind(b"\n", 0, -1) + 1]
-        records = _parse_records(whole, path)
+        records = _parse_records(path, whole)
     if len(whole) < len(data):
         log.warning("dropping a torn last line of %s", path)
         with path.open("r+b") as fh:
@@ -383,11 +382,11 @@ def run_eval(config: RunConfig) -> EvalReport:
     }
     cfg_hash = _config_hash(config, input_sha256, model.fingerprint)
     try:
-        prior = json.loads((out_dir / MANIFEST_FILE).read_text(encoding="utf-8"))
-    except (FileNotFoundError, ValueError):
-        prior = None  # an unreadable manifest means no resume
+        prior = read_json_object(out_dir / MANIFEST_FILE, "manifest").data
+    except DataError:
+        prior = {}  # a missing or unreadable manifest means no resume
     resumed: dict[str, ExampleRecord] = {}
-    if records_path.exists() and isinstance(prior, dict) and prior.get("config_hash") == cfg_hash:
+    if records_path.exists() and prior.get("config_hash") == cfg_hash:
         for record in _resume_records(records_path):
             resumed[record.example_id] = record
         log.info("resuming run with %d completed examples", len(resumed))
@@ -539,7 +538,10 @@ def adherence_from_report(
     config_data = report.manifest.get("config")
     if config_data is None:
         raise DataError(f"report in {out_dir} has no manifest config to re-derive prompts")
-    config = RunConfig.from_dict(dict(config_data))
+    try:
+        config = RunConfig.from_dict(dict(config_data))
+    except (TypeError, UsageError) as exc:  # TypeError: a field of the wrong type
+        raise DataError(f"{Path(out_dir) / MANIFEST_FILE}: bad config: {exc}") from exc
     if backend is not None:
         config.backend = backend
     if cache_dir is not None:
@@ -568,39 +570,27 @@ def render_summary(aggregates: dict[str, float]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_summary(text: str) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        key, _, value = line.partition("\t")
-        out[key] = float(value)
-    return out
-
-
 def load_report(out_dir: str | Path) -> EvalReport:
     """Load a report directory, checking aggregates against the records."""
     out_dir = Path(out_dir)
     records_path = out_dir / RECORDS_FILE
-    if not records_path.exists():
-        raise DataError(f"no {RECORDS_FILE} in {out_dir}")
-    records = _parse_records(records_path.read_bytes(), records_path)
+    records = _parse_records(records_path)
     if not records:
         raise DataError(f"{records_path} holds no records")
     manifest = {}
     manifest_path = out_dir / MANIFEST_FILE
     if manifest_path.exists():
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"malformed manifest {manifest_path}: {exc}") from exc
+        fields = read_json_object(manifest_path, "manifest")
+        fields.get("config", dict, None)  # adherence re-derives prompts from it
+        manifest = fields.data
     summary_path = out_dir / SUMMARY_FILE
     aggregates = compute_aggregates(records)
     if summary_path.exists():
-        try:
-            stored = parse_summary(summary_path.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise DataError(f"malformed summary {summary_path}: {exc}") from exc
+        # each value is a finite float, which repr() writes as a JSON number
+        rows = (line.partition("\t") for line in read_text(summary_path, "summary").split("\n"))
+        values = {k: decode_json(v, f"{summary_path}: {k}") for k, _, v in rows if k.strip()}
+        summary = Fields(values, summary_path)
+        stored = {key: summary.get(key, float) for key in summary.data}
         for key, value in aggregates.items():
             if key not in stored or abs(stored[key] - value) > 1e-12:
                 raise DataError(

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import requests
 
-from .core import atomic_write_text
+from .core import Fields, atomic_write_text, read_json_object
 from .errors import DataError, ProtocolError, TransportError, UsageError
 
 log = logging.getLogger(__name__)
@@ -119,14 +119,17 @@ class MockModel(LanguageModel):
         if len(set(vocab)) != len(vocab):
             raise DataError("mock vocabulary has duplicate tokens")
         for token in vocab:
-            if not token or " " in token:
+            if not isinstance(token, str) or not token or " " in token:
                 raise DataError(f"bad vocabulary token {token!r}")
         vocab_set = set(vocab)
         for rule in rules:
-            if rule.token not in vocab_set:
+            if not isinstance(rule.context_suffix, str):
+                raise DataError(f"rule context_suffix must be a string in {rule}")
+            if not isinstance(rule.token, str) or rule.token not in vocab_set:
                 raise DataError(f"rule token {rule.token!r} not in vocabulary")
-            if rule.weight <= 0:
-                raise DataError(f"rule weight must be positive, got {rule.weight}")
+            w = rule.weight
+            if isinstance(w, bool) or not (isinstance(w, (int, float)) and 0 < w < math.inf):
+                raise DataError(f"rule weight must be a positive finite number in {rule}")
         if not 0 < floor < 1 / (len(vocab) + 1):
             raise DataError(f"floor probability {floor} out of range")
         self.vocab = tuple(vocab)
@@ -149,23 +152,18 @@ class MockModel(LanguageModel):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockModel":
-        path = Path(path)
+        fixture = read_json_object(Path(path), "mock fixture")
+        rules = []
+        for r in fixture.get("rules", list, [], of=dict):
+            weight = r.get("weight")
+            if type(weight) is int:  # read as a float, so the fingerprint stays that of the float
+                weight = float(weight)
+            rules.append(MockRule(r.get("context_suffix"), r.get("token"), weight))
+        vocab = fixture.get("vocab", list, of=str)
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot load mock fixture {path}: {exc}") from exc
-        try:
-            rules = tuple(
-                MockRule(str(r["context_suffix"]), str(r["token"]), float(r["weight"]))
-                for r in payload.get("rules", [])
-            )
-            return cls(
-                vocab=[str(t) for t in payload["vocab"]],
-                rules=rules,
-                floor=float(payload.get("floor", DEFAULT_FLOOR)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"bad mock fixture {path}: {exc}") from exc
+            return cls(vocab, rules, fixture.get("floor", float, DEFAULT_FLOOR))
+        except DataError as exc:
+            raise fixture.fail(str(exc)) from exc
 
     @property
     def fingerprint(self) -> str:
@@ -243,6 +241,20 @@ class MockModel(LanguageModel):
         return text
 
 
+def _token_scores(response: Fields) -> TokenScores:
+    return TokenScores(
+        tuple(response.get("tokens", list, of=str)), tuple(response.get("logprobs", list, of=float))
+    )
+
+
+def _candidate_logprobs(response: Fields, candidates: Sequence[str]) -> list[float]:
+    logprobs = response.get("logprobs", list, of=float)
+    if len(logprobs) != len(candidates):
+        raise response.fail(f"{len(logprobs)} logprobs for {len(candidates)} candidates")
+    _check_logprobs(logprobs)
+    return logprobs
+
+
 class RemoteModel(LanguageModel):
     """Client for the HTTP scoring service.
 
@@ -266,7 +278,7 @@ class RemoteModel(LanguageModel):
     def fingerprint(self) -> str:
         return f"remote:{self.base_url}"
 
-    def _post(self, endpoint: str, payload: dict) -> dict:
+    def _post(self, endpoint: str, payload: dict) -> Fields:
         # one-shot posts rather than a shared Session: callers issue requests
         # from multiple threads
         url = f"{self.base_url}{endpoint}"
@@ -290,57 +302,38 @@ class RemoteModel(LanguageModel):
                 body = response.json()
             except ValueError as exc:
                 raise ProtocolError(f"{url} returned non-JSON body: {exc}") from exc
-            if not isinstance(body, dict):
-                raise ProtocolError(f"{url} returned a non-object body")
-            return body
+            return Fields(body, url, error=ProtocolError)
         raise TransportError(f"backend unreachable after {self.retries + 1} attempts: {last_error}")
 
     def score_continuation(self, context: str, continuation: str) -> TokenScores:
         if not continuation:
             raise DataError("continuation must be non-empty")
         body = self._post("/v1/score", {"context": context, "continuation": continuation})
-        try:
-            tokens = tuple(str(t) for t in body["tokens"])
-            logprobs = tuple(float(x) for x in body["logprobs"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"bad score response: {exc}") from exc
-        return TokenScores(tokens, logprobs)
+        return _token_scores(body)
 
     def next_token_distribution(
         self, context: str, candidates: Sequence[str]
     ) -> list[float]:
         if not candidates:
             raise DataError("candidate list is empty")
-        body = self._post(
-            "/v1/next_token", {"context": context, "candidates": list(candidates)}
-        )
-        try:
-            logprobs = [float(x) for x in body["logprobs"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"bad next_token response: {exc}") from exc
-        if len(logprobs) != len(candidates):
-            raise ProtocolError(
-                f"backend returned {len(logprobs)} logprobs for {len(candidates)} candidates"
-            )
-        _check_logprobs(logprobs)
-        return logprobs
+        body = self._post("/v1/next_token", {"context": context, "candidates": list(candidates)})
+        return _candidate_logprobs(body, candidates)
 
     def generate(self, prompt: str, stop: Sequence[str], max_tokens: int) -> str:
         body = self._post(
             "/v1/generate",
             {"prompt": prompt, "stop": list(stop), "max_tokens": int(max_tokens)},
         )
-        text = body.get("text")
-        if not isinstance(text, str):
-            raise ProtocolError(f"bad generate response: text is {text!r}, not a string")
-        return text
+        return body.get("text", str)
 
 
 class CachedModel(LanguageModel):
     """Persistent cache wrapper; one JSON file per request under `cache_dir`.
 
     Keys are content hashes over the canonicalized request (including the
-    inner backend's fingerprint). Corrupt entries are discarded and recomputed.
+    inner backend's fingerprint). An entry that is not JSON, holds another
+    request or whose response has the wrong shape for its op (the shape of a
+    remote reply) is discarded, recomputed and counted as a miss.
     """
 
     def __init__(self, inner: LanguageModel, cache_dir: str | Path) -> None:
@@ -359,29 +352,32 @@ class CachedModel(LanguageModel):
     def generation_cap_hits(self) -> int | None:
         return getattr(self.inner, "generation_cap_hits", None)
 
-    def _fetch(self, request: dict, compute) -> dict:
+    def _fetch(self, request: dict, compute, decode):
+        """`decode` of the response cached for `request`, or of `compute()` on a miss."""
         canonical = json.dumps(request, sort_keys=True, ensure_ascii=False)
         key = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
         path = self.cache_dir / f"{key}.json"
         if path.exists():
             try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-                if payload["request"] != request:
-                    raise KeyError("request mismatch")
+                entry = read_json_object(path, "cache entry")
+                if entry.data.get("request") != request:
+                    raise entry.fail("request mismatch")
+                result = decode(entry.get("response", dict))
                 with self._lock:
                     self.hits += 1
-                return payload["response"]
-            except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+                return result
+            except (DataError, ProtocolError) as exc:
                 log.warning("discarding corrupt cache entry %s: %s", path.name, exc)
                 path.unlink(missing_ok=True)
         response = compute()
+        result = decode(Fields(response, path))
         with self._lock:
             self.misses += 1
         body = json.dumps(
             {"request": request, "response": response}, sort_keys=True, ensure_ascii=False
         )
         atomic_write_text(path, body)
-        return response
+        return result
 
     def score_continuation(self, context: str, continuation: str) -> TokenScores:
         request = {
@@ -395,8 +391,7 @@ class CachedModel(LanguageModel):
             scores = self.inner.score_continuation(context, continuation)
             return {"tokens": list(scores.tokens), "logprobs": list(scores.logprobs)}
 
-        response = self._fetch(request, compute)
-        return TokenScores(tuple(response["tokens"]), tuple(response["logprobs"]))
+        return self._fetch(request, compute, _token_scores)
 
     def next_token_distribution(
         self, context: str, candidates: Sequence[str]
@@ -407,11 +402,11 @@ class CachedModel(LanguageModel):
             "context": context,
             "candidates": list(candidates),
         }
-        response = self._fetch(
+        return self._fetch(
             request,
             lambda: {"logprobs": self.inner.next_token_distribution(context, candidates)},
+            lambda response: _candidate_logprobs(response, candidates),
         )
-        return [float(x) for x in response["logprobs"]]
 
     def generate(self, prompt: str, stop: Sequence[str], max_tokens: int) -> str:
         request = {
@@ -421,10 +416,11 @@ class CachedModel(LanguageModel):
             "stop": list(stop),
             "max_tokens": int(max_tokens),
         }
-        response = self._fetch(
-            request, lambda: {"text": self.inner.generate(prompt, stop, max_tokens)}
+        return self._fetch(
+            request,
+            lambda: {"text": self.inner.generate(prompt, stop, max_tokens)},
+            lambda response: response.get("text", str),
         )
-        return str(response["text"])
 
 
 def make_backend(spec: str, cache_dir: str | Path | None = None) -> LanguageModel:

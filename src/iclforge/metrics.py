@@ -197,7 +197,7 @@ def paired_bootstrap(
         raise DataError(
             f"score vectors differ in length: {len(scores_a)} vs {len(scores_b)}"
         )
-    if not scores_a:
+    if len(scores_a) == 0:
         raise DataError("empty score vectors")
     if resamples < MIN_RESAMPLES:
         raise DataError(f"resamples must be at least {MIN_RESAMPLES}")

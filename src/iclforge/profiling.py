@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, EmbeddingTable, Example, atomic_write_text, derive_rng
+from .core import Dataset, EmbeddingTable, Example, atomic_write_text, derive_rng, read_jsonl
 from .errors import DataError
 from .lm import LanguageModel
 from .metrics import set_scores
@@ -104,13 +104,6 @@ def profile_dataset(
     return profiles
 
 
-def _store_lines(path: str | Path, kind: str) -> list[str]:
-    try:
-        return Path(path).read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {kind} file {path}: {exc}") from exc
-
-
 def save_profiles(profiles: list[KnowledgeProfile], path: str | Path) -> None:
     """Replace the store at `path` atomically, so a crash never tears it."""
     lines = []
@@ -127,24 +120,16 @@ def save_profiles(profiles: list[KnowledgeProfile], path: str | Path) -> None:
 
 
 def load_profiles(path: str | Path) -> list[KnowledgeProfile]:
-    profiles = []
-    for lineno, line in enumerate(_store_lines(path, "profile store"), 1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            profiles.append(
-                KnowledgeProfile(
-                    example_id=str(record["example_id"]),
-                    f1_em=float(record["f1_em"]),
-                    answer_perplexities=tuple(record["answer_perplexities"]),
-                    avg_similarity=float(record["avg_similarity"]),
-                    model_fingerprint=str(record["model_fingerprint"]),
-                )
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: line {lineno}: bad profile record: {exc}") from exc
-    return profiles
+    return [
+        KnowledgeProfile(
+            example_id=record.get("example_id", str),
+            f1_em=record.get("f1_em", float),
+            answer_perplexities=tuple(record.get("answer_perplexities", list, of=float)),
+            avg_similarity=record.get("avg_similarity", float),
+            model_fingerprint=record.get("model_fingerprint", str),
+        )
+        for record in read_jsonl(Path(path), "profile store")
+    ]
 
 
 def median_similarity_filter(profiles: list[KnowledgeProfile], n: int) -> list[str]:
@@ -277,18 +262,16 @@ def save_sets(sets: tuple[ExampleSet, ...] | list[ExampleSet], path: str | Path)
 
 def load_sets(path: str | Path) -> list[ExampleSet]:
     sets = []
-    for lineno, line in enumerate(_store_lines(path, "set"), 1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            sets.append(
-                ExampleSet(
-                    condition=str(record["condition"]),
-                    member_ids=tuple(str(m) for m in record["member_ids"]),
-                    seed=int(record["seed"]),
-                )
+    for record in read_jsonl(Path(path), "set"):
+        condition = record.get("condition", str)
+        if condition not in CONDITIONS:
+            choices = ", ".join(CONDITIONS)
+            raise record.fail(f"condition must be one of {choices}, got {condition!r}")
+        sets.append(
+            ExampleSet(
+                condition=condition,
+                member_ids=tuple(record.get("member_ids", list, of=str)),
+                seed=record.get("seed", int),
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: line {lineno}: bad set record: {exc}") from exc
+        )
     return sets

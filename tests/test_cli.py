@@ -9,6 +9,15 @@ from iclforge.cli import cli_dispatch
 from rigs import build_knowledge_rig
 
 
+GOOD_PROFILE = {
+    "example_id": "t1",
+    "f1_em": 1.0,
+    "answer_perplexities": [1.5],
+    "avg_similarity": 0.5,
+    "model_fingerprint": "mock:0",
+}
+
+
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
     code = cli_dispatch(list(argv))
     captured = capsys.readouterr()
@@ -122,6 +131,50 @@ class TestValidate:
                 b'{"format": "icl-forge/v1"}\n{"id": 1, "vector": [1.0]}\n',
                 "line 2: id must be a string, got 1",
                 id="embedding-id-a-number",
+            ),
+            pytest.param(
+                "--embeddings",
+                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [1.0, 0.5]}\n'
+                b'{"id": "b", "vector": [1.0, NaN]}\n',
+                "line 3: vector[1] must be a finite number, got NaN",
+                id="embedding-nan",
+            ),
+            pytest.param(
+                "--embeddings",
+                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [1.0, Infinity]}\n',
+                "line 2: vector[1] must be a finite number, got Infinity",
+                id="embedding-infinity",
+            ),
+            pytest.param(
+                "--embeddings",
+                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": ["1.5", 0.5]}\n',
+                'line 2: vector[0] must be a finite number, got "1.5"',
+                id="embedding-a-string",
+            ),
+            pytest.param(
+                "--embeddings",
+                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [0.5, 0.25]}\n'
+                b'{"id": "b", "vector": [true, false]}\n',
+                "line 3: vector[0] must be a finite number, got true",
+                id="embedding-a-bool",
+            ),
+            pytest.param(
+                "--embeddings",
+                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [[1.0], [2.0]]}\n',
+                "line 2: vector[0] must be a finite number, got [1.0]",
+                id="embedding-nested",
+            ),
+            pytest.param(
+                "--embeddings",
+                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [1e999]}\n',
+                "line 2: vector[0] must be a finite number, got Infinity",
+                id="embedding-overflow",
+            ),
+            pytest.param(
+                "--embeddings",
+                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [1' + b"0" * 400 + b']}\n',
+                "line 2: vector[0] must be a finite number, got 1000",
+                id="embedding-int-beyond-float",
             ),
         ],
     )
@@ -289,6 +342,67 @@ class TestProfileAndBuildSets:
         assert code == 2
         assert "cannot read" in err and str(missing) in err
 
+    @pytest.mark.parametrize(
+        "command, line, message",
+        [
+            pytest.param(
+                "build-sets",
+                '{"example_id": 7, "f1_em": true, "answer_perplexities": ["x"], '
+                '"avg_similarity": "0.5", "model_fingerprint": null}',
+                "example_id must be a string, got 7",
+                id="profile-coerced-fields",
+            ),
+            *(
+                pytest.param(
+                    "build-sets",
+                    json.dumps({**GOOD_PROFILE, field: value}),
+                    message,
+                    id=f"profile-{field}",
+                )
+                for field, value, message in [
+                    ("f1_em", True, "f1_em must be a finite number, got true"),
+                    ("answer_perplexities", "12", 'answer_perplexities must be a list, got "12"'),
+                    (
+                        "answer_perplexities",
+                        ["x"],
+                        'answer_perplexities[0] must be a finite number, got "x"',
+                    ),
+                    ("avg_similarity", "0.5", 'avg_similarity must be a finite number, got "0.5"'),
+                    ("model_fingerprint", None, "model_fingerprint must be a string, got null"),
+                ]
+            ),
+            pytest.param(
+                "eval",
+                '{"condition": "known", "member_ids": [1, 2], "seed": 1.9}',
+                "member_ids[0] must be a string, got 1",
+                id="set-coerced-fields",
+            ),
+            pytest.param(
+                "eval",
+                '{"condition": "known", "member_ids": ["t1"], "seed": 1.9}',
+                "seed must be an int, got 1.9",
+                id="set-seed-a-float",
+            ),
+            pytest.param(
+                "eval",
+                '{"condition": "bogus", "member_ids": ["t1"], "seed": 0}',
+                "condition must be one of unknown, random, halfknown, known, got 'bogus'",
+                id="set-condition-unknown",
+            ),
+        ],
+    )
+    def test_malformed_store_exits_2(self, capsys, tmp_path, command, line, message):
+        path = tmp_path / "store.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        if command == "build-sets":
+            argv = ["build-sets", "--profiles", str(path), "--condition", "known",
+                    "--out", str(tmp_path / "out")]
+        else:
+            argv = ["eval", "--fixed-set", str(path)]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"data error: {path}: line 1: {message}" in err
+
     def test_insufficient_candidates_exits_2(self, capsys, knowledge_files, tmp_path):
         profile_dir = tmp_path / "profiles"
         run_cli(
@@ -391,6 +505,24 @@ class TestEvalAndReports:
         )
         assert code == 0
         assert out.startswith("strategy\talphabet")
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"k": "2"}, "bad config: "), ({"colour": "red"}, "bad config: unknown config keys")],
+        ids=["k-a-string", "unknown-key"],
+    )
+    def test_adherence_on_a_bad_manifest_config_exits_2(
+        self, capsys, fixtures_dir, tmp_path, change, message
+    ):
+        out = tmp_path / "a"
+        run_cli(capsys, *self.eval_args(fixtures_dir, out))
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["config"].update(change)
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        code, _, err = run_cli(capsys, "adherence", "--report", str(out), "--strategy", "greedy")
+        assert code == 2
+        assert f"data error: {path}: {message}" in err
 
     def test_config_file_with_flag_overrides(self, capsys, fixtures_dir, tmp_path):
         config = {

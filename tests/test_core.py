@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -220,6 +221,13 @@ class TestLoadEmbeddings:
         path = self.embedding_file(tmp_path, [("q1", [1, 0, 0, 0]), ("q2", [0, 1, 0, 0, 0])])
         with pytest.raises(DataError, match="dimension mismatch"):
             load_embeddings(path)
+
+    def test_ints_beyond_64_bits_load_as_floats(self, tmp_path):
+        path = self.embedding_file(tmp_path, [("q1", [2**64, 1]), ("q2", [0.5, -(2**70)])])
+        table = load_embeddings(path)
+        assert table.vectors["q1"].tolist() == [2.0**64, 1.0]
+        assert table.vectors["q2"].tolist() == [0.5, -(2.0**70)]
+        assert table.vectors["q1"].dtype == np.float64
 
     def test_round_trip(self, tmp_path):
         path = self.embedding_file(tmp_path, [("q1", [0.25, -1.5]), ("q2", [3.0, 0.125])])

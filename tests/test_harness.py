@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -38,6 +39,16 @@ def toy_config(fixtures_dir: Path, out_dir: Path, **overrides) -> RunConfig:
     )
     settings.update(overrides)
     return RunConfig(**settings)
+
+
+def _edit_first_record(text: str, **fields) -> str:
+    first, rest = text.split("\n", 1)
+    return json.dumps({**json.loads(first), **fields}) + "\n" + rest
+
+
+def _edit_first_score(text: str, **scores) -> str:
+    first = json.loads(text.split("\n", 1)[0])
+    return _edit_first_record(text, scores={**first["scores"], **scores})
 
 
 def report_bytes(out_dir: Path) -> tuple[bytes, bytes]:
@@ -463,6 +474,57 @@ class TestLoadReport:
         (out / SUMMARY_FILE).write_text("f1_em\tnot-a-number\n", encoding="utf-8")
         with pytest.raises(DataError, match="summary"):
             load_report(out)
+
+    @pytest.mark.parametrize(
+        "file, tamper, message",
+        [
+            pytest.param(
+                SUMMARY_FILE,
+                lambda text: re.sub(r"(?m)^f1_em\t.*$", "f1_em\tnan", text),
+                r"summary\.tsv: f1_em: malformed JSON",
+                id="summary-nan",
+            ),
+            pytest.param(
+                "manifest.json",
+                lambda text: "[1]",
+                r"manifest\.json: not a JSON object",
+                id="manifest-a-list",
+            ),
+            pytest.param(
+                RECORDS_FILE,
+                lambda text: _edit_first_record(text, answers="st"),
+                r"records\.jsonl: line 1: answers must be a list, got \"st\"",
+                id="answers-a-string",
+            ),
+            pytest.param(
+                RECORDS_FILE,
+                lambda text: _edit_first_record(text, shot_ids="xy"),
+                r"records\.jsonl: line 1: shot_ids must be a list, got \"xy\"",
+                id="shot-ids-a-string",
+            ),
+            pytest.param(
+                RECORDS_FILE,
+                lambda text: _edit_first_score(text, em="1"),
+                r"records\.jsonl: line 1: em must be a finite number, got \"1\"",
+                id="score-a-string",
+            ),
+            pytest.param(
+                RECORDS_FILE,
+                lambda text: _edit_first_score(text, em=float("nan")),
+                r"records\.jsonl: line 1: em must be a finite number, got NaN",
+                id="score-nan",
+            ),
+        ],
+    )
+    def test_malformed_field_names_file_line_and_field(
+        self, fixtures_dir, tmp_path, file, tamper, message
+    ):
+        out = tmp_path / "run"
+        run_eval(toy_config(fixtures_dir, out, ordering="greedy"))
+        path = out / file
+        path.write_text(tamper(path.read_text(encoding="utf-8")), encoding="utf-8")
+        with pytest.raises(DataError, match=message):
+            adherence_from_report(out, "greedy")
 
     def test_line_separator_inside_a_record(self, fixtures_dir, tmp_path):
         # records are split on newlines only, not on every Unicode line break

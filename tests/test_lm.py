@@ -193,6 +193,73 @@ class TestMockFixtureFile:
         with pytest.raises(DataError):
             MockModel.from_file(path)
 
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            MockRule("", "a", math.nan),
+            MockRule("", "a", math.inf),
+            MockRule("", "a", "2"),
+            MockRule("", "a", True),
+            MockRule("", "a", 0.0),
+            MockRule(3, "a", 1.0),
+            MockRule("", ["a"], 1.0),
+        ],
+        ids=["nan", "inf", "string", "bool", "zero", "suffix-a-number", "token-a-list"],
+    )
+    def test_bad_rule_rejected(self, rule):
+        with pytest.raises(DataError, match="rule"):
+            MockModel(["a", "b"], (rule,))
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("[1]", "not a JSON object"),
+            ('{"vocab": ["a", 5]}', "vocab\\[1\\] must be a string, got 5"),
+            ('{"vocab": "ab"}', "vocab must be a list"),
+            ('{"vocab": ["a"], "rules": [7]}', "rules\\[0\\] must be an object, got 7"),
+            (
+                '{"vocab": ["a"], "rules": [{"context_suffix": 3, "token": "a", "weight": 1}]}',
+                "context_suffix must be a string",
+            ),
+            (
+                '{"vocab": ["a"], "rules": [{"context_suffix": "", "token": "a", "weight": NaN}]}',
+                "weight must be a positive finite number",
+            ),
+            (
+                '{"vocab": ["a"], "rules": [{"context_suffix": "", "token": "a"}]}',
+                "weight must be a positive finite number",
+            ),
+            ('{"vocab": ["a"], "floor": "0.1"}', "floor must be a finite number"),
+        ],
+        ids=[
+            "a-list",
+            "vocab-number",
+            "vocab-string",
+            "rule-number",
+            "suffix-number",
+            "weight-nan",
+            "weight-missing",
+            "floor-string",
+        ],
+    )
+    def test_malformed_fixture_names_file_and_field(self, tmp_path, body, message):
+        path = tmp_path / "m.json"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(DataError, match=f"{path}: .*{message}"):
+            MockModel.from_file(path)
+
+    def test_int_weight_fingerprint_matches_float(self, tmp_path):
+        models = []
+        for weight in ("2", "2.0"):
+            path = tmp_path / f"m{weight}.json"
+            path.write_text(
+                '{"vocab": ["a"], "rules": [{"context_suffix": "", "token": "a", "weight": %s}]}'
+                % weight,
+                encoding="utf-8",
+            )
+            models.append(MockModel.from_file(path))
+        assert models[0].fingerprint == models[1].fingerprint
+
 
 class TestCache:
     def test_hit_on_identical_call(self, tmp_path):
@@ -229,6 +296,50 @@ class TestCache:
             again = model.next_token_distribution("c", ["a"])
         assert again == expected
         assert "corrupt" in caplog.text
+
+    @pytest.mark.parametrize(
+        "op, response",
+        [
+            ("score", {"tokens": "wi", "logprobs": [-0.5, -0.5]}),
+            ("score", {"tokens": ["wi"], "logprobs": [-0.5, -0.5]}),
+            ("score", {"tokens": ["w", "i"], "logprobs": ["-1", "-2"]}),
+            ("score", {"tokens": ["w", "i"], "logprobs": None}),
+            ("score", "not an object"),
+            ("next_token", {"logprobs": [-0.5, -0.5]}),
+            ("next_token", {"logprobs": [True]}),
+            ("generate", {"text": None}),
+        ],
+        ids=[
+            "tokens-a-string",
+            "token-count-mismatch",
+            "logprobs-strings",
+            "logprobs-null",
+            "response-a-string",
+            "logprob-count-mismatch",
+            "logprob-a-bool",
+            "text-null",
+        ],
+    )
+    def test_bad_response_discarded_and_recomputed_as_a_miss(
+        self, tmp_path, caplog, op, response
+    ):
+        cache_dir = tmp_path / "cache"
+        calls = {
+            "score": lambda m: m.score_continuation("c", "w i"),
+            "next_token": lambda m: m.next_token_distribution("c", ["w"]),
+            "generate": lambda m: m.generate("c", ["\n"], 3),
+        }
+        model = CachedModel(mock(["w", "i"], rules=[("c", "w", 2.0)]), cache_dir)
+        expected = calls[op](model)
+        (entry,) = cache_dir.glob("*.json")
+        stored = json.loads(entry.read_text(encoding="utf-8"))
+        entry.write_text(json.dumps({**stored, "response": response}), encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            again = calls[op](model)
+        assert again == expected
+        assert "corrupt" in caplog.text
+        assert (model.hits, model.misses) == (0, 2)
+        assert json.loads(entry.read_text(encoding="utf-8")) == stored
 
     def test_transparent_over_all_ops(self, tmp_path):
         plain = mock(["a", "b", "\n"], rules=[("", "a", 3.0), ("a", "\n", 9.0)])

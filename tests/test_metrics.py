@@ -255,6 +255,14 @@ class TestPairedBootstrap:
         with pytest.raises(DataError):
             paired_bootstrap([1.0], [1.0, 0.0], resamples=1000)
 
+    def test_numpy_arrays_accepted(self):
+        a = [1.0, 0.0, 1.0, 0.5]
+        b = [0.0, 0.0, 1.0, 0.5]
+        expected = paired_bootstrap(a, b, resamples=1000, seed=2)
+        assert paired_bootstrap(np.array(a), np.array(b), resamples=1000, seed=2) == expected
+        with pytest.raises(DataError, match="empty"):
+            paired_bootstrap(np.array([]), np.array([]), resamples=1000)
+
     def test_too_few_resamples_rejected(self):
         with pytest.raises(DataError):
             paired_bootstrap([1.0], [0.0], resamples=10)

@@ -29,7 +29,7 @@ def make_handler(model: MockModel, failures: dict):
             if self.path == "/v1/score":
                 scores = model.score_continuation(payload["context"], payload["continuation"])
                 body = {
-                    "tokens": list(scores.tokens),
+                    "tokens": failures.get("score_tokens", list(scores.tokens)),
                     "logprobs": failures.get("score_logprobs", list(scores.logprobs)),
                 }
             elif self.path == "/v1/next_token":
@@ -135,6 +135,15 @@ def test_bad_score_logprob_is_protocol_error(server, bad):
     failures["score_logprobs"] = [bad]
     remote = RemoteModel(url, retries=3, backoff=0.01)
     with pytest.raises(ProtocolError):
+        remote.score_continuation("q", "a")
+
+
+@pytest.mark.parametrize("tokens", [[5], "a", None])
+def test_non_string_token_is_protocol_error(server, tokens):
+    url, failures = server
+    failures["score_tokens"] = tokens
+    remote = RemoteModel(url, retries=3, backoff=0.01)
+    with pytest.raises(ProtocolError, match="tokens"):
         remote.score_continuation("q", "a")
 
 

@@ -289,10 +289,7 @@ def _cmd_eval(args) -> int:
     ]
     if missing:
         raise UsageError(f"missing required eval settings: {', '.join(missing)}")
-    try:
-        config = RunConfig.from_dict(data)
-    except TypeError as exc:
-        raise UsageError(f"bad eval configuration: {exc}") from exc
+    config = RunConfig.from_dict(data)
     report = run_eval(config)
     for key in sorted(report.aggregates):
         print(f"{key}\t{report.aggregates[key]:.6f}")

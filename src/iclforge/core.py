@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import logging
 import os
@@ -221,35 +222,52 @@ def decode_json(text: str, source, line: int | None = None):
         raise DataError(f"{where}: malformed JSON: {exc}") from exc
 
 
-def read_text(path: Path, kind: str, data: bytes | None = None) -> str:
-    """The UTF-8 text of the `kind` file at `path`, or of its bytes `data`."""
+def _decode(data: bytes, path: Path, first_line: int = 1) -> str:
+    """`data` as UTF-8; a fault is a DataError naming its line, counted from `first_line`."""
     try:
-        if data is None:
-            data = path.read_bytes()
         return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # exc.start is a byte offset into `data`
+        lineno = first_line + data.count(b"\n", 0, exc.start)
+        raise DataError(f"{path}: line {lineno}: not valid UTF-8: {exc.reason}") from exc
+
+
+def _open(path: Path, kind: str):
+    try:
+        return path.open("rb")
     except OSError as exc:
         raise DataError(f"cannot read {kind} file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        # exc.start is a byte offset into the whole file
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise DataError(f"{path}: line {lineno}: not valid UTF-8: {exc.reason}") from exc
+
+
+def read_text(path: Path, kind: str) -> str:
+    """The UTF-8 text of the `kind` file at `path`."""
+    with _open(path, kind) as fh:
+        return _decode(fh.read(), path)
 
 
 def read_jsonl(path: Path, kind: str, header: bool = False, data: bytes | None = None):
     """Fields for each non-blank line of the JSON-lines `kind` file at `path`, or of
-    its bytes `data`. With `header`, line 1 must be the format header."""
-    # "\n" only: JSON strings may hold U+2028, U+2029 and U+0085 unescaped
-    lines = read_text(path, kind, data).split("\n")
-    if header:
-        head = decode_json(lines[0], path, 1) if lines[0] else None
-        if not isinstance(head, dict) or head.get("format") != FORMAT_VERSION:
-            raise DataError(
-                f"{path}: unsupported format header {lines[0]!r}; expected "
-                f'{{"format": "{FORMAT_VERSION}"}}'
-            )
-    for lineno, line in enumerate(lines[1:] if header else lines, 2 if header else 1):
-        if line.strip():
-            yield Fields(decode_json(line, path, lineno), path, lineno)
+    its bytes `data`. With `header`, line 1 must be the format header.
+
+    It holds one line in memory at a time, so the first bad line wins, whether it
+    is not UTF-8, not JSON or not an object; the lines after it are not checked.
+    """
+    fh = _open(path, kind) if data is None else io.BytesIO(data)
+    with fh:
+        # binary lines end at b"\n" only: JSON strings may hold U+2028, U+2029 and
+        # U+0085 unescaped, and a "\r" before the newline is JSON whitespace
+        if header:
+            first = _decode(next(fh, b""), path).rstrip("\n")
+            head = decode_json(first, path, 1) if first else None
+            if not isinstance(head, dict) or head.get("format") != FORMAT_VERSION:
+                raise DataError(
+                    f"{path}: unsupported format header {first!r}; expected "
+                    f'{{"format": "{FORMAT_VERSION}"}}'
+                )
+        for lineno, raw in enumerate(fh, 2 if header else 1):
+            line = _decode(raw, path, lineno)
+            if line.strip():
+                yield Fields(decode_json(line.rstrip("\n"), path, lineno), path, lineno)
 
 
 def read_json_object(path: Path, kind: str) -> Fields:
@@ -332,10 +350,12 @@ def load_embeddings(path: str | Path, dataset: Dataset | None = None) -> Embeddi
         vectors[vec_id] = np.asarray(vector, dtype=np.float64)
     if not vectors:
         raise DataError(f"{path}: no vectors")
-    # one check for the whole file; only when it fails is the file read again
-    if not np.isfinite(np.array(list(vectors.values()))).all():
+    # one check for the whole file; only when it fails is the file read again. A
+    # boolean among numbers reads as exactly 0 or 1, so those values are re-checked
+    matrix = np.array(list(vectors.values()))
+    if not np.isfinite(matrix).all() or ((matrix == 0.0) | (matrix == 1.0)).any():
         for record in read_jsonl(path, "embedding", header=True):
-            record.get("vector", list, of=float)  # raises for the first non-finite element
+            record.get("vector", list, of=float)  # raises for a non-finite or boolean element
     table = EmbeddingTable(dim=dim, vectors=vectors)
     if dataset is not None:
         table.require(dataset.ids())

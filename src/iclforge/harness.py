@@ -72,6 +72,19 @@ SIGNIFICANCE_LEVEL = 0.05
 
 SCORE_KEYS = ("em", "p_em", "r_em", "f1_em", "p_f1", "r_f1", "f1_f1", "answer_count")
 
+# a RunConfig field's annotation -> (description, check of its value)
+_CONFIG_KINDS = {
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "int": ("an int", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+    "tuple[str, ...] | None": (
+        "a list of strings or null",
+        lambda v: v is None
+        or isinstance(v, (list, tuple)) and all(isinstance(i, str) for i in v),
+    ),
+}
+
 
 @dataclass
 class RunConfig:
@@ -93,6 +106,13 @@ class RunConfig:
     compute_adherence: bool = True
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            what, check = _CONFIG_KINDS[f.type]
+            value = getattr(self, f.name)
+            if not check(value):
+                raise UsageError(f"{f.name} must be {what}, got {value!r}")
+        if self.fixed_set_ids is not None:
+            self.fixed_set_ids = tuple(self.fixed_set_ids)
         if self.ordering not in ORDERING_STRATEGIES:
             raise UsageError(f"unknown ordering strategy {self.ordering!r}")
         if self.retrieval_strategy not in RETRIEVAL_STRATEGIES:
@@ -114,8 +134,6 @@ class RunConfig:
         unknown = set(data) - known
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        if data.get("fixed_set_ids") is not None:
-            data = dict(data, fixed_set_ids=tuple(data["fixed_set_ids"]))
         return cls(**data)
 
 
@@ -540,7 +558,7 @@ def adherence_from_report(
         raise DataError(f"report in {out_dir} has no manifest config to re-derive prompts")
     try:
         config = RunConfig.from_dict(dict(config_data))
-    except (TypeError, UsageError) as exc:  # TypeError: a field of the wrong type
+    except (TypeError, UsageError) as exc:  # TypeError: a required field is missing
         raise DataError(f"{Path(out_dir) / MANIFEST_FILE}: bad config: {exc}") from exc
     if backend is not None:
         config.backend = backend

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-import requests
-
 from .core import Fields, atomic_write_text, read_json_object
 from .errors import DataError, ProtocolError, TransportError, UsageError
 
@@ -269,6 +267,10 @@ class RemoteModel(LanguageModel):
         retries: int = 3,
         backoff: float = 0.5,
     ) -> None:
+        # loaded when a remote backend is built, not with this module, so that a
+        # run on the mock never loads the HTTP stack (several MiB of memory)
+        import requests  # noqa: F401
+
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self.retries = retries
@@ -281,6 +283,8 @@ class RemoteModel(LanguageModel):
     def _post(self, endpoint: str, payload: dict) -> Fields:
         # one-shot posts rather than a shared Session: callers issue requests
         # from multiple threads
+        import requests
+
         url = f"{self.base_url}{endpoint}"
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):

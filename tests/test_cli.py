@@ -160,6 +160,25 @@ class TestValidate:
             ),
             pytest.param(
                 "--embeddings",
+                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [0.5, 0.25]}\n'
+                b'{"id": "b", "vector": [0.5, true]}\n',
+                "line 3: vector[1] must be a finite number, got true",
+                id="embedding-a-bool-among-floats",
+            ),
+            pytest.param(
+                "--embeddings",
+                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [1, true]}\n',
+                "line 2: vector[1] must be a finite number, got true",
+                id="embedding-a-bool-among-ints",
+            ),
+            pytest.param(
+                "--embeddings",
+                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [0.0, false]}\n',
+                "line 2: vector[1] must be a finite number, got false",
+                id="embedding-false-among-floats",
+            ),
+            pytest.param(
+                "--embeddings",
                 b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [[1.0], [2.0]]}\n',
                 "line 2: vector[0] must be a finite number, got [1.0]",
                 id="embedding-nested",
@@ -523,6 +542,59 @@ class TestEvalAndReports:
         code, _, err = run_cli(capsys, "adherence", "--report", str(out), "--strategy", "greedy")
         assert code == 2
         assert f"data error: {path}: {message}" in err
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"k": 2.5}, "k must be an int, got 2.5"),
+            ({"seed": "0"}, "seed must be an int, got '0'"),
+        ],
+        ids=["k-a-float", "seed-a-string"],
+    )
+    def test_adherence_on_a_manifest_config_of_a_wrong_type_exits_2(
+        self, capsys, fixtures_dir, tmp_path, change, message
+    ):
+        out = tmp_path / "a"
+        run_cli(capsys, *self.eval_args(fixtures_dir, out))
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["config"].update(change)
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        code, _, err = run_cli(capsys, "adherence", "--report", str(out), "--strategy", "greedy")
+        assert code == 2
+        assert f"data error: {path}: bad config: {message}" in err
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"k": 2.5}, "k must be an int, got 2.5"),
+            ({"seed": "0"}, "seed must be an int, got '0'"),
+            ({"train_path": 5}, "train_path must be a string, got 5"),
+            ({"cache_dir": 5}, "cache_dir must be a string or null, got 5"),
+            ({"fixed_set_ids": ["t1", 2]}, "fixed_set_ids must be a list of strings or null"),
+        ],
+        ids=[
+            "k-a-float", "seed-a-string", "train-path-a-number", "cache-dir-a-number",
+            "fixed-set-member-a-number",
+        ],
+    )
+    def test_config_file_field_of_a_wrong_type_exits_1(
+        self, capsys, fixtures_dir, tmp_path, change, message
+    ):
+        config = {
+            "train_path": str(fixtures_dir / "toy_train.jsonl"),
+            "eval_path": str(fixtures_dir / "toy_eval.jsonl"),
+            "embeddings_path": str(fixtures_dir / "toy_embeddings.jsonl"),
+            "backend": f"mock:{fixtures_dir / 'mock_toy.json'}",
+            "out_dir": str(tmp_path / "out"),
+            **change,
+        }
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        code, _, err = run_cli(capsys, "eval", "--config", str(config_path))
+        assert code == 1
+        assert f"usage error: {message}" in err
+        assert not (tmp_path / "out").exists()
 
     def test_config_file_with_flag_overrides(self, capsys, fixtures_dir, tmp_path):
         config = {

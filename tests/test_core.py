@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from iclforge.core import (
     load_dataset,
     load_embeddings,
     normalize_answer,
+    read_jsonl,
     save_dataset,
     save_embeddings,
 )
@@ -238,6 +240,62 @@ class TestLoadEmbeddings:
         assert again.dim == table.dim
         for key in table.vectors:
             assert list(again.vectors[key]) == list(table.vectors[key])
+
+
+class TestReadJsonl:
+    def test_holds_one_line_at_a_time(self, tmp_path):
+        path = tmp_path / "big.jsonl"
+        row = {"id": "", "vector": [0.123456789] * 8}
+        with path.open("w", encoding="utf-8") as fh:
+            fh.write(HEADER + "\n")
+            for i in range(25_000):
+                fh.write(json.dumps(dict(row, id=f"e{i}")) + "\n")
+        size = path.stat().st_size
+        assert 2_500_000 < size < 3_500_000
+        tracemalloc.start()
+        try:
+            for _ in read_jsonl(path, "embedding", header=True):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * size
+
+    def test_last_line_without_newline(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n".join([HEADER, record("q1", "a", ["x"]), record("q2", "b", ["y"])]))
+        assert [(r.line, r.get("id", str)) for r in read_jsonl(path, "dataset", True)] == [
+            (2, "q1"),
+            (3, "q2"),
+        ]
+
+    def test_blank_lines_are_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_lines(path, HEADER, "", record("q1", "a", ["x"]), "  \t", "\r", "{not json")
+        with pytest.raises(DataError, match="line 6: malformed JSON"):
+            list(read_jsonl(path, "dataset", header=True))
+
+    def test_empty_file_is_a_header_error(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b"")
+        with pytest.raises(DataError, match="unsupported format header ''"):
+            load_dataset(path)
+
+    def test_utf8_fault_names_its_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        lines = [HEADER, record("q1", "a", ["x"]), record("q2", "b", ["y"])]
+        path.write_bytes(
+            "\n".join(lines).encode() + b'\n{"id": "q\xc3"}\n' + record("q4", "d", ["z"]).encode()
+        )
+        with pytest.raises(DataError, match="line 4: not valid UTF-8: invalid continuation byte"):
+            load_dataset(path)
+
+    def test_first_bad_line_wins(self, tmp_path):
+        # a JSON fault before a UTF-8 fault is reported first
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(HEADER.encode() + b'\n{not json\n{"id": "q\xff"}\n')
+        with pytest.raises(DataError, match="line 2: malformed JSON"):
+            load_dataset(path)
 
 
 class TestAtomicWriteText:

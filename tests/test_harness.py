@@ -395,6 +395,23 @@ class TestValidation:
         with pytest.raises(UsageError):
             toy_config(fixtures_dir, tmp_path, ordering="sideways")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("k", 2.5), ("jobs", True), ("max_tokens", None), ("eval_split", 3),
+         ("fixed_set_ids", "t1"), ("compute_adherence", 1)],
+        ids=["k-a-float", "jobs-a-bool", "max-tokens-null", "split-a-number",
+             "fixed-set-a-string", "adherence-a-number"],
+    )
+    def test_field_of_a_wrong_type_rejected(self, fixtures_dir, tmp_path, field, value):
+        with pytest.raises(UsageError, match=f"^{field} must be "):
+            toy_config(fixtures_dir, tmp_path, **{field: value})
+
+    def test_fixed_set_list_kept_as_a_tuple(self, fixtures_dir, tmp_path):
+        config = RunConfig.from_dict(
+            toy_config(fixtures_dir, tmp_path, fixed_set_ids=["t3", "t1"]).to_dict()
+        )
+        assert config.fixed_set_ids == ("t3", "t1")
+
 
 class TestOversizedShots:
     def test_kept_in_gold_order_and_tallied(self, fixtures_dir, tmp_path):

@@ -2,12 +2,18 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import iclforge
 from iclforge.errors import DataError
 from iclforge.lm import DEFAULT_FLOOR, CachedModel, MockModel, MockRule, make_backend
 
@@ -388,3 +394,43 @@ class TestMakeBackend:
 
         with pytest.raises(UsageError):
             make_backend("nonsense")
+
+    def test_only_a_remote_backend_loads_the_http_client(self, fixtures_dir, tmp_path):
+        # a fresh interpreter, because this one may have loaded requests already
+        script = textwrap.dedent(
+            """
+            import sys
+            from pathlib import Path
+
+            from iclforge import RunConfig, load_dataset, load_embeddings, make_backend
+            from iclforge import profile_dataset, run_eval
+
+            fixtures, out = Path(sys.argv[1]), Path(sys.argv[2])
+            backend = f"mock:{fixtures / 'mock_toy.json'}"
+            paths = {
+                name: str(fixtures / f"toy_{name}.jsonl")
+                for name in ("train", "eval", "embeddings")
+            }
+            run_eval(
+                RunConfig(
+                    paths["train"], paths["eval"], paths["embeddings"], backend,
+                    str(out / "run"), ordering="greedy", cache_dir=str(out / "cache"),
+                )
+            )
+            train = load_dataset(paths["train"])
+            table = load_embeddings(paths["embeddings"], train)
+            profile_dataset(train, table, make_backend(backend), k=2)
+            assert "requests" not in sys.modules, "a mock run loaded requests"
+            make_backend("remote:http://localhost:9")
+            assert "requests" in sys.modules, "a remote backend did not load requests"
+            """
+        )
+        src = Path(iclforge.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(fixtures_dir), str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr

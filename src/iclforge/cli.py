@@ -221,6 +221,8 @@ def _cmd_build_sets(args) -> int:
 
 
 def _cmd_order(args) -> int:
+    if args.k < 0:
+        raise UsageError(f"--k must be at least 0, got {args.k}")
     train = load_dataset(args.train, split="train")
     example = train.by_id(args.id)
     needs_model = args.strategy in MODEL_STRATEGIES
@@ -299,7 +301,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_adherence(args) -> int:
     result = adherence_from_report(
-        args.report, args.strategy, backend=args.backend, cache_dir=args.cache_dir
+        args.report,
+        args.strategy,
+        backend=args.backend,
+        cache_dir=args.cache_dir,
+        fallback_cache_dir=os.environ.get(CACHE_ENV_VAR) or None,
     )
     print(f"strategy\t{args.strategy}")
     print(f"phi\t{result.phi!r}")

@@ -121,6 +121,10 @@ class RunConfig:
             raise UsageError("fixed example set is empty")
         if self.k < 1 or self.max_tokens < 1 or self.jobs < 1:
             raise UsageError("k, max_tokens, and jobs must be positive")
+        if self.ordering_prefix_k < 0:
+            raise UsageError(
+                f"ordering_prefix_k must be at least 0, got {self.ordering_prefix_k}"
+            )
 
     def to_dict(self) -> dict:
         data = dataclasses.asdict(self)
@@ -543,12 +547,14 @@ def adherence_from_report(
     strategy: str,
     backend: str | None = None,
     cache_dir: str | None = None,
+    fallback_cache_dir: str | None = None,
 ) -> AdherenceResult:
     """Compute adherence of a stored report's predictions to any strategy.
 
     Model strategies score each prediction after its prompt, so the prompts are
     re-derived from the manifest config and the input files; the stored prompt
-    hashes guard against drift.
+    hashes guard against drift. The backend's cache is `cache_dir`, else the
+    one the manifest config names, else `fallback_cache_dir`.
     """
     report = load_report(out_dir)
     if strategy not in MODEL_STRATEGIES:
@@ -562,8 +568,7 @@ def adherence_from_report(
         raise DataError(f"{Path(out_dir) / MANIFEST_FILE}: bad config: {exc}") from exc
     if backend is not None:
         config.backend = backend
-    if cache_dir is not None:
-        config.cache_dir = cache_dir
+    config.cache_dir = cache_dir or config.cache_dir or fallback_cache_dir
     eval_ds, planner = _load_run(config)
     prompts = _rederive_prompts(planner, eval_ds, report.records)
     return adherence_for_records(

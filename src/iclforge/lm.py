@@ -63,7 +63,14 @@ class TokenScores:
 
 
 class LanguageModel(abc.ABC):
-    """Scoring and generation oracle. All implementations are deterministic."""
+    """Scoring and generation oracle. All implementations are deterministic.
+
+    ``score_continuation`` and ``next_token_distribution`` agree: for a
+    continuation ``" " + " ".join(tokens)`` scored after ``context``, the
+    logprob of ``tokens[j]`` equals ``next_token_distribution(context + " " +
+    " ".join(tokens[:j]), [tokens[j]])[0]``, trailing spaces of a context
+    being ignored. Greedy ordering reads logprobs from score replies on it.
+    """
 
     @property
     @abc.abstractmethod

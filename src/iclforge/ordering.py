@@ -50,10 +50,15 @@ def peer_prefix(
     return render_prompt([(p.question, p.answers) for p in peers], example.question)
 
 
+def _check_not_blank(answers: Sequence[str]) -> None:
+    for answer in answers:
+        if not answer.strip():
+            raise DataError("cannot score an empty answer")
+
+
 def answer_perplexity(prefix: str, answer: str, model: LanguageModel) -> float:
     """Length-normalized perplexity of one answer given the prompt prefix."""
-    if not answer.strip():
-        raise DataError("cannot score an empty answer")
+    _check_not_blank([answer])
     scores = model.score_continuation(prefix, " " + answer)
     return math.exp(-sum(scores.logprobs) / scores.token_count)
 
@@ -69,7 +74,13 @@ def _check_reorderable(n: int) -> None:
 def perplexity_permutation(
     answers: Sequence[str], prefix: str, model: LanguageModel
 ) -> list[int]:
-    """Indices sorted by ascending perplexity (stable)."""
+    """Indices sorted by ascending perplexity (stable).
+
+    A one-answer set costs no backend call; a blank answer is rejected first.
+    """
+    _check_not_blank(answers)
+    if len(answers) == 1:
+        return [0]
     scores = [answer_perplexity(prefix, a, model) for a in answers]
     return sorted(range(len(answers)), key=lambda i: scores[i])
 
@@ -87,17 +98,25 @@ def greedy_permutation(
     the remaining set.
 
     Backend cost: one ``score_continuation`` per answer, to tokenize it, plus
-    one ``next_token_distribution`` per step with two or more permissible
-    tokens. A step with a single permissible token is forced, since the
-    argmax over one candidate is that candidate, and costs no call; a
+    one ``next_token_distribution`` per contested step (two or more
+    permissible tokens) after the first answer completes. A forced step
+    costs no call, since the argmax over one candidate is that candidate; a
     one-answer set therefore costs none at all.
+
+    Until the first answer completes, the context is the prefix plus the
+    emitted tokens: the context in which each viable answer's score reply
+    already holds the logprob of its next token (the agreement
+    ``LanguageModel`` states). Those steps read their candidate logprobs from
+    the score replies. This holds only for an answer whose tokens, joined by
+    single spaces, spell it; a step with a candidate that no such answer
+    carries asks ``next_token_distribution`` as any later step does.
     """
-    for answer in answers:
-        if not answer.strip():
-            raise DataError("cannot score an empty answer")
+    _check_not_blank(answers)
     if len(answers) == 1:
         return [0]
-    token_seqs = [model.score_continuation(prefix, " " + a).tokens for a in answers]
+    scored = [model.score_continuation(prefix, " " + a) for a in answers]
+    token_seqs = [s.tokens for s in scored]
+    spelled = [" ".join(s.tokens) == a for s, a in zip(scored, answers)]
     remaining = list(range(len(answers)))
     context = prefix
     order: list[int] = []
@@ -109,7 +128,17 @@ def greedy_permutation(
             if len(candidates) == 1:
                 token = candidates[0]
             else:
-                logprobs = model.next_token_distribution(context, candidates)
+                held: dict[str, float] = {}
+                if not order:
+                    held = {
+                        token_seqs[i][emitted]: scored[i].logprobs[emitted]
+                        for i in viable
+                        if spelled[i]
+                    }
+                if len(held) == len(candidates):
+                    logprobs = [held[c] for c in candidates]
+                else:
+                    logprobs = model.next_token_distribution(context, candidates)
                 token = max(zip(candidates, logprobs), key=lambda cl: cl[1])[0]
             context += " " + token
             emitted += 1
@@ -171,11 +200,14 @@ def select_quantile_answer(example, prefix: str, model: LanguageModel, x: float)
     """Answer at the x-th quantile of descending perplexity (nearest rank).
 
     ``x=1.0`` selects the lowest-perplexity, best-known answer; ``x=0.0`` the
-    least-known one.
+    least-known one. A one-answer example costs no backend call.
     """
     if not 0.0 <= x <= 1.0:
         raise DataError(f"quantile {x} outside [0, 1]")
     answers = example.answers
+    _check_not_blank(answers)
+    if len(answers) == 1:
+        return answers[0]
     scores = [answer_perplexity(prefix, a, model) for a in answers]
     descending = sorted(range(len(answers)), key=lambda i: (-scores[i], i))
     rank = int(math.floor(x * (len(answers) - 1) + 0.5))

@@ -29,7 +29,8 @@ JUNK = "zzz"
 
 class CountingModel(LanguageModel):
     """Backend wrapper that counts calls per op (``score``, ``next_token``,
-    ``generate``) and keeps every next-token candidate list it was asked for.
+    ``generate``) and keeps every next-token context and candidate list it
+    was asked for.
 
     ``delay`` seconds of sleep per call widen the window in which concurrent
     callers overlap. ``refuse_forced`` makes a next-token request with a single
@@ -42,6 +43,7 @@ class CountingModel(LanguageModel):
         self.refuse_forced = refuse_forced
         self.counts: Counter = Counter()
         self.candidate_lists: list[tuple[str, ...]] = []
+        self.next_token_contexts: list[str] = []
         self._lock = threading.Lock()
 
     @property
@@ -64,6 +66,7 @@ class CountingModel(LanguageModel):
         self._count("next_token")
         with self._lock:
             self.candidate_lists.append(tuple(candidates))
+            self.next_token_contexts.append(context)
         return self.inner.next_token_distribution(context, candidates)
 
     def generate(self, prompt: str, stop: Sequence[str], max_tokens: int) -> str:

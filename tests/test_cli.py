@@ -293,6 +293,21 @@ class TestOrder:
         assert code == 0
         assert out.strip() == " | ".join(example.answers[i] for i in permutation)
 
+    def test_negative_k_is_a_usage_error(self, capsys, knowledge_files):
+        code, out, err = run_cli(
+            capsys,
+            "order",
+            "--train", knowledge_files["train"],
+            "--id", "p000",
+            "--strategy", "reverse_perplexity",
+            "--backend", knowledge_files["mock"],
+            "--embeddings", knowledge_files["embeddings"],
+            "--k", "-1",
+        )
+        assert code == 1
+        assert "usage error: --k must be at least 0, got -1" in err
+        assert out == ""
+
 
 class TestRetrieve:
     def test_prints_k_shots(self, capsys, fixtures_dir):
@@ -524,6 +539,29 @@ class TestEvalAndReports:
         )
         assert code == 0
         assert out.startswith("strategy\talphabet")
+
+    def test_adherence_cache_precedence(self, capsys, fixtures_dir, tmp_path, monkeypatch):
+        # --cache-dir, then the manifest's cache_dir, then ICLFORGE_CACHE
+        monkeypatch.delenv("ICLFORGE_CACHE", raising=False)
+        uncached, cached = tmp_path / "uncached", tmp_path / "cached"
+        run_cli(capsys, *self.eval_args(fixtures_dir, uncached))
+        run_cli(capsys, *self.eval_args(fixtures_dir, cached, "--cache-dir", str(tmp_path / "rc")))
+        env_cache, flag_cache = tmp_path / "env-cache", tmp_path / "flag-cache"
+        monkeypatch.setenv("ICLFORGE_CACHE", str(env_cache))
+
+        def adherence(report, *extra):
+            code, _, err = run_cli(
+                capsys, "adherence", "--report", str(report), "--strategy", "greedy", *extra
+            )
+            assert code == 0, err
+
+        adherence(cached)
+        assert not env_cache.exists()
+        adherence(cached, "--cache-dir", str(flag_cache))
+        assert any(flag_cache.glob("*.json"))
+        assert not env_cache.exists()
+        adherence(uncached)
+        assert any(env_cache.glob("*.json"))
 
     @pytest.mark.parametrize(
         "change, message",

@@ -406,6 +406,11 @@ class TestValidation:
         with pytest.raises(UsageError, match=f"^{field} must be "):
             toy_config(fixtures_dir, tmp_path, **{field: value})
 
+    def test_negative_ordering_prefix_k_rejected(self, fixtures_dir, tmp_path):
+        assert toy_config(fixtures_dir, tmp_path, ordering_prefix_k=0).ordering_prefix_k == 0
+        with pytest.raises(UsageError, match="^ordering_prefix_k must be at least 0, got -1$"):
+            toy_config(fixtures_dir, tmp_path, ordering_prefix_k=-1)
+
     def test_fixed_set_list_kept_as_a_tuple(self, fixtures_dir, tmp_path):
         config = RunConfig.from_dict(
             toy_config(fixtures_dir, tmp_path, fixed_set_ids=["t3", "t1"]).to_dict()

@@ -138,6 +138,32 @@ class TestMockScoring:
         assert whole.tokens == first.tokens + second.tokens
 
 
+class TestScoreAgreesWithNextToken:
+    # greedy ordering reads first-segment logprobs from score replies on this identity
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["", "a", "b", "a b", "b |", "c a", "p:", "p: a", "|"]),
+                st.sampled_from("abcd"),
+                st.floats(min_value=0.5, max_value=9.0),
+            ),
+            max_size=8,
+        ),
+        st.lists(st.sampled_from(["a", "b", "c", "d", "zz"]), min_size=1, max_size=5),
+        st.sampled_from(["", "p:", "p: ", "q a |"]),
+    )
+    @settings(max_examples=150)
+    def test_score_logprob_is_the_next_token_logprob(self, rules, tokens, context):
+        model = mock(["a", "b", "c", "d", "|"], rules=rules)
+        scores = model.score_continuation(context, " " + " ".join(tokens))
+        assert scores.tokens == tuple(tokens)
+        for j, token in enumerate(tokens):
+            (expected,) = model.next_token_distribution(
+                context + " " + " ".join(tokens[:j]), [token]
+            )
+            assert scores.logprobs[j] == expected, (j, token)
+
+
 class TestMockGeneration:
     def test_greedy_follows_rules_and_stops(self):
         model = mock(

@@ -170,7 +170,17 @@ class TestGreedyForcedSteps:
         answers = ["new york", "new jersey", "boston"]
         result = order("greedy", answers, model)
         assert [answers[i] for i in result] == ["boston", "new jersey", "new york"]
-        # one score per answer; next-token only for {boston, new} and {jersey, york}
+        # one score per answer; {boston, new} is contested before the first
+        # answer completes, so the score replies decide it; next-token only
+        # for {jersey, york}
+        assert model.counts == {"score": 3, "next_token": 1}
+        assert model.candidate_lists == [("jersey", "york")]
+
+    def test_answers_that_do_not_spell_their_tokens_ask_every_contested_step(self, f1_mock):
+        model = CountingModel(f1_mock, refuse_forced=True)
+        answers = ["new  york", "new  jersey", " boston"]
+        result = order("greedy", answers, model)
+        assert [answers[i] for i in result] == [" boston", "new  jersey", "new  york"]
         assert model.counts == {"score": 3, "next_token": 2}
         assert model.candidate_lists == [("boston", "new"), ("jersey", "york")]
 
@@ -198,6 +208,89 @@ SHARED_PREFIX_SETS = (
     ["c d a", "c d", "d"],
     ["b a", "b a", "b"],
 )
+
+
+def spaced_fixture(rng: np.random.Generator):
+    """`random_fixture` with answers that may hold doubled, leading or
+    trailing spaces, and rules keyed on such spacing."""
+    vocab, rules, answers = random_fixture(rng)
+    spaced = []
+    for answer in answers:
+        gaps = rng.choice([" ", "  "], size=answer.count(" "))
+        tokens = answer.split(" ")
+        text = tokens[0] + "".join(g + t for g, t in zip(gaps, tokens[1:]))
+        lead, trail = rng.choice(["", " "], size=2)
+        spaced.append(lead + text + trail)
+    spaced_suffixes = ["a  b", "p:  a", "p: a", "b  c", " a b", " a  b"]
+    for _ in range(int(rng.integers(0, 4))):
+        suffix, token = str(rng.choice(spaced_suffixes)), str(rng.choice(vocab[:4]))
+        rules.append((suffix, token, float(rng.integers(1, 10))))
+    return vocab, rules, spaced
+
+
+class TestGreedyFirstSegment:
+    # greedy's context stays "p: a b" while the score reply for "a  b c" saw
+    # "p: a  b": reading c's logprob from that reply would emit it first
+    SPACING_CASE = (
+        ["a", "b", "c", "d", "|", "\n"],
+        [(" a b", "d", 1.0), (" a  b", "c", 1.0)],
+        ["a  b c", "a b d"],
+    )
+
+    def test_spacing_case_asks_the_backend(self):
+        vocab, rules, answers = self.SPACING_CASE
+        model = CountingModel(MockModel(vocab, tuple(MockRule(*r) for r in rules)))
+        assert greedy_permutation(answers, "p:", model) == [1, 0]
+        assert model.candidate_lists == [("c", "d")]
+
+    def test_irregular_spacing_on_random_rule_tables(self):
+        rng = np.random.default_rng(20261019)
+        tables = [self.SPACING_CASE, *(spaced_fixture(rng) for _ in range(200))]
+        for table, (vocab, rules, answers) in enumerate(tables):
+            model = MockModel(vocab, tuple(MockRule(*r) for r in rules))
+            for prefix in ("p:", "p: "):
+                got = greedy_permutation(answers, prefix, model)
+                expected = oracle_greedy_order(vocab, rules, DEFAULT_FLOOR, prefix, answers)
+                assert got == expected, (table, rules, answers, prefix)
+
+    def test_no_next_token_request_before_the_first_answer_completes(self):
+        rng = np.random.default_rng(20261020)
+        asked = 0
+        for _ in range(100):
+            vocab, rules, random_answers = random_fixture(rng)
+            inner = MockModel(vocab, tuple(MockRule(*r) for r in rules))
+            for answers in (random_answers, *SHARED_PREFIX_SETS):
+                model = CountingModel(inner, refuse_forced=True)
+                greedy_permutation(answers, "p:", model)
+                # "|" joins the context only once an answer has completed
+                assert all("|" in ctx for ctx in model.next_token_contexts), (rules, answers)
+                asked += len(model.next_token_contexts)
+        assert asked > 0
+
+    def test_two_answers_with_one_contested_step_cost_only_their_scores(self, f1_mock):
+        model = CountingModel(f1_mock)
+        assert order("greedy", ["new york", "new jersey"], model) == [1, 0]
+        assert model.counts == {"score": 2}
+
+
+class TestOneAnswerSets:
+    def test_no_backend_call_under_any_perplexity_strategy(self, f1_mock):
+        model = CountingModel(f1_mock)
+        for strategy in ("perplexity", "reverse_perplexity"):
+            assert strategy_permutation(strategy, ["new york"], model=model) == [0]
+        for x in (0.0, 0.5, 1.0):
+            assert select_quantile_answer(example(["new york"]), "", model, x) == "new york"
+        assert model.counts == {}
+
+    def test_blank_answer_rejected_before_any_call(self, f1_mock):
+        model = CountingModel(f1_mock)
+        for answers in (["  "], ["boston", " "]):
+            for strategy in ("perplexity", "reverse_perplexity"):
+                with pytest.raises(DataError):
+                    strategy_permutation(strategy, answers, model=model)
+            with pytest.raises(DataError):
+                select_quantile_answer(example(answers), "", model, 0.5)
+        assert model.counts == {}
 
 
 class TestGreedyAgainstSimulation:

@@ -155,7 +155,13 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _check_k(k: int, least: int) -> None:
+    if k < least:
+        raise UsageError(f"--k must be at least {least}, got {k}")
+
+
 def _cmd_profile(args) -> int:
+    _check_k(args.k, 1)
     train = load_dataset(args.train, split="train")
     table = load_embeddings(args.embeddings, train)
     model = make_backend(args.backend, _cache_dir(args))
@@ -221,8 +227,7 @@ def _cmd_build_sets(args) -> int:
 
 
 def _cmd_order(args) -> int:
-    if args.k < 0:
-        raise UsageError(f"--k must be at least 0, got {args.k}")
+    _check_k(args.k, 0)
     train = load_dataset(args.train, split="train")
     example = train.by_id(args.id)
     needs_model = args.strategy in MODEL_STRATEGIES
@@ -248,6 +253,7 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
+    _check_k(args.k, 1)
     train = load_dataset(args.train, split="train")
     eval_ds = load_dataset(args.eval_path, split="dev")
     table = load_embeddings(args.embeddings, train)

@@ -275,42 +275,60 @@ class RemoteModel(LanguageModel):
         backoff: float = 0.5,
     ) -> None:
         # loaded when a remote backend is built, not with this module, so that a
-        # run on the mock never loads the HTTP stack (several MiB of memory)
-        import requests  # noqa: F401
+        # run on the mock never loads the HTTP stack
+        import urllib.parse
+        import urllib.request
 
         self.base_url = base_url.rstrip("/")
+        parts = urllib.parse.urlsplit(self.base_url)
+        if parts.scheme not in ("http", "https") or not parts.netloc:
+            raise UsageError(f"bad remote URL {base_url!r}; expected http(s)://host[:port]")
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
+        # honours HTTP(S)_PROXY and NO_PROXY as they stand when the backend is built
+        self._opener = urllib.request.build_opener()
 
     @property
     def fingerprint(self) -> str:
         return f"remote:{self.base_url}"
 
     def _post(self, endpoint: str, payload: dict) -> Fields:
-        # one-shot posts rather than a shared Session: callers issue requests
-        # from multiple threads
-        import requests
+        # one connection per request, shared by no thread; a kept-alive
+        # connection measured slower against a localhost server (44 ms a call,
+        # a delayed-ACK stall, against 0.23 ms for a fresh one)
+        import http.client
+        import urllib.error
+        import urllib.request
 
         url = f"{self.base_url}{endpoint}"
+        request = urllib.request.Request(
+            url,
+            data=json.dumps(payload).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):
             if attempt:
                 time.sleep(self.backoff * 2 ** (attempt - 1))
             try:
-                response = requests.post(url, json=payload, timeout=self.timeout)
-            except requests.RequestException as exc:
+                with self._opener.open(request, timeout=self.timeout) as response:
+                    status, raw = response.status, response.read()
+            except urllib.error.HTTPError as exc:
+                status, raw = exc.code, b""
+                exc.close()
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 log.warning("transport error on %s (attempt %d): %s", url, attempt + 1, exc)
                 continue
-            if response.status_code >= 500:
-                last_error = TransportError(f"{url} returned {response.status_code}")
+            if status >= 500:
+                last_error = TransportError(f"{url} returned {status}")
                 log.warning("server error on %s (attempt %d)", url, attempt + 1)
                 continue
-            if response.status_code != 200:
-                raise ProtocolError(f"{url} returned {response.status_code}")
+            if status != 200:
+                raise ProtocolError(f"{url} returned {status}")
             try:
-                body = response.json()
+                body = json.loads(raw)
             except ValueError as exc:
                 raise ProtocolError(f"{url} returned non-JSON body: {exc}") from exc
             return Fields(body, url, error=ProtocolError)

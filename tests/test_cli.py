@@ -223,6 +223,29 @@ class TestUsageErrors:
         code, _, _ = run_cli(capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["retrieve", "profile"])
+    def test_k_below_one_is_a_usage_error(self, capsys, fixtures_dir, tmp_path, command, k):
+        out_dir = tmp_path / "out"
+        extra = {
+            "retrieve": ["--eval", str(fixtures_dir / "toy_eval.jsonl"), "--id", "e1"],
+            "profile": [
+                "--backend", f"mock:{fixtures_dir / 'mock_toy.json'}", "--out", str(out_dir)
+            ],
+        }[command]
+        code, out, err = run_cli(
+            capsys,
+            command,
+            "--train", str(fixtures_dir / "toy_train.jsonl"),
+            "--embeddings", str(fixtures_dir / "toy_embeddings.jsonl"),
+            "--k", k,
+            *extra,
+        )
+        assert code == 1
+        assert f"usage error: --k must be at least 1, got {k}" in err
+        assert out == ""
+        assert not out_dir.exists()
+
 
 class TestOrder:
     def test_alphabet_order_prints_answers(self, capsys, tmp_path):

@@ -421,8 +421,15 @@ class TestMakeBackend:
         with pytest.raises(UsageError):
             make_backend("nonsense")
 
+    @pytest.mark.parametrize("url", ["localhost:8000", "127.0.0.1", "ftp://host", "http://"])
+    def test_remote_url_needs_an_http_scheme_and_a_host(self, url):
+        from iclforge.errors import UsageError
+
+        with pytest.raises(UsageError, match="bad remote URL"):
+            make_backend(f"remote:{url}")
+
     def test_only_a_remote_backend_loads_the_http_client(self, fixtures_dir, tmp_path):
-        # a fresh interpreter, because this one may have loaded requests already
+        # a fresh interpreter, because this one may have loaded the HTTP client already
         script = textwrap.dedent(
             """
             import sys
@@ -446,9 +453,11 @@ class TestMakeBackend:
             train = load_dataset(paths["train"])
             table = load_embeddings(paths["embeddings"], train)
             profile_dataset(train, table, make_backend(backend), k=2)
-            assert "requests" not in sys.modules, "a mock run loaded requests"
+            for name in ("urllib.request", "http.client"):
+                assert name not in sys.modules, f"a mock run loaded {name}"
             make_backend("remote:http://localhost:9")
-            assert "requests" in sys.modules, "a remote backend did not load requests"
+            assert "urllib.request" in sys.modules, "a remote backend did not load urllib"
+            assert "requests" not in sys.modules, "requests was loaded"
             """
         )
         src = Path(iclforge.__file__).resolve().parents[1]

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -19,6 +20,15 @@ def make_handler(model: MockModel, failures: dict):
             pass
 
         def do_POST(self):
+            failures["posts"] = failures.get("posts", 0) + 1
+            failures.setdefault("paths", []).append(self.path)
+            if failures.get("drop"):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                self.close_connection = True  # no reply at all
+                return
+            if "stall" in failures:
+                failures["stall"].wait(10)  # the client gives up first
+                return
             if failures.get("remaining", 0) > 0:
                 failures["remaining"] -= 1
                 self.send_response(503)
@@ -26,18 +36,19 @@ def make_handler(model: MockModel, failures: dict):
                 return
             length = int(self.headers["Content-Length"])
             payload = json.loads(self.rfile.read(length))
-            if self.path == "/v1/score":
+            path = urlsplit(self.path).path  # a proxy is sent the absolute URL
+            if path == "/v1/score":
                 scores = model.score_continuation(payload["context"], payload["continuation"])
                 body = {
                     "tokens": failures.get("score_tokens", list(scores.tokens)),
                     "logprobs": failures.get("score_logprobs", list(scores.logprobs)),
                 }
-            elif self.path == "/v1/next_token":
+            elif path == "/v1/next_token":
                 logprobs = model.next_token_distribution(payload["context"], payload["candidates"])
                 if failures.get("truncate_next_token"):
                     logprobs = logprobs[:-1]
                 body = {"logprobs": failures.get("next_token_logprobs", logprobs)}
-            elif self.path == "/v1/generate":
+            elif path == "/v1/generate":
                 body = failures.get("generate_body") or {
                     "text": model.generate(
                         payload["prompt"], payload["stop"], payload["max_tokens"]
@@ -47,7 +58,7 @@ def make_handler(model: MockModel, failures: dict):
                 self.send_response(404)
                 self.end_headers()
                 return
-            data = json.dumps(body).encode("utf-8")
+            data = failures.get("raw_body") or json.dumps(body).encode("utf-8")
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(data)))
@@ -69,7 +80,7 @@ def backing_model():
 def server(backing_model):
     failures: dict = {}
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), make_handler(backing_model, failures))
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread = threading.Thread(target=httpd.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{httpd.server_port}", failures
     httpd.shutdown()
@@ -107,6 +118,73 @@ def test_unreachable_host_raises_transport_error():
     remote = RemoteModel("http://127.0.0.1:1", retries=1, backoff=0.01, timeout=0.5)
     with pytest.raises(TransportError):
         remote.score_continuation("q", "a")
+
+
+def test_not_found_is_protocol_error_after_one_request(server):
+    url, failures = server
+    remote = RemoteModel(f"{url}/missing", retries=3, backoff=0.01)
+    with pytest.raises(ProtocolError, match="404"):
+        remote.score_continuation("q", "a")
+    assert failures["posts"] == 1
+
+
+def test_non_json_body_is_protocol_error_and_not_retried(server):
+    url, failures = server
+    failures["raw_body"] = b"<html>not json</html>"
+    remote = RemoteModel(url, retries=3, backoff=0.01)
+    with pytest.raises(ProtocolError, match="non-JSON"):
+        remote.score_continuation("q", "a")
+    assert failures["posts"] == 1
+
+
+def test_connection_closed_without_reply_is_retried(server):
+    url, failures = server
+    failures["drop"] = True
+    remote = RemoteModel(url, retries=2, backoff=0.01)
+    with pytest.raises(TransportError, match="after 3 attempts"):
+        remote.next_token_distribution("q", ["a", "b"])
+    assert failures["posts"] == 3
+
+
+def test_slow_reply_times_out_and_is_retried(server):
+    url, failures = server
+    failures["stall"] = threading.Event()
+    remote = RemoteModel(url, retries=1, backoff=0.01, timeout=0.2)
+    try:
+        with pytest.raises(TransportError, match="after 2 attempts"):
+            remote.generate("q", ["\n"], 10)
+    finally:
+        failures["stall"].set()
+    assert failures["posts"] == 2
+
+
+PROXY_VARIABLES = ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
+
+
+@pytest.fixture
+def clean_proxy_env(monkeypatch):
+    for name in PROXY_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    return monkeypatch
+
+
+def test_http_proxy_from_the_environment_is_used(server, backing_model, clean_proxy_env):
+    proxy_url, seen = server
+    clean_proxy_env.setenv("HTTP_PROXY", proxy_url)
+    # nothing listens on port 9: only the proxy can answer
+    remote = RemoteModel("http://127.0.0.1:9", retries=0)
+    assert remote.score_continuation("q", "a b") == backing_model.score_continuation("q", "a b")
+    assert seen["paths"] == ["http://127.0.0.1:9/v1/score"]
+
+
+def test_no_proxy_bypasses_the_proxy(server, backing_model, clean_proxy_env):
+    url, seen = server
+    clean_proxy_env.setenv("HTTP_PROXY", "http://127.0.0.1:9")
+    clean_proxy_env.setenv("NO_PROXY", "127.0.0.1")
+    remote = RemoteModel(url, retries=0)
+    assert remote.score_continuation("q", "a b") == backing_model.score_continuation("q", "a b")
+    assert seen["paths"] == ["/v1/score"]
 
 
 def test_length_mismatch_is_protocol_error_and_not_retried(server):
@@ -167,7 +245,7 @@ def test_full_harness_over_remote_backend(tmp_path, fixtures_dir):
 
     toy_model = MockModel.from_file(fixtures_dir / "mock_toy.json")
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), make_handler(toy_model, {}))
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread = threading.Thread(target=httpd.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     try:
         common = dict(

@@ -280,9 +280,18 @@ class RemoteModel(LanguageModel):
         import urllib.request
 
         self.base_url = base_url.rstrip("/")
-        parts = urllib.parse.urlsplit(self.base_url)
-        if parts.scheme not in ("http", "https") or not parts.netloc:
-            raise UsageError(f"bad remote URL {base_url!r}; expected http(s)://host[:port]")
+        try:
+            parts = urllib.parse.urlsplit(self.base_url)
+            parts.port  # raises ValueError for a port that is not a number
+        except ValueError as exc:
+            raise UsageError(f"bad remote URL {base_url!r}: {exc}") from exc
+        # urllib neither strips nor sends credentials in the URL: http.client
+        # would read "pass@host" as the port
+        has_credentials = parts.username is not None
+        if parts.scheme not in ("http", "https") or not parts.hostname or has_credentials:
+            raise UsageError(
+                f"bad remote URL {base_url!r}; expected http(s)://host[:port] without credentials"
+            )
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
@@ -302,15 +311,16 @@ class RemoteModel(LanguageModel):
         import urllib.request
 
         url = f"{self.base_url}{endpoint}"
-        request = urllib.request.Request(
-            url,
-            data=json.dumps(payload).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-        )
+        data = json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):
             if attempt:
                 time.sleep(self.backoff * 2 ** (attempt - 1))
+            # a fresh Request each attempt: sending one through a proxy rewrites
+            # it, and a reused https request would go out as plain http
+            request = urllib.request.Request(
+                url, data=data, headers={"Content-Type": "application/json"}
+            )
             try:
                 with self._opener.open(request, timeout=self.timeout) as response:
                     status, raw = response.status, response.read()

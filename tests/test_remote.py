@@ -187,6 +187,27 @@ def test_no_proxy_bypasses_the_proxy(server, backing_model, clean_proxy_env):
     assert seen["paths"] == ["/v1/score"]
 
 
+def test_https_through_a_proxy_stays_https_on_every_attempt(server, clean_proxy_env):
+    proxy_url, seen = server
+    clean_proxy_env.setenv("HTTPS_PROXY", proxy_url)
+    remote = RemoteModel("https://127.0.0.1:9/api", retries=2, backoff=0.01)
+    sent = []
+    open_request = remote._opener.open
+
+    def spy(request, *args, **kwargs):
+        try:
+            return open_request(request, *args, **kwargs)
+        finally:  # as the proxy handler left the request
+            sent.append((request.type, request.selector))
+
+    remote._opener.open = spy
+    # the test server refuses CONNECT, so every attempt fails and is retried
+    with pytest.raises(TransportError, match="after 3 attempts"):
+        remote.score_continuation("q", "a")
+    assert sent == [("https", "/api/v1/score")] * 3
+    assert "posts" not in seen  # no body was sent to the proxy in the clear
+
+
 def test_length_mismatch_is_protocol_error_and_not_retried(server):
     url, failures = server
     failures["truncate_next_token"] = True

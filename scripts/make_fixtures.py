@@ -8,7 +8,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
 
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
@@ -91,9 +90,7 @@ def main() -> None:
     save_dataset(train, FIXTURES / "toy_train.jsonl")
     save_dataset(eval_ds, FIXTURES / "toy_eval.jsonl")
 
-    table = EmbeddingTable(
-        dim=4, vectors={k: np.asarray(v, dtype=np.float64) for k, v in VECTORS.items()}
-    )
+    table = EmbeddingTable.from_vectors(VECTORS)
     save_embeddings(table, FIXTURES / "toy_embeddings.jsonl")
 
     (FIXTURES / "mock_uniform.json").write_text(

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ from .harness import (
     write_manifest,
 )
 from .lm import make_backend
+from .metrics import MIN_RESAMPLES
 from .ordering import MODEL_STRATEGIES, peer_prefix, strategy_permutation
 from .ordering import STRATEGIES as ORDERING_STRATEGIES
 from .profiling import (
@@ -148,20 +150,31 @@ def _cmd_validate(args) -> int:
         table = load_embeddings(args.embeddings)
         for path, dataset in datasets.items():
             table.require(dataset.ids())
-        print(f"ok: {args.embeddings} (dim {table.dim}, {len(table.vectors)} vectors)")
+        print(f"ok: {args.embeddings} (dim {table.dim}, {len(table)} vectors)")
         checked = True
     if not checked:
         raise UsageError("nothing to validate; pass --train, --eval, or --embeddings")
     return 0
 
 
-def _check_k(k: int, least: int) -> None:
-    if k < least:
-        raise UsageError(f"--k must be at least {least}, got {k}")
+def _check_at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise UsageError(f"{flag} must be at least {least}, got {value}")
+
+
+def _parse_band(text: str) -> tuple[float, float]:
+    """`--band lo,hi`: two finite numbers with lo <= hi."""
+    try:
+        lo, hi = (float(x) for x in text.split(","))
+    except ValueError as exc:
+        raise UsageError(f"bad --band {text!r}; expected lo,hi") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise UsageError(f"bad --band {text!r}; expected finite lo,hi with lo <= hi")
+    return lo, hi
 
 
 def _cmd_profile(args) -> int:
-    _check_k(args.k, 1)
+    _check_at_least("--k", args.k, 1)
     train = load_dataset(args.train, split="train")
     table = load_embeddings(args.embeddings, train)
     model = make_backend(args.backend, _cache_dir(args))
@@ -187,14 +200,15 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_build_sets(args) -> int:
+    _check_at_least("--n-sets", args.n_sets, 1)
+    _check_at_least("--set-size", args.set_size, 1)
+    if args.median_n is not None:
+        _check_at_least("--median-n", args.median_n, 1)
+    lo, hi = _parse_band(args.band)
     profiles = load_profiles(args.profiles)
     if args.median_n is not None:
         keep = set(median_similarity_filter(profiles, args.median_n))
         profiles = [p for p in profiles if p.example_id in keep]
-    try:
-        lo, hi = (float(x) for x in args.band.split(","))
-    except ValueError as exc:
-        raise UsageError(f"bad --band {args.band!r}; expected lo,hi") from exc
     result = build_sets(
         profiles,
         args.condition,
@@ -227,7 +241,7 @@ def _cmd_build_sets(args) -> int:
 
 
 def _cmd_order(args) -> int:
-    _check_k(args.k, 0)
+    _check_at_least("--k", args.k, 0)
     train = load_dataset(args.train, split="train")
     example = train.by_id(args.id)
     needs_model = args.strategy in MODEL_STRATEGIES
@@ -253,7 +267,7 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
-    _check_k(args.k, 1)
+    _check_at_least("--k", args.k, 1)
     train = load_dataset(args.train, split="train")
     eval_ds = load_dataset(args.eval_path, split="dev")
     table = load_embeddings(args.embeddings, train)
@@ -322,6 +336,7 @@ def _cmd_adherence(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    _check_at_least("--resamples", args.resamples, MIN_RESAMPLES)
     report_a = load_report(args.report_a)
     report_b = load_report(args.report_b)
     rows = compare_runs(report_a, report_b, resamples=args.resamples, seed=args.seed)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
 import logging
+import math
 import os
 import re
 import string
@@ -123,19 +125,47 @@ class Prediction:
         return cls(example_id, tuple(parse_answers(raw_text)), raw_text)
 
 
-@dataclass(frozen=True)
 class EmbeddingTable:
-    dim: int
-    vectors: dict[str, np.ndarray]
+    """Embedding vectors as the rows of one (N, d) float64 matrix, with an id -> row map.
 
-    def vector(self, example_id: str) -> np.ndarray:
+    The matrix is read-only; `vector` returns a view of one row.
+    """
+
+    def __init__(self, rows: dict[str, int], matrix: np.ndarray) -> None:
+        self.rows = rows
+        self.matrix = matrix
+        self.matrix.flags.writeable = False
+
+    @classmethod
+    def from_vectors(cls, vectors) -> "EmbeddingTable":
+        """A table of the id -> vector mapping `vectors`, rows in its order."""
+        ids = list(vectors)
+        matrix = np.array([vectors[i] for i in ids], dtype=np.float64)
+        return cls({vec_id: row for row, vec_id in enumerate(ids)}, matrix)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def row(self, example_id: str) -> int:
         try:
-            return self.vectors[example_id]
+            return self.rows[example_id]
         except KeyError:
             raise DataError(f"missing embedding for id {example_id}") from None
 
+    def vector(self, example_id: str) -> np.ndarray:
+        return self.matrix[self.row(example_id)]
+
+    @functools.cached_property
+    def max_norm(self) -> float:
+        """The largest Euclidean norm of a row."""
+        return math.sqrt(max(np.einsum("ij,ij->i", self.matrix, self.matrix).tolist()))
+
     def missing(self, ids) -> list[str]:
-        return sorted(i for i in ids if i not in self.vectors)
+        return sorted(i for i in ids if i not in self.rows)
 
     def require(self, ids) -> None:
         missing = self.missing(ids)
@@ -327,8 +357,8 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 def load_embeddings(path: str | Path, dataset: Dataset | None = None) -> EmbeddingTable:
     """Load an embedding file and check it covers every id of `dataset`."""
     path = Path(path)
-    vectors: dict[str, np.ndarray] = {}
-    dim = 0
+    rows: dict[str, int] = {}
+    vectors: list[np.ndarray] = []  # stacked into the table's matrix once the file is read
     for record in read_jsonl(path, "embedding", header=True):
         vec_id = record.get("id", str)
         row = record.get("vector", list)
@@ -342,21 +372,24 @@ def load_embeddings(path: str | Path, dataset: Dataset | None = None) -> Embeddi
             vector = np.array(record.get("vector", list, of=float))  # raises, bar ints > 2**63
         if not len(vector):
             raise record.fail("vector must be a non-empty list")
-        if vectors and len(vector) != dim:
-            raise record.fail(f"dimension mismatch (expected {dim}, got {len(vector)})")
-        if vec_id in vectors:
+        if vectors and len(vector) != len(vectors[0]):
+            raise record.fail(
+                f"dimension mismatch (expected {len(vectors[0])}, got {len(vector)})"
+            )
+        if vec_id in rows:
             raise record.fail(f"duplicate id {vec_id!r}")
-        dim = len(vector)
-        vectors[vec_id] = np.asarray(vector, dtype=np.float64)
+        rows[vec_id] = len(vectors)
+        vectors.append(vector)
     if not vectors:
         raise DataError(f"{path}: no vectors")
+    matrix = np.array(vectors, dtype=np.float64)
+    del vectors
     # one check for the whole file; only when it fails is the file read again. A
     # boolean among numbers reads as exactly 0 or 1, so those values are re-checked
-    matrix = np.array(list(vectors.values()))
     if not np.isfinite(matrix).all() or ((matrix == 0.0) | (matrix == 1.0)).any():
         for record in read_jsonl(path, "embedding", header=True):
             record.get("vector", list, of=float)  # raises for a non-finite or boolean element
-    table = EmbeddingTable(dim=dim, vectors=vectors)
+    table = EmbeddingTable(rows, matrix)
     if dataset is not None:
         table.require(dataset.ids())
     return table
@@ -366,6 +399,6 @@ def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         fh.write(json.dumps({"format": FORMAT_VERSION}) + "\n")
-        for vec_id in sorted(table.vectors):
-            record = {"id": vec_id, "vector": [float(x) for x in table.vectors[vec_id]]}
+        for vec_id in sorted(table.rows):
+            record = {"id": vec_id, "vector": [float(x) for x in table.vector(vec_id)]}
             fh.write(json.dumps(record) + "\n")

@@ -59,7 +59,7 @@ from .ordering import (
 from .ordering import STRATEGIES as ORDERING_STRATEGIES
 from .prompting import render_prompt
 from .retrieval import STRATEGIES as RETRIEVAL_STRATEGIES
-from .retrieval import RetrievalConfig, retrieve
+from .retrieval import Pool, RetrievalConfig, retrieve
 
 log = logging.getLogger(__name__)
 
@@ -255,9 +255,10 @@ def write_manifest(out_dir: Path, command: str, payload: dict) -> dict:
 class _PromptPlanner:
     """The run's prompt planner: shots, shot answer orders and rendered prompts.
 
-    Each shot id is planned once: the first thread to ask computes it, and
-    concurrent askers wait for that result, so ``jobs`` never changes the
-    backend calls made.
+    Each shot id is planned once, and so are the k-means labels of the run's
+    pool: the first thread to ask computes a result, and concurrent askers wait
+    for it, so ``jobs`` never changes the backend calls made. The pool's
+    embedding rows are looked up once, when the planner is built.
     """
 
     def __init__(
@@ -270,7 +271,7 @@ class _PromptPlanner:
         self.config = config
         self.table = table
         self.model = model
-        self.pool = [ex for ex in train if ex.prompt_safe]
+        self.pool = Pool.of([ex for ex in train if ex.prompt_safe], table)
         self.shot_duty_excluded = len(train) - len(self.pool)
         if not self.pool:
             raise DataError("no shot-safe training examples")
@@ -284,6 +285,7 @@ class _PromptPlanner:
             strategy=config.retrieval_strategy, k=config.k, seed=config.seed
         )
         self._orders: dict[str, Future] = {}
+        self._labels: dict[tuple, Future] = {}
         self._lock = threading.Lock()
         self.reorder_skipped: set[str] = set()
 
@@ -292,8 +294,10 @@ class _PromptPlanner:
         if self.fixed_shots is not None:
             shots: Sequence[Example] = self.fixed_shots
         else:
-            local_pool = [ex for ex in self.pool if ex.id != example.id]
-            shots = retrieve(example, local_pool, self.table, self.retrieval)
+            pool = self.pool.without(example.id)
+            # only the run's whole pool recurs; a query's own pool would fill the memo
+            memo = self._labels_once if pool is self.pool else None
+            shots = retrieve(example, pool, self.table, self.retrieval, memo=memo)
         shot_pairs = [(s.question, self._ordered_answers(s)) for s in shots]
         prompt = render_prompt(shot_pairs, example.question)
         prompt_answer_pool = {
@@ -301,19 +305,26 @@ class _PromptPlanner:
         }
         return prompt, tuple(s.id for s in shots), prompt_answer_pool
 
-    def _ordered_answers(self, shot: Example) -> tuple[str, ...]:
+    def _once(self, store: dict, key, compute):
+        """compute() for `key` in `store`, run by the first thread to ask."""
         with self._lock:
-            future = self._orders.get(shot.id)
+            future = store.get(key)
             owner = future is None
             if owner:
-                future = self._orders[shot.id] = Future()
+                future = store[key] = Future()
         if owner:
             try:
-                future.set_result(self._plan_order(shot))
+                future.set_result(compute())
             except BaseException as exc:
                 # waiters re-raise the same failure from future.result()
                 future.set_exception(exc)
         return future.result()
+
+    def _labels_once(self, key: tuple, compute):
+        return self._once(self._labels, key, compute)
+
+    def _ordered_answers(self, shot: Example) -> tuple[str, ...]:
+        return self._once(self._orders, shot.id, lambda: self._plan_order(shot))
 
     def _plan_order(self, shot: Example) -> tuple[str, ...]:
         if len(shot.answers) >= MAX_REORDER_ANSWERS:

@@ -16,7 +16,7 @@ from .core import EmbeddingTable, Example, derive_rng
 from .errors import DataError, TooManyAnswers
 from .lm import LanguageModel
 from .prompting import render_prompt
-from .retrieval import RetrievalConfig, retrieve
+from .retrieval import Pool, RetrievalConfig, retrieve
 
 # strategies that score answers with a model against a shot prefix
 MODEL_STRATEGIES = (
@@ -32,7 +32,7 @@ MAX_REORDER_ANSWERS = 20
 
 
 def peer_prefix(
-    example: Example, pool: Sequence[Example], table: EmbeddingTable, k: int
+    example: Example, pool: Pool | Sequence[Example], table: EmbeddingTable, k: int
 ) -> str:
     """Prompt for `example` after its k most similar peers, each in gold order.
 
@@ -40,7 +40,7 @@ def peer_prefix(
     against. `example` itself is left out of `pool`, and k is capped at the
     peers left, so with no peer the prefix is the bare query block.
     """
-    others = [ex for ex in pool if ex.id != example.id]
+    others = Pool.of(pool, table).without(example.id)
     k = min(k, len(others))
     peers = (
         retrieve(example, others, table, RetrievalConfig(strategy="similar", k=k))
@@ -63,6 +63,12 @@ def answer_perplexity(prefix: str, answer: str, model: LanguageModel) -> float:
     return math.exp(-sum(scores.logprobs) / scores.token_count)
 
 
+def _perplexities(answers: Sequence[str], prefix: str, model: LanguageModel) -> list[float]:
+    """Each answer's perplexity; a repeated answer is scored once."""
+    scores = {a: answer_perplexity(prefix, a, model) for a in dict.fromkeys(answers)}
+    return [scores[a] for a in answers]
+
+
 def _check_reorderable(n: int) -> None:
     if n >= MAX_REORDER_ANSWERS:
         raise TooManyAnswers(
@@ -76,12 +82,13 @@ def perplexity_permutation(
 ) -> list[int]:
     """Indices sorted by ascending perplexity (stable).
 
-    A one-answer set costs no backend call; a blank answer is rejected first.
+    Each distinct answer costs one backend call, and a one-answer set none; a
+    blank answer is rejected first.
     """
     _check_not_blank(answers)
     if len(answers) == 1:
         return [0]
-    scores = [answer_perplexity(prefix, a, model) for a in answers]
+    scores = _perplexities(answers, prefix, model)
     return sorted(range(len(answers)), key=lambda i: scores[i])
 
 
@@ -97,11 +104,11 @@ def greedy_permutation(
     ``" | "`` delimiter joins the working context, and decoding restarts on
     the remaining set.
 
-    Backend cost: one ``score_continuation`` per answer, to tokenize it, plus
-    one ``next_token_distribution`` per contested step (two or more
-    permissible tokens) after the first answer completes. A forced step
-    costs no call, since the argmax over one candidate is that candidate; a
-    one-answer set therefore costs none at all.
+    Backend cost: one ``score_continuation`` per distinct answer, to
+    tokenize it, plus one ``next_token_distribution`` per contested step (two
+    or more permissible tokens) after the first answer completes. A forced
+    step costs no call, since the argmax over one candidate is that
+    candidate; a one-answer set therefore costs none at all.
 
     Until the first answer completes, the context is the prefix plus the
     emitted tokens: the context in which each viable answer's score reply
@@ -114,7 +121,8 @@ def greedy_permutation(
     _check_not_blank(answers)
     if len(answers) == 1:
         return [0]
-    scored = [model.score_continuation(prefix, " " + a) for a in answers]
+    replies = {a: model.score_continuation(prefix, " " + a) for a in dict.fromkeys(answers)}
+    scored = [replies[a] for a in answers]
     token_seqs = [s.tokens for s in scored]
     spelled = [" ".join(s.tokens) == a for s, a in zip(scored, answers)]
     remaining = list(range(len(answers)))
@@ -200,7 +208,8 @@ def select_quantile_answer(example, prefix: str, model: LanguageModel, x: float)
     """Answer at the x-th quantile of descending perplexity (nearest rank).
 
     ``x=1.0`` selects the lowest-perplexity, best-known answer; ``x=0.0`` the
-    least-known one. A one-answer example costs no backend call.
+    least-known one. Each distinct answer costs one backend call, and a
+    one-answer example none.
     """
     if not 0.0 <= x <= 1.0:
         raise DataError(f"quantile {x} outside [0, 1]")
@@ -208,7 +217,7 @@ def select_quantile_answer(example, prefix: str, model: LanguageModel, x: float)
     _check_not_blank(answers)
     if len(answers) == 1:
         return answers[0]
-    scores = [answer_perplexity(prefix, a, model) for a in answers]
+    scores = _perplexities(answers, prefix, model)
     descending = sorted(range(len(answers)), key=lambda i: (-scores[i], i))
     rank = int(math.floor(x * (len(answers) - 1) + 0.5))
     return answers[descending[rank]]

@@ -2,11 +2,18 @@
 
 All strategies arrange the selected shots in non-decreasing similarity to the
 query, so the most similar shot sits right before the query in the prompt.
+
+Ranking is exact. One pass over the embedding matrix gives every candidate an
+approximate score; only the candidates whose approximation can still reach the
+top are scored with the per-pair `similarity`, and those values alone decide
+every rank and every tie.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -16,6 +23,9 @@ from .errors import DataError
 STRATEGIES = ("similar", "diverse", "topical", "random")
 
 KMEANS_MAX_ITER = 100
+
+UNIT_ROUNDOFF = 2.0**-53
+SMALLEST_SUBNORMAL = 2.0**-1074
 
 
 @dataclass(frozen=True)
@@ -31,14 +41,96 @@ class RetrievalConfig:
             raise DataError("shot budget k must be at least 1")
 
 
+class Pool:
+    """Candidate examples with their ids and their rows in an embedding table.
+
+    Building one checks every candidate has an embedding; a caller that
+    retrieves from the same candidates many times builds it once.
+    """
+
+    __slots__ = ("examples", "ids", "rows")
+
+    def __init__(self, examples: tuple[Example, ...], ids: tuple[str, ...], rows: np.ndarray):
+        self.examples, self.ids, self.rows = examples, ids, rows
+
+    @classmethod
+    def of(cls, pool: "Pool | Dataset | Sequence[Example]", table: EmbeddingTable) -> "Pool":
+        """`pool` itself if it is a Pool, else a Pool of its examples over `table`."""
+        if isinstance(pool, Pool):
+            return pool
+        examples = tuple(pool)
+        ids = tuple(ex.id for ex in examples)
+        table.require(ids)
+        rows = np.fromiter(map(table.rows.__getitem__, ids), dtype=np.intp, count=len(ids))
+        return cls(examples, ids, rows)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def without(self, example_id: str) -> "Pool":
+        """This pool less the candidate `example_id`; itself when it holds none."""
+        try:
+            i = self.ids.index(example_id)
+        except ValueError:
+            return self
+        return Pool(
+            self.examples[:i] + self.examples[i + 1 :],
+            self.ids[:i] + self.ids[i + 1 :],
+            np.delete(self.rows, i),
+        )
+
+
 def similarity(id_a: str, id_b: str, table: EmbeddingTable) -> float:
     """Dot product of the two examples' embedding vectors."""
     return float(np.dot(table.vector(id_a), table.vector(id_b)))
 
 
-def _assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)
+def _error_bound(table: EmbeddingTable, query_vector: np.ndarray) -> float:
+    """A bound on |approximate score - similarity()| for every row of `table`.
+
+    A d-term dot product summed in any order is within gamma_d * ||q|| * ||v||
+    of the exact value, gamma_d = d*u / (1 - d*u) (Higham, "Accuracy and
+    Stability of Numerical Algorithms", 3.1), and both the approximation and
+    `similarity` are such sums. Two terms more than d absorb the rounding of the
+    norms and of the threshold built on this bound; the last term covers
+    products that underflow.
+    """
+    d = table.dim + 2
+    gamma = d * UNIT_ROUNDOFF / (1.0 - d * UNIT_ROUNDOFF)
+    query_norm = math.sqrt(float(np.einsum("j,j->", query_vector, query_vector)))
+    return 2.0 * gamma * query_norm * table.max_norm + d * SMALLEST_SUBNORMAL
+
+
+def _shortlist(approx: np.ndarray, positions: np.ndarray, n: int, bound: float) -> np.ndarray:
+    """The `positions` whose approximate score can reach the exact top n among them.
+
+    Each approximation is within `bound` of its exact score, so a member of the
+    exact top n, ties included, has an approximation at least the n-th largest
+    one minus 2 * bound.
+    """
+    scores = approx[positions]
+    m = len(scores)
+    if m <= n:
+        return positions
+    # two kth indices run the code np.median runs, so profiling, which calls both,
+    # keeps no further numpy code resident (each new kernel costs 64 KiB of RSS or more)
+    nth = np.partition(scores, [m - n - 1, m - n])[m - n]
+    threshold = nth - 2.0 * bound
+    if not math.isfinite(threshold):  # a score or the bound overflowed: keep them all
+        return positions
+    return positions[scores >= threshold]
+
+
+def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) squared Euclidean distances, one centre at a time.
+
+    Each column is bit-identical to the broadcast form over (n, k, d), which
+    subtracts, squares and sums the same d terms in the same order.
+    """
+    d2 = np.empty((len(points), len(centers)))
+    for j, center in enumerate(centers):
+        d2[:, j] = ((points - center) ** 2).sum(axis=1)
+    return d2
 
 
 def kmeans(vectors: np.ndarray, k: int, seed: int, max_iter: int = KMEANS_MAX_ITER) -> np.ndarray:
@@ -54,15 +146,16 @@ def kmeans(vectors: np.ndarray, k: int, seed: int, max_iter: int = KMEANS_MAX_IT
     rng = derive_rng(seed, "kmeans")
     centers = np.empty((k, points.shape[1]), dtype=np.float64)
     centers[0] = points[int(rng.integers(n))]
+    d2 = _sq_distances(points, centers[:1])[:, 0]  # to the nearest centre so far
     for j in range(1, k):
-        d2 = ((points[:, None, :] - centers[None, :j, :]) ** 2).sum(axis=2).min(axis=1)
         total = d2.sum()
         if total <= 0.0:
             idx = int(rng.integers(n))
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centers[j] = points[idx]
-    labels = _assign(points, centers)
+        d2 = np.minimum(d2, _sq_distances(points, centers[j : j + 1])[:, 0])
+    labels = _sq_distances(points, centers).argmin(axis=1)
     for _ in range(max_iter):
         for c in range(k):
             members = points[labels == c]
@@ -77,7 +170,7 @@ def kmeans(vectors: np.ndarray, k: int, seed: int, max_iter: int = KMEANS_MAX_IT
                 idx = next(int(i) for i in order if int(i) not in taken)
                 taken.add(idx)
                 centers[c] = points[idx]
-        new_labels = _assign(points, centers)
+        new_labels = _sq_distances(points, centers).argmin(axis=1)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -86,54 +179,74 @@ def kmeans(vectors: np.ndarray, k: int, seed: int, max_iter: int = KMEANS_MAX_IT
 
 def retrieve(
     query: Example,
-    pool: Dataset | list[Example],
+    pool: Pool | Dataset | Sequence[Example],
     table: EmbeddingTable,
     config: RetrievalConfig,
+    memo: Callable[[tuple, Callable[[], np.ndarray]], np.ndarray] | None = None,
 ) -> list[Example]:
-    """Select `config.k` shots for `query` and arrange them for prompting."""
-    candidates = list(pool)
-    if any(ex.id == query.id for ex in candidates):
+    """Select `config.k` shots for `query` and arrange them for prompting.
+
+    `memo(key, compute)`, when given, returns compute()'s result for `key`
+    and may reuse an earlier one: the k-means labels of a diverse retrieval
+    are keyed by (pool ids in order, k, seed).
+    """
+    pool = Pool.of(pool, table)
+    query_row = table.row(query.id)
+    if query.id in pool.ids:
         raise DataError(f"pool contains the query example {query.id!r}")
-    if len(candidates) < config.k:
-        raise DataError(
-            f"pool of {len(candidates)} examples is smaller than k={config.k}"
-        )
-    table.require([query.id] + [ex.id for ex in candidates])
+    if len(pool) < config.k:
+        raise DataError(f"pool of {len(pool)} examples is smaller than k={config.k}")
 
-    # each candidate is scored against the query at most once, on first use
-    sims: dict[str, float] = {}
+    # each candidate, by its position in the pool, is scored at most once, on first use
+    sims: dict[int, float] = {}
 
-    def sim(ex: Example) -> float:
-        if ex.id not in sims:
-            sims[ex.id] = similarity(query.id, ex.id, table)
-        return sims[ex.id]
+    def sim(i: int) -> float:
+        if i not in sims:
+            sims[i] = similarity(query.id, pool.ids[i], table)
+        return sims[i]
 
-    def rank(ex: Example) -> tuple[float, str]:
+    def rank(i: int) -> tuple[float, str]:
         """Most similar first; ties broken by smaller id."""
-        return -sim(ex), ex.id
+        return -sim(i), pool.ids[i]
 
-    if config.strategy == "similar":
-        chosen = sorted(candidates, key=rank)[: config.k]
-    elif config.strategy == "random":
-        ordered = sorted(candidates, key=lambda ex: ex.id)
+    everyone = np.arange(len(pool))
+    if config.strategy == "random":
+        ordered = sorted(everyone.tolist(), key=pool.ids.__getitem__)
         rng = derive_rng(config.seed, "retrieval", query.id)
         picks = rng.choice(len(ordered), size=config.k, replace=False)
         chosen = [ordered[int(i)] for i in picks]
-    elif config.strategy == "topical":
-        if query.category is None:
-            raise DataError(f"query {query.id!r} lacks a category for topical retrieval")
-        same = [ex for ex in candidates if ex.category == query.category]
-        chosen = sorted(same, key=rank)[: config.k]
-    else:  # diverse: the top-ranked member of each non-empty cluster
-        matrix = np.stack([table.vector(ex.id) for ex in candidates])
-        labels = kmeans(matrix, config.k, config.seed)
-        chosen = [
-            min((ex for ex, lab in zip(candidates, labels) if lab == cluster), key=rank)
-            for cluster in set(labels.tolist())
-        ]
-    if len(chosen) < config.k:
-        # a sparse category or an empty cluster: backfill from the full ranking
-        chosen_ids = {ex.id for ex in chosen}
-        backfill = [ex for ex in sorted(candidates, key=rank) if ex.id not in chosen_ids]
-        chosen += backfill[: config.k - len(chosen)]
-    return sorted(chosen, key=lambda ex: (sim(ex), ex.id))
+    else:
+        query_vector = table.matrix[query_row]
+        # einsum, not BLAS: a threaded matrix-vector product raises peak memory
+        approx = np.einsum("ij,j->i", table.matrix, query_vector)[pool.rows]
+        bound = _error_bound(table, query_vector)
+
+        def top(positions: np.ndarray, n: int) -> list[int]:
+            return sorted(_shortlist(approx, positions, n, bound).tolist(), key=rank)[:n]
+
+        if config.strategy == "similar":
+            chosen = top(everyone, config.k)
+        elif config.strategy == "topical":
+            if query.category is None:
+                raise DataError(f"query {query.id!r} lacks a category for topical retrieval")
+            same = [i for i, ex in enumerate(pool.examples) if ex.category == query.category]
+            chosen = top(np.array(same, dtype=np.intp), config.k)
+        else:  # diverse: the top-ranked member of each non-empty cluster
+
+            def cluster() -> np.ndarray:
+                return kmeans(table.matrix[pool.rows], config.k, config.seed)
+
+            if memo is None:
+                labels = cluster()
+            else:
+                labels = memo((pool.ids, config.k, config.seed), cluster)
+            members = (np.flatnonzero(labels == c) for c in range(config.k))
+            chosen = [top(m, 1)[0] for m in members if len(m)]
+        if len(chosen) < config.k:
+            # a sparse category or an empty cluster: backfill from the full ranking;
+            # the best k overall hold the best k - len(chosen) not yet chosen
+            taken = set(chosen)
+            backfill = [i for i in top(everyone, config.k) if i not in taken]
+            chosen += backfill[: config.k - len(chosen)]
+    chosen.sort(key=lambda i: (sim(i), pool.ids[i]))
+    return [pool.examples[i] for i in chosen]

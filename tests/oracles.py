@@ -141,26 +141,27 @@ def oracle_greedy_order(vocab, rules, floor, prefix, answers):
     return order
 
 
-def oracle_top_k(query_id, pool_ids, vectors, k):
-    """Brute-force top-k ids by dot product, ties to the smaller id."""
+def python_dot(u, v):
+    """Dot product summed left to right in Python floats."""
+    return sum(x * y for x, y in zip(u, v))
+
+
+def oracle_top_k(query_id, pool_ids, vectors, k, dot=python_dot):
+    """Brute-force top-k ids by `dot`, ties to the smaller id."""
     sims = []
     for pid in pool_ids:
-        dot = sum(x * y for x, y in zip(vectors[query_id], vectors[pid]))
-        sims.append((-dot, pid))
+        sims.append((-dot(vectors[query_id], vectors[pid]), pid))
     sims.sort()
     return [pid for _, pid in sims[:k]]
 
 
-def oracle_arrangement(query_id, ids, vectors):
-    """Shots in non-decreasing dot product with the query, ties to the smaller id."""
-    def dot(pid):
-        return sum(x * y for x, y in zip(vectors[query_id], vectors[pid]))
-
-    return sorted(ids, key=lambda pid: (dot(pid), pid))
+def oracle_arrangement(query_id, ids, vectors, dot=python_dot):
+    """Shots in non-decreasing `dot` with the query, ties to the smaller id."""
+    return sorted(ids, key=lambda pid: (dot(vectors[query_id], vectors[pid]), pid))
 
 
-def _oracle_backfill(query_id, pool_ids, vectors, k, chosen):
-    for pid in oracle_top_k(query_id, pool_ids, vectors, len(pool_ids)):
+def _oracle_backfill(query_id, pool_ids, vectors, k, chosen, dot):
+    for pid in oracle_top_k(query_id, pool_ids, vectors, len(pool_ids), dot):
         if len(chosen) >= k:
             break
         if pid not in chosen:
@@ -168,19 +169,25 @@ def _oracle_backfill(query_id, pool_ids, vectors, k, chosen):
     return chosen
 
 
-def oracle_topical(query_id, pool_ids, categories, vectors, k):
+def oracle_topical(query_id, pool_ids, categories, vectors, k, dot=python_dot):
     """Top-k of the query's category, topped up from the whole pool's ranking."""
     same = [pid for pid in pool_ids if categories[pid] == categories[query_id]]
-    return _oracle_backfill(query_id, pool_ids, vectors, k, oracle_top_k(query_id, same, vectors, k))
+    chosen = oracle_top_k(query_id, same, vectors, k, dot)
+    return _oracle_backfill(query_id, pool_ids, vectors, k, chosen, dot)
 
 
-def oracle_diverse(query_id, pool_ids, labels, vectors, k):
+def oracle_diverse(query_id, pool_ids, labels, vectors, k, dot=python_dot):
     """Most similar member of each non-empty cluster, topped up from the ranking."""
     chosen = []
     for cluster in sorted(set(labels)):
         members = [pid for pid, label in zip(pool_ids, labels) if label == cluster]
-        chosen += oracle_top_k(query_id, members, vectors, 1)
-    return _oracle_backfill(query_id, pool_ids, vectors, k, chosen)
+        chosen += oracle_top_k(query_id, members, vectors, 1, dot)
+    return _oracle_backfill(query_id, pool_ids, vectors, k, chosen, dot)
+
+
+def oracle_sq_distances(points, centers):
+    """(n, k) squared distances through the (n, k, d) broadcast."""
+    return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
 
 
 def oracle_pair_counts(ranks):

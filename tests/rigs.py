@@ -29,8 +29,8 @@ JUNK = "zzz"
 
 class CountingModel(LanguageModel):
     """Backend wrapper that counts calls per op (``score``, ``next_token``,
-    ``generate``) and keeps every next-token context and candidate list it
-    was asked for.
+    ``generate``), keeps every next-token context and candidate list it was
+    asked for, and keeps every request as (op, *arguments) in ``requests``.
 
     ``delay`` seconds of sleep per call widen the window in which concurrent
     callers overlap. ``refuse_forced`` makes a next-token request with a single
@@ -44,33 +44,35 @@ class CountingModel(LanguageModel):
         self.counts: Counter = Counter()
         self.candidate_lists: list[tuple[str, ...]] = []
         self.next_token_contexts: list[str] = []
+        self.requests: list[tuple] = []
         self._lock = threading.Lock()
 
     @property
     def fingerprint(self) -> str:
         return self.inner.fingerprint
 
-    def _count(self, op: str) -> None:
+    def _count(self, op: str, *arguments) -> None:
         with self._lock:
             self.counts[op] += 1
+            self.requests.append((op, *arguments))
         if self.delay:
             time.sleep(self.delay)
 
     def score_continuation(self, context: str, continuation: str) -> TokenScores:
-        self._count("score")
+        self._count("score", context, continuation)
         return self.inner.score_continuation(context, continuation)
 
     def next_token_distribution(self, context: str, candidates: Sequence[str]) -> list[float]:
         if self.refuse_forced and len(candidates) == 1:
             raise AssertionError(f"next-token request for a forced step: {candidates}")
-        self._count("next_token")
+        self._count("next_token", context, tuple(candidates))
         with self._lock:
             self.candidate_lists.append(tuple(candidates))
             self.next_token_contexts.append(context)
         return self.inner.next_token_distribution(context, candidates)
 
     def generate(self, prompt: str, stop: Sequence[str], max_tokens: int) -> str:
-        self._count("generate")
+        self._count("generate", prompt, tuple(stop), max_tokens)
         return self.inner.generate(prompt, stop, max_tokens)
 
 
@@ -123,7 +125,7 @@ def build_knowledge_rig(n_known: int, n_half: int, n_unknown: int):
             emitted = [JUNK, "\n"]
         rules.extend(chain_rules(anchor, emitted))
     dataset = Dataset(split="train", examples=tuple(examples))
-    table = EmbeddingTable(dim=3, vectors=vectors)
+    table = EmbeddingTable.from_vectors(vectors)
     model = MockModel(
         sorted(vocab),
         tuple(MockRule(r["context_suffix"], r["token"], r["weight"]) for r in rules),
@@ -146,7 +148,7 @@ def _rig_datasets(out: Path, shots, evals) -> dict:
         vectors[shot.id] = axes[i] * 2.0
     for i, ev in enumerate(evals):
         vectors[ev.id] = axes[i] * 1.5
-    table = EmbeddingTable(dim=3, vectors=vectors)
+    table = EmbeddingTable.from_vectors(vectors)
     save_dataset(train, out / "train.jsonl")
     save_dataset(eval_ds, out / "eval.jsonl")
     save_embeddings(table, out / "embeddings.jsonl")

@@ -200,9 +200,7 @@ def test_criterion_07_retrieval_oracle():
         vectors = {"query": rng.normal(size=5).tolist()}
         for i in range(pool_size):
             vectors[f"p{i:02d}"] = rng.normal(size=5).tolist()
-        table = EmbeddingTable(
-            dim=5, vectors={k: np.asarray(v) for k, v in vectors.items()}
-        )
+        table = EmbeddingTable.from_vectors(vectors)
         pool = [
             Example(id=i, question=f"q {i}", answers=("a",))
             for i in sorted(vectors)

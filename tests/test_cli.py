@@ -247,6 +247,49 @@ class TestUsageErrors:
         assert not out_dir.exists()
 
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n-sets", "0"], "--n-sets must be at least 1, got 0"),
+            (["--set-size", "0"], "--set-size must be at least 1, got 0"),
+            (["--median-n", "0"], "--median-n must be at least 1, got 0"),
+            (["--band", "0.6,0.4"], "bad --band '0.6,0.4'"),
+            (["--band", "nan,0.4"], "bad --band 'nan,0.4'"),
+            (["--band", "0.4,inf"], "bad --band '0.4,inf'"),
+            (["--band", "0.4"], "bad --band '0.4'"),
+        ],
+    )
+    def test_build_sets_flags_out_of_range(self, capsys, tmp_path, flags, message):
+        # the profile store does not exist: the flags are checked before it is read
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys,
+            "build-sets",
+            "--profiles", str(tmp_path / "missing.jsonl"),
+            "--condition", "halfknown",
+            "--out", str(out_dir),
+            *flags,
+        )
+        assert code == 1
+        assert f"usage error: {message}" in err
+        assert out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("resamples", ["5", "999", "-1"])
+    def test_compare_resamples_below_the_minimum(self, capsys, tmp_path, resamples):
+        # neither report exists: the flag is checked before either is read
+        code, out, err = run_cli(
+            capsys,
+            "compare",
+            "--report-a", str(tmp_path / "a"),
+            "--report-b", str(tmp_path / "b"),
+            "--resamples", resamples,
+        )
+        assert code == 1
+        assert f"usage error: --resamples must be at least 1000, got {resamples}" in err
+        assert out == ""
+
+
 class TestOrder:
     def test_alphabet_order_prints_answers(self, capsys, tmp_path):
         train = tmp_path / "train.jsonl"

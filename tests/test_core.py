@@ -227,9 +227,9 @@ class TestLoadEmbeddings:
     def test_ints_beyond_64_bits_load_as_floats(self, tmp_path):
         path = self.embedding_file(tmp_path, [("q1", [2**64, 1]), ("q2", [0.5, -(2**70)])])
         table = load_embeddings(path)
-        assert table.vectors["q1"].tolist() == [2.0**64, 1.0]
-        assert table.vectors["q2"].tolist() == [0.5, -(2.0**70)]
-        assert table.vectors["q1"].dtype == np.float64
+        assert table.vector("q1").tolist() == [2.0**64, 1.0]
+        assert table.vector("q2").tolist() == [0.5, -(2.0**70)]
+        assert table.matrix.dtype == np.float64
 
     def test_round_trip(self, tmp_path):
         path = self.embedding_file(tmp_path, [("q1", [0.25, -1.5]), ("q2", [3.0, 0.125])])
@@ -238,8 +238,8 @@ class TestLoadEmbeddings:
         save_embeddings(table, out)
         again = load_embeddings(out)
         assert again.dim == table.dim
-        for key in table.vectors:
-            assert list(again.vectors[key]) == list(table.vectors[key])
+        for key in table.rows:
+            assert list(again.vector(key)) == list(table.vector(key))
 
 
 class TestReadJsonl:

@@ -4,12 +4,13 @@ import hashlib
 import json
 import re
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from iclforge import harness
+from iclforge import harness, retrieval
 from iclforge.core import Dataset, EmbeddingTable, Example, save_dataset, save_embeddings
 from iclforge.errors import BackendError, DataError, UsageError
 from iclforge.harness import (
@@ -148,6 +149,31 @@ class TestSingleFlightPlanning:
         assert report_bytes(tmp_path / "serial") == report_bytes(tmp_path / "parallel")
 
 
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_kmeans_runs_once_per_run(self, fixtures_dir, tmp_path, monkeypatch, jobs):
+        # the toy eval ids are not in the training pool, so every query shares one pool
+        calls = []
+        kmeans = retrieval.kmeans
+
+        def counting(vectors, k, seed, *rest):
+            calls.append((vectors.tobytes(), k, seed))
+            time.sleep(0.002)  # keeps the first call open while other workers ask
+            return kmeans(vectors, k, seed, *rest)
+
+        monkeypatch.setattr(retrieval, "kmeans", counting)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            config = toy_config(
+                fixtures_dir, tmp_path / "out", retrieval_strategy="diverse", k=2, jobs=jobs
+            )
+            report = run_eval(config)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(report.records) > 1
+        assert len(calls) == 1
+
+
 class TestParallelFailure:
     def test_first_failure_cancels_queued_examples(self, fixtures_dir, tmp_path, monkeypatch):
         shots = [
@@ -159,9 +185,7 @@ class TestParallelFailure:
             for i in range(12)
         ]
         rng = np.random.default_rng(0)
-        table = EmbeddingTable(
-            dim=3, vectors={ex.id: rng.normal(size=3) for ex in shots + evals}
-        )
+        table = EmbeddingTable.from_vectors({ex.id: rng.normal(size=3) for ex in shots + evals})
         save_dataset(Dataset(split="train", examples=tuple(shots)), tmp_path / "train.jsonl")
         save_dataset(Dataset(split="dev", examples=tuple(evals)), tmp_path / "eval.jsonl")
         save_embeddings(table, tmp_path / "emb.jsonl")

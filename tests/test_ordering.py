@@ -317,6 +317,64 @@ class TestGreedyAgainstSimulation:
                 assert got == expected, (table, rules, answers)
 
 
+def with_repeats(rng: np.random.Generator, answers: list[str]) -> list[str]:
+    """`answers` in a random order with at least one answer given twice."""
+    picks = rng.integers(len(answers), size=len(answers) + int(rng.integers(1, 4)))
+    repeated = [answers[int(i)] for i in picks]
+    if len(set(repeated)) == len(repeated):
+        repeated.append(repeated[0])
+    return repeated
+
+
+class TestRepeatedAnswers:
+    """A repeated answer is scored once: no backend request is made twice."""
+
+    def test_two_copies_of_an_answer_cost_one_score(self):
+        inner = MockModel(["a", "b", "c", "|"], (MockRule("", "a", 2.0),))
+        answers = ["a b", "c", "a b"]
+        for strategy, calls in (
+            ("greedy", {"score": 2, "next_token": 1}),
+            ("perplexity", {"score": 2}),
+        ):
+            model = CountingModel(inner)
+            order(strategy, answers, model)
+            assert model.counts == calls, strategy
+        model = CountingModel(inner)
+        select_quantile_answer(example(answers), "", model, 0.5)
+        assert model.counts == {"score": 2}
+
+    def test_random_rule_tables_match_scoring_every_copy(self):
+        rng = np.random.default_rng(20261019)
+        for table in range(100):
+            vocab, rules, distinct = random_fixture(rng)
+            answers = with_repeats(rng, distinct)
+            inner = MockModel(vocab, tuple(MockRule(*r) for r in rules))
+            # the reference scores every copy, as a backend without repeats would
+            per_copy = [answer_perplexity("p:", a, inner) for a in answers]
+            by_perplexity = sorted(range(len(answers)), key=lambda i: per_copy[i])
+            descending = sorted(range(len(answers)), key=lambda i: (-per_copy[i], i))
+            x = float(rng.choice([0.0, 0.5, 1.0]))
+            rank = int(np.floor(x * (len(answers) - 1) + 0.5))
+            cases = (
+                (
+                    "greedy",
+                    lambda m: greedy_permutation(answers, "p:", m),
+                    oracle_greedy_order(vocab, rules, DEFAULT_FLOOR, "p:", answers),
+                ),
+                ("perplexity", lambda m: order("perplexity", answers, m, "p:"), by_perplexity),
+                (
+                    "quantile",
+                    lambda m: select_quantile_answer(example(answers), "p:", m, x),
+                    answers[descending[rank]],
+                ),
+            )
+            for name, run, expected in cases:
+                model = CountingModel(inner)
+                assert run(model) == expected, (table, name, rules, answers)
+                assert len(set(model.requests)) == len(model.requests), (table, name)
+                assert model.counts["score"] == len(set(answers)), (table, name)
+
+
 class TestOrderAlphabet:
     def test_case_insensitive(self):
         answers = ("banana", "Apple")

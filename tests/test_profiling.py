@@ -74,7 +74,7 @@ class TestProfileExample:
             ex.id: np.asarray([float(i), 1.0])
             for i, ex in enumerate([target] + others)
         }
-        table = EmbeddingTable(dim=2, vectors=vectors)
+        table = EmbeddingTable.from_vectors(vectors)
         rules = [
             MockRule("the four marks?\nAnswers:", "k1", 9.0),
             MockRule("the four marks?\nAnswers: k1", "|", 9.0),
@@ -143,7 +143,7 @@ class TestProfileDataset:
         store = tmp_path / "profiles.jsonl"
         profile_dataset(dataset, table, model, store_path=store)
         examples = list(dataset.examples)
-        vectors = dict(table.vectors)
+        vectors = {key: table.vector(key) for key in table.rows}
         if change == "edited-answer":
             edited = examples[0]
             examples[0] = Example(edited.id, edited.question, edited.answers + (JUNK,))
@@ -151,7 +151,7 @@ class TestProfileDataset:
             examples.append(Example(id="p999", question="an extra question?", answers=(JUNK,)))
             vectors["p999"] = np.asarray([0.0, 0.0, 1.0])
         changed = Dataset(split="train", examples=tuple(examples))
-        changed_table = EmbeddingTable(dim=3, vectors=vectors)
+        changed_table = EmbeddingTable.from_vectors(vectors)
         rerun = profile_dataset(changed, changed_table, model, store_path=store)
         fresh_store = tmp_path / "fresh.jsonl"
         fresh = profile_dataset(changed, changed_table, model, store_path=fresh_store)

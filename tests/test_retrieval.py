@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from iclforge import retrieval
 from iclforge.core import EmbeddingTable, Example
 from iclforge.errors import DataError
-from iclforge.retrieval import RetrievalConfig, kmeans, retrieve, similarity
+from iclforge.retrieval import Pool, RetrievalConfig, _sq_distances, kmeans, retrieve, similarity
 
 from oracles import (
     oracle_arrangement,
     oracle_best_two_partition,
     oracle_diverse,
+    oracle_sq_distances,
     oracle_sse,
     oracle_top_k,
     oracle_topical,
@@ -26,10 +27,7 @@ def make_pool(vectors: dict[str, list[float]], categories: dict[str, str] | None
         Example(id=i, question=f"question {i}", answers=("a",), category=categories.get(i))
         for i in sorted(vectors)
     )
-    table = EmbeddingTable(
-        dim=len(next(iter(vectors.values()))),
-        vectors={k: np.asarray(v, dtype=np.float64) for k, v in vectors.items()},
-    )
+    table = EmbeddingTable.from_vectors(vectors)
     return examples, table
 
 
@@ -53,6 +51,17 @@ class TestSimilarity:
 
 
 class TestKmeans:
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_per_centre_distances_equal_the_broadcast_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d, k = int(rng.integers(1, 300)), int(rng.integers(1, 130)), int(rng.integers(1, 9))
+        scale = 10.0 ** rng.uniform(-8, 8)
+        points = rng.normal(size=(n, d)) * scale
+        centers = rng.normal(size=(k, d)) * scale
+        got = _sq_distances(points, centers)
+        assert got.tobytes() == oracle_sq_distances(points, centers).tobytes()
+
     def test_k_equals_n(self):
         points = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
         labels = kmeans(points, k=3, seed=0)
@@ -170,12 +179,113 @@ class TestRetrieveSimilar:
         assert [ex.id for ex in result] == oracle_arrangement("query", expected, vectors)
 
 
+def numpy_dot(u, v):
+    """The dot product `similarity` computes, for the oracles."""
+    return float(np.dot(np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)))
+
+
+def near_tied_vectors(rng: np.random.Generator, n: int, dim: int) -> list[list[float]]:
+    """`n` vectors that tie or nearly tie: copies of three bases, copies with one
+    component nudged by one to three ulps, integer-valued vectors and zeros."""
+    bases = [rng.normal(size=dim) * 10.0 ** int(rng.integers(-3, 4)) for _ in range(3)]
+    vectors = []
+    for _ in range(n):
+        kind = int(rng.integers(5))
+        if kind == 0:
+            vector = rng.integers(-2, 3, size=dim).astype(np.float64)
+        elif kind == 1:
+            vector = np.zeros(dim)
+        else:
+            vector = bases[int(rng.integers(3))].copy()
+            if kind > 2:
+                j = int(rng.integers(dim))
+                toward = np.inf if kind == 3 else -np.inf
+                for _ in range(int(rng.integers(1, 4))):
+                    vector[j] = np.nextafter(vector[j], toward)
+        vectors.append(vector.tolist())
+    return vectors
+
+
+class TestRetrieveNearTies:
+    """The prefilter never changes a result: retrieval equals brute-force ranking
+    by the per-pair similarity on pools built to tie and nearly tie."""
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(("similar", "topical", "diverse")),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force_on_ties(self, seed, strategy):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 9))
+        pool_size = int(rng.integers(2, 40))
+        k = int(rng.integers(1, min(pool_size, 8) + 1))
+        drawn = near_tied_vectors(rng, pool_size + 1, dim)
+        vectors = {"query": drawn[0]}
+        categories = {"query": "c0"}
+        for i, vector in enumerate(drawn[1:]):
+            vectors[f"p{i:02d}"] = vector
+            categories[f"p{i:02d}"] = f"c{int(rng.integers(3))}"
+        pool, table = make_pool(vectors, categories)
+        query = next(ex for ex in pool if ex.id == "query")
+        candidates = [ex for ex in pool if ex.id != "query"]
+        pool_ids = [ex.id for ex in candidates]
+        result = retrieve(query, candidates, table, RetrievalConfig(strategy, k=k, seed=seed))
+        if strategy == "similar":
+            expected = oracle_top_k("query", pool_ids, vectors, k, numpy_dot)
+        elif strategy == "topical":
+            expected = oracle_topical("query", pool_ids, categories, vectors, k, numpy_dot)
+        else:
+            matrix = np.stack([table.vector(i) for i in pool_ids])
+            labels = kmeans(matrix, k, seed).tolist()
+            expected = oracle_diverse("query", pool_ids, labels, vectors, k, numpy_dot)
+        want = oracle_arrangement("query", expected, vectors, numpy_dot)
+        assert [ex.id for ex in result] == want
+
+    def test_scaled_copies_straddle_the_bound(self):
+        # one vector and copies one ulp larger or smaller in every component score
+        # within the error bound of each other; only the per-pair values decide
+        rng = np.random.default_rng(5)
+        base = rng.normal(size=64)
+        vectors = {"query": rng.normal(size=64).tolist()}
+        for i in range(30):
+            toward = (np.inf, -np.inf, 0.0)[i % 3]
+            vector = base.copy()
+            for _ in range(i // 3):
+                vector = np.nextafter(vector, toward)
+            vectors[f"p{i:02d}"] = vector.tolist()
+        pool, table = make_pool(vectors)
+        query = next(ex for ex in pool if ex.id == "query")
+        candidates = [ex for ex in pool if ex.id != "query"]
+        pool_ids = [ex.id for ex in candidates]
+        for k in (1, 3, 7):
+            result = retrieve(query, candidates, table, RetrievalConfig("similar", k=k))
+            expected = oracle_top_k("query", pool_ids, vectors, k, numpy_dot)
+            want = oracle_arrangement("query", expected, vectors, numpy_dot)
+            assert [ex.id for ex in result] == want
+
+    def test_prebuilt_pool_gives_the_same_shots(self):
+        rng = np.random.default_rng(8)
+        vectors = {f"p{i:02d}": v for i, v in enumerate(near_tied_vectors(rng, 30, 4))}
+        pool, table = make_pool(vectors)
+        built = Pool.of(pool, table)
+        for query in pool[:5]:
+            for strategy in ("similar", "diverse", "random"):
+                config = RetrievalConfig(strategy, k=4, seed=3)
+                listed = retrieve(query, [ex for ex in pool if ex.id != query.id], table, config)
+                prebuilt = retrieve(query, built.without(query.id), table, config)
+                assert prebuilt == listed
+        with pytest.raises(DataError, match="contains the query"):
+            retrieve(pool[0], built, table, RetrievalConfig("similar", k=1))
+
+
 class TestSimilarityCallBudget:
-    """Each candidate is scored against the query at most once per call."""
+    """Each candidate is scored against the query at most once per call, and
+    only the candidates the prefilter keeps are scored: here, k of them."""
 
     @pytest.mark.parametrize(
         "strategy, expected",
-        [("similar", 20), ("topical", 7), ("diverse", 20), ("random", 5)],
+        [("similar", 5), ("topical", 5), ("diverse", 5), ("random", 5)],
     )
     def test_calls_per_retrieve(self, strategy, expected, monkeypatch):
         rng = np.random.default_rng(4)

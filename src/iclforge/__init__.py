@@ -21,7 +21,6 @@ from .metrics import (
     SetScores,
     adherence_phi,
     answer_count_stats,
-    exact_match,
     not_in_prompt_scores,
     paired_bootstrap,
     set_scores,
@@ -64,7 +63,6 @@ __all__ = [
     "answer_perplexity",
     "build_sets",
     "compare_runs",
-    "exact_match",
     "kmeans",
     "load_dataset",
     "load_embeddings",

@@ -20,6 +20,7 @@ from .harness import (
     RunConfig,
     adherence_from_report,
     compare_runs,
+    file_sha256,
     load_report,
     run_eval,
     write_manifest,
@@ -188,6 +189,10 @@ def _cmd_profile(args) -> int:
         {
             "model_fingerprint": model.fingerprint,
             "k": args.k,
+            "input_sha256": {
+                "train": file_sha256(args.train),
+                "embeddings": file_sha256(args.embeddings),
+            },
             "counts": {
                 "profiled": len(profiles),
                 "cache_hits": getattr(model, "hits", None),
@@ -227,6 +232,7 @@ def _cmd_build_sets(args) -> int:
         {
             "condition": args.condition,
             "seed": args.seed,
+            "input_sha256": {"profiles": file_sha256(args.profiles)},
             "counts": {
                 "eligible": result.eligible_count,
                 "sets": len(result.sets),

@@ -220,7 +220,8 @@ def _resume_records(path: Path) -> list[ExampleRecord]:
     return records
 
 
-def _file_sha256(path: str) -> str:
+def file_sha256(path: str) -> str:
+    """Hex SHA-256 digest of the file at `path`."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         # fixed-size chunks keep memory flat whatever the file size
@@ -409,9 +410,9 @@ def run_eval(config: RunConfig) -> EvalReport:
     records_path = out_dir / RECORDS_FILE
 
     input_sha256 = {
-        "train": _file_sha256(config.train_path),
-        "eval": _file_sha256(config.eval_path),
-        "embeddings": _file_sha256(config.embeddings_path),
+        "train": file_sha256(config.train_path),
+        "eval": file_sha256(config.eval_path),
+        "embeddings": file_sha256(config.embeddings_path),
     }
     cfg_hash = _config_hash(config, input_sha256, model.fingerprint)
     try:
@@ -641,28 +642,22 @@ def compare_runs(
     resamples: int = 10_000,
     seed: int = 0,
 ) -> list[dict]:
-    """Per-metric paired bootstrap of run a against run b (the baseline)."""
+    """Per-metric paired bootstrap of run a against run b (the baseline).
+
+    All metrics share one set of resamples; each p-value equals its metric's alone.
+    """
     ids_a = [r.example_id for r in report_a.records]
     ids_b = [r.example_id for r in report_b.records]
     if sorted(ids_a) != sorted(ids_b):
         raise DataError("runs cover different evaluation ids")
     by_id_b = {r.example_id: r for r in report_b.records}
+    scores_a = [[r.scores[key] for r in report_a.records] for key in SCORE_KEYS]
+    scores_b = [[by_id_b[i].scores[key] for i in ids_a] for key in SCORE_KEYS]
+    p_values = paired_bootstrap(scores_a, scores_b, resamples=resamples, seed=seed)
     rows = []
-    for key in SCORE_KEYS:
-        scores_a = []
-        scores_b = []
-        for record in report_a.records:
-            va = record.scores.get(key)
-            vb = by_id_b[record.example_id].scores.get(key)
-            if va is None or vb is None:
-                continue
-            scores_a.append(va)
-            scores_b.append(vb)
-        if not scores_a:
-            continue
-        p_value = paired_bootstrap(scores_a, scores_b, resamples=resamples, seed=seed)
-        mean_a = sum(scores_a) / len(scores_a)
-        mean_b = sum(scores_b) / len(scores_b)
+    for key, a, b, p_value in zip(SCORE_KEYS, scores_a, scores_b, p_values):
+        mean_a = sum(a) / len(a)
+        mean_b = sum(b) / len(b)
         rows.append(
             {
                 "metric": key,

@@ -22,11 +22,6 @@ def _f1(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def exact_match(pred: str, gold: str) -> int:
-    """1 iff the two strings are equal after normalization."""
-    return int(normalize_answer(pred) == normalize_answer(gold))
-
-
 def token_f1(pred: str, gold: str) -> float:
     """Bag-of-tokens F1 over normalized tokens (multiset intersection)."""
     pred_tokens = normalize_answer(pred).split()
@@ -181,33 +176,35 @@ def answer_count_stats(
 
 
 def paired_bootstrap(
-    scores_a: Sequence[float],
-    scores_b: Sequence[float],
+    scores_a: Sequence[float] | Sequence[Sequence[float]],
+    scores_b: Sequence[float] | Sequence[Sequence[float]],
     resamples: int = 10_000,
     seed: int = 0,
-) -> float:
+) -> float | list[float]:
     """One-sided paired bootstrap p-value for "system a beats system b".
 
     p is the fraction of resamples (with replacement, paired by example) where
     mean(a) - mean(b) <= 0. Each resample derives its own generator from
     (seed, resample index), so chunked parallel evaluation would match the
-    serial result exactly.
+    serial result exactly. Given (metrics, n) arrays, all rows share the
+    resamples and the result is one p-value per row, each that of its row alone.
     """
-    if len(scores_a) != len(scores_b):
-        raise DataError(
-            f"score vectors differ in length: {len(scores_a)} vs {len(scores_b)}"
-        )
-    if len(scores_a) == 0:
+    a = np.asarray(scores_a, dtype=np.float64)
+    b = np.asarray(scores_b, dtype=np.float64)
+    if a.shape != b.shape:
+        shapes = " vs ".join(" x ".join(map(str, s.shape)) for s in (a, b))
+        raise DataError(f"score vectors differ in length: {shapes}")
+    n = a.shape[-1]
+    if n == 0:
         raise DataError("empty score vectors")
     if resamples < MIN_RESAMPLES:
         raise DataError(f"resamples must be at least {MIN_RESAMPLES}")
-    a = np.asarray(scores_a, dtype=np.float64)
-    b = np.asarray(scores_b, dtype=np.float64)
-    n = len(a)
-    non_positive = 0
+    non_positive = np.zeros(a.shape[:-1], dtype=np.int64)
     for r in range(resamples):
-        rng = derive_rng(seed, "bootstrap", str(r))
-        idx = rng.integers(0, n, size=n)
-        if a[idx].mean() - b[idx].mean() <= 0.0:
-            non_positive += 1
-    return non_positive / resamples
+        idx = derive_rng(seed, "bootstrap", str(r)).integers(0, n, size=n)
+        # take() gathers C-contiguous rows, so each row's mean sums in the
+        # same (pairwise) order as a 1-D mean; a[:, idx] would not
+        delta = a.take(idx, axis=-1).mean(axis=-1) - b.take(idx, axis=-1).mean(axis=-1)
+        non_positive += delta <= 0.0
+    p_values = non_positive / resamples
+    return float(p_values) if a.ndim == 1 else p_values.tolist()

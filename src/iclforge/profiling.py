@@ -21,7 +21,7 @@ from .lm import LanguageModel
 from .metrics import set_scores
 from .ordering import answer_perplexity, peer_prefix
 from .prompting import parse_answers
-from .retrieval import similarity
+from .retrieval import Pool, similarity
 
 log = logging.getLogger(__name__)
 
@@ -51,13 +51,14 @@ class ExampleSet:
 
 def profile_example(
     example: Example,
-    pool: list[Example],
+    pool: Pool | list[Example],
     table: EmbeddingTable,
     model: LanguageModel,
     k: int = 5,
 ) -> KnowledgeProfile:
     """Profile one example against the pool it will serve alongside."""
-    if any(ex.id == example.id for ex in pool):
+    pool = Pool.of(pool, table)
+    if example.id in pool.ids:
         raise DataError(f"pool contains the profiled example {example.id!r}")
     if not pool:
         raise DataError("empty candidate pool")
@@ -71,7 +72,7 @@ def profile_example(
         answer_perplexity(prefix, answer, model) for answer in example.answers
     )
     avg_similarity = float(
-        np.mean([similarity(example.id, other.id, table) for other in pool])
+        np.mean([similarity(example.id, other_id, table) for other_id in pool.ids])
     )
     return KnowledgeProfile(
         example_id=example.id,
@@ -94,11 +95,11 @@ def profile_dataset(
     Each profile depends on the whole pool, so every call computes all of
     them; a rerun gets its backend results from a caching model (``--cache-dir``).
     """
-    candidates = [ex for ex in dataset if ex.prompt_safe]
-    profiles: list[KnowledgeProfile] = []
-    for example in candidates:
-        pool = [ex for ex in candidates if ex.id != example.id]
-        profiles.append(profile_example(example, pool, table, model, k=k))
+    pool = Pool.of([ex for ex in dataset if ex.prompt_safe], table)
+    profiles = [
+        profile_example(example, pool.without(example.id), table, model, k=k)
+        for example in pool.examples
+    ]
     if store_path is not None:
         save_profiles(profiles, store_path)
     return profiles

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -408,7 +410,10 @@ class TestProfileAndBuildSets:
         )
         assert code == 0
         assert (profile_dir / "profiles.jsonl").exists()
-        assert (profile_dir / "manifest.json").exists()
+        manifest = json.loads((profile_dir / "manifest.json").read_text(encoding="utf-8"))
+        assert sorted(manifest["input_sha256"]) == ["embeddings", "train"]
+        train_bytes = Path(knowledge_files["train"]).read_bytes()
+        assert manifest["input_sha256"]["train"] == hashlib.sha256(train_bytes).hexdigest()
 
         sets_dir = tmp_path / "sets"
         code, out, _ = run_cli(
@@ -426,6 +431,9 @@ class TestProfileAndBuildSets:
         record = json.loads(sets_file.read_text(encoding="utf-8").splitlines()[0])
         assert record["condition"] == "unknown"
         assert len(record["member_ids"]) == 5
+        manifest = json.loads((sets_dir / "manifest.json").read_text(encoding="utf-8"))
+        store_bytes = (profile_dir / "profiles.jsonl").read_bytes()
+        assert manifest["input_sha256"] == {"profiles": hashlib.sha256(store_bytes).hexdigest()}
 
     @pytest.mark.parametrize(
         "argv",

@@ -15,7 +15,10 @@ from iclforge.core import Dataset, EmbeddingTable, Example, save_dataset, save_e
 from iclforge.errors import BackendError, DataError, UsageError
 from iclforge.harness import (
     RECORDS_FILE,
+    SCORE_KEYS,
     SUMMARY_FILE,
+    EvalReport,
+    ExampleRecord,
     RunConfig,
     adherence_from_report,
     compare_runs,
@@ -23,7 +26,7 @@ from iclforge.harness import (
     run_eval,
 )
 from iclforge.lm import make_backend
-from iclforge.metrics import answer_count_stats
+from iclforge.metrics import answer_count_stats, paired_bootstrap
 
 from rigs import CountingModel, build_copycat_rig, build_listcont_rig
 
@@ -627,6 +630,48 @@ class TestCompareRuns:
         for row in rows:
             assert row["p_value"] == 0.0
             assert row["significant"]
+
+    @pytest.mark.parametrize("n", [1, 30])
+    def test_rows_equal_per_metric_bootstrap_on_reordered_b(self, n):
+        rng = np.random.default_rng(n)
+        values = [0.0, 1 / 7, 1 / 3, 1 / 2, 2 / 3, 1.0]
+
+        def report(ids):
+            records = [
+                ExampleRecord(
+                    example_id=i,
+                    prompt_sha256="",
+                    shot_ids=(),
+                    answers=(),
+                    raw_text="",
+                    scores={key: float(rng.choice(values)) for key in SCORE_KEYS},
+                )
+                for i in ids
+            ]
+            return EvalReport(records=records, aggregates={})
+
+        ids = [f"e{i}" for i in range(n)]
+        a = report(ids)
+        b = report(ids[::-1])
+        by_id_b = {r.example_id: r for r in b.records}
+        expected = []
+        for key in SCORE_KEYS:
+            scores_a = [r.scores[key] for r in a.records]
+            scores_b = [by_id_b[i].scores[key] for i in ids]
+            p_value = paired_bootstrap(scores_a, scores_b, resamples=1000, seed=5)
+            mean_a = sum(scores_a) / n
+            mean_b = sum(scores_b) / n
+            expected.append(
+                {
+                    "metric": key,
+                    "mean_a": mean_a,
+                    "mean_b": mean_b,
+                    "delta": mean_a - mean_b,
+                    "p_value": p_value,
+                    "significant": p_value <= 0.05,
+                }
+            )
+        assert compare_runs(a, b, resamples=1000, seed=5) == expected
 
 
 class TestAdherenceThroughHarness:

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iclforge.core import Prediction
+from iclforge.core import Prediction, normalize_answer
 from iclforge.errors import DataError, NoComparablePairs
 from iclforge.metrics import (
     adherence_phi,
     answer_count_stats,
-    exact_match,
     not_in_prompt_scores,
     paired_bootstrap,
     set_exact_match,
@@ -32,14 +31,15 @@ def prediction(answers, example_id="e"):
 
 
 class TestExactMatch:
+    # an answer matches exactly when the normalized strings are equal
     def test_normalization_applied(self):
-        assert exact_match("The TV show Friends", "tv show friends") == 1
+        assert normalize_answer("The TV show Friends") == normalize_answer("tv show friends")
 
     def test_mismatch(self):
-        assert exact_match("Friends", "Friend") == 0
+        assert normalize_answer("Friends") != normalize_answer("Friend")
 
     def test_empty_identity(self):
-        assert exact_match("", "") == 1
+        assert normalize_answer("") == ""
 
 
 class TestTokenF1:
@@ -254,6 +254,8 @@ class TestPairedBootstrap:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DataError):
             paired_bootstrap([1.0], [1.0, 0.0], resamples=1000)
+        with pytest.raises(DataError, match="2 x 1 vs 2 x 2"):
+            paired_bootstrap([[1.0], [0.0]], [[1.0, 0.0], [0.0, 1.0]], resamples=1000)
 
     def test_numpy_arrays_accepted(self):
         a = [1.0, 0.0, 1.0, 0.5]
@@ -262,6 +264,24 @@ class TestPairedBootstrap:
         assert paired_bootstrap(np.array(a), np.array(b), resamples=1000, seed=2) == expected
         with pytest.raises(DataError, match="empty"):
             paired_bootstrap(np.array([]), np.array([]), resamples=1000)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 40, 130])
+    def test_matrix_rows_equal_one_row_calls(self, n):
+        # fractions whose float sums depend on summation order, so a gather
+        # that sums rows in another order than a 1-D mean moves some p-values
+        rng = np.random.default_rng(n)
+        values = np.array([0.0, 1 / 7, 1 / 3, 1 / 2, 2 / 3, 1.0])
+        a = rng.choice(values, size=(6, n))
+        b = rng.choice(values, size=(6, n))
+        b[0] = a[0]
+        b[1] = rng.permutation(a[1])
+        b[2] = rng.permutation(a[2])
+        p_values = paired_bootstrap(a, b, resamples=1000, seed=n)
+        assert p_values == [
+            paired_bootstrap(row_a, row_b, resamples=1000, seed=n)
+            for row_a, row_b in zip(a.tolist(), b.tolist())
+        ]
+        assert all(type(p) is float for p in p_values)
 
     def test_too_few_resamples_rejected(self):
         with pytest.raises(DataError):

@@ -195,7 +195,16 @@ def _prompt_hash(prompt: str) -> str:
 
 
 def _parse_records(path: Path, data: bytes | None = None) -> list[ExampleRecord]:
-    return [ExampleRecord.from_fields(r) for r in read_jsonl(path, "records", data=data)]
+    """The records of a records file; an example id on two lines is a DataError."""
+    records = []
+    first_line: dict[str, int] = {}
+    for fields in read_jsonl(path, "records", data=data):
+        record = ExampleRecord.from_fields(fields)
+        line = first_line.setdefault(record.example_id, fields.line)
+        if line != fields.line:
+            raise fields.fail(f"example id {record.example_id!r} repeats line {line}")
+        records.append(record)
+    return records
 
 
 def _resume_records(path: Path) -> list[ExampleRecord]:
@@ -203,16 +212,18 @@ def _resume_records(path: Path) -> list[ExampleRecord]:
 
     The last line is torn when it lacks its newline or does not parse; the
     file is truncated after the last whole record so appending continues
-    there. Any other bad line raises DataError.
+    there. Any other bad line, or a repeated example id, raises DataError.
     """
     data = path.read_bytes()
     whole = data[: data.rfind(b"\n") + 1]
+    last = whole.rfind(b"\n", 0, -1) + 1
     try:
-        records = _parse_records(path, whole)
+        # torn only if it fails on its own: a whole record repeating an earlier
+        # id is kept here and refused by the parse below
+        _parse_records(path, whole[last:])
     except DataError:
-        # drop the last line; if it was not the bad one, this raises again
-        whole = whole[: whole.rfind(b"\n", 0, -1) + 1]
-        records = _parse_records(path, whole)
+        whole = whole[:last]
+    records = _parse_records(path, whole)
     if len(whole) < len(data):
         log.warning("dropping a torn last line of %s", path)
         with path.open("r+b") as fh:

@@ -12,6 +12,12 @@ to their weights, where ``u`` counts the unnamed vocabulary tokens, each of
 which receives exactly ``floor``. With no matching rule the distribution is
 uniform over the vocabulary. Tokens outside the vocabulary always score
 ``floor``, keeping every log-probability finite.
+
+The mock answers a query from a suffix index built with it: each distinct
+``context_suffix`` maps to its rules in rule order, and the distinct suffix
+lengths are tried longest first, one slice and one dict lookup each. Only the
+tokens of the matched group get a probability computed; the full distribution
+is never built.
 """
 
 from __future__ import annotations
@@ -103,11 +109,36 @@ def _tokenize_with_offsets(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MockRule:
     context_suffix: str
     token: str
     weight: float
+
+
+# rules hashed per json.dumps call when fingerprinting a mock
+_FINGERPRINT_RUN = 256
+
+
+def _mock_fingerprint(vocab: tuple[str, ...], rules: tuple[MockRule, ...], floor: float) -> str:
+    """``mock:`` and 16 hex digits of the sha256 of the fixture's canonical JSON.
+
+    The canonical JSON is ``json.dumps(payload, sort_keys=True, ensure_ascii=False)``
+    of ``{"vocab", "rules", "floor"}``. Its bytes are hashed in runs of rules, so
+    the whole fixture is never held as one string.
+    """
+    digest = hashlib.sha256()
+    digest.update(f'{{"floor": {json.dumps(floor)}, "rules": ['.encode("utf-8"))
+    for start in range(0, len(rules), _FINGERPRINT_RUN):
+        run = [
+            {"context_suffix": r.context_suffix, "token": r.token, "weight": r.weight}
+            for r in rules[start : start + _FINGERPRINT_RUN]
+        ]
+        text = json.dumps(run, sort_keys=True, ensure_ascii=False)[1:-1]
+        digest.update((", " + text if start else text).encode("utf-8"))
+    vocab_json = json.dumps(list(vocab), ensure_ascii=False)
+    digest.update(f'], "vocab": {vocab_json}}}'.encode("utf-8"))
+    return f"mock:{digest.hexdigest()[:16]}"
 
 
 class MockModel(LanguageModel):
@@ -142,18 +173,22 @@ class MockModel(LanguageModel):
         self.floor = float(floor)
         self.generation_cap_hits = 0
         self._cap_lock = threading.Lock()
-        payload = {
-            "vocab": list(self.vocab),
-            "rules": [
-                {"context_suffix": r.context_suffix, "token": r.token, "weight": r.weight}
-                for r in self.rules
-            ],
-            "floor": self.floor,
-        }
-        digest = hashlib.sha256(
-            json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")
-        ).hexdigest()
-        self._fingerprint = f"mock:{digest[:16]}"
+        self._vocab_set = vocab_set
+        # suffix -> its rule, or a tuple of its rules in rule order; one object
+        # per rule, not a probability table per suffix, keeps the index small
+        index: dict[str, MockRule | tuple[MockRule, ...]] = {}
+        shared_suffixes: dict[str, list[MockRule]] = {}
+        for rule in self.rules:
+            suffix = rule.context_suffix
+            if suffix in index:
+                shared_suffixes.setdefault(suffix, [index[suffix]]).append(rule)
+            else:
+                index[suffix] = rule
+        for suffix, group in shared_suffixes.items():
+            index[suffix] = tuple(group)
+        self._by_suffix = index
+        self._suffix_lengths = sorted({len(suffix) for suffix in index}, reverse=True)
+        self._fingerprint = _mock_fingerprint(self.vocab, self.rules, self.floor)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockModel":
@@ -174,28 +209,44 @@ class MockModel(LanguageModel):
     def fingerprint(self) -> str:
         return self._fingerprint
 
-    def _distribution(self, context: str) -> dict[str, float]:
-        """Full next-token distribution; sums to exactly 1 over the vocabulary."""
+    def _named_probabilities(self, context: str) -> dict[str, float] | None:
+        """Probabilities of the tokens the longest matching suffix names, or None
+        when no rule matches; every other vocabulary token holds ``floor``."""
         effective = context.rstrip(" ")
-        matching = [r for r in self.rules if effective.endswith(r.context_suffix)]
-        if not matching:
-            uniform = 1.0 / len(self.vocab)
-            return {token: uniform for token in self.vocab}
-        longest = max(len(r.context_suffix) for r in matching)
+        end = len(effective)
+        for length in self._suffix_lengths:
+            if length <= end:
+                group = self._by_suffix.get(effective[end - length :])
+                if group is not None:
+                    break
+        else:
+            return None
         named: dict[str, float] = {}
-        for rule in matching:
-            if len(rule.context_suffix) == longest:
-                named[rule.token] = named.get(rule.token, 0.0) + rule.weight
+        for rule in (group,) if isinstance(group, MockRule) else group:
+            named[rule.token] = named.get(rule.token, 0.0) + rule.weight
         total_weight = sum(named.values())
-        unnamed = [t for t in self.vocab if t not in named]
-        shared = 1.0 - len(unnamed) * self.floor
-        dist = {t: self.floor for t in unnamed}
+        shared = 1.0 - (len(self.vocab) - len(named)) * self.floor
         for token, weight in named.items():
-            dist[token] = weight / total_weight * shared
-        return dist
+            named[token] = weight / total_weight * shared
+        return named
 
-    def _token_logprob(self, context: str, token: str) -> float:
-        return math.log(self._distribution(context).get(token, self.floor))
+    def _probabilities(self, context: str, tokens: Sequence[str]) -> list[float]:
+        """Next-token probability of each of `tokens`; ``floor`` outside the vocabulary."""
+        named = self._named_probabilities(context)
+        if named is None:
+            uniform = 1.0 / len(self.vocab)
+            return [uniform if t in self._vocab_set else self.floor for t in tokens]
+        return [named.get(t, self.floor) for t in tokens]
+
+    def _greedy_token(self, context: str) -> str:
+        """The most probable next token, ties broken to the smallest."""
+        named = self._named_probabilities(context)
+        if named is None:
+            return min(self.vocab)
+        # an unnamed token never wins: the likeliest named token holds at least
+        # (1 - u * floor) / (V - u) > floor, as floor < 1 / (V + 1)
+        best_prob = max(named.values())
+        return min(t for t, p in named.items() if p == best_prob)
 
     def score_continuation(self, context: str, continuation: str) -> TokenScores:
         if not continuation:
@@ -206,8 +257,9 @@ class MockModel(LanguageModel):
         tokens: list[str] = []
         logprobs: list[float] = []
         for token, start in spans:
+            (prob,) = self._probabilities(context + continuation[:start], (token,))
             tokens.append(token)
-            logprobs.append(self._token_logprob(context + continuation[:start], token))
+            logprobs.append(math.log(prob))
         return TokenScores(tuple(tokens), tuple(logprobs))
 
     def next_token_distribution(
@@ -220,8 +272,7 @@ class MockModel(LanguageModel):
         for candidate in candidates:
             if not candidate or " " in candidate:
                 raise DataError(f"candidate {candidate!r} is not a single token")
-        dist = self._distribution(context)
-        return [math.log(dist.get(c, self.floor)) for c in candidates]
+        return [math.log(p) for p in self._probabilities(context, candidates)]
 
     def generate(self, prompt: str, stop: Sequence[str], max_tokens: int) -> str:
         if max_tokens < 1:
@@ -229,15 +280,10 @@ class MockModel(LanguageModel):
         for s in stop:
             if not s:
                 raise DataError("stop strings must be non-empty")
-        tokens: list[str] = []
         text = ""
-        for _ in range(max_tokens):
-            context = prompt if not tokens else prompt + " " + text
-            dist = self._distribution(context)
-            best_prob = max(dist.values())
-            token = min(t for t, p in dist.items() if p == best_prob)
-            tokens.append(token)
-            text = " ".join(tokens)
+        for step in range(max_tokens):
+            token = self._greedy_token(prompt + " " + text if step else prompt)
+            text = text + " " + token if step else token
             cut = min((i for i in (text.find(s) for s in stop) if i != -1), default=-1)
             if cut != -1:
                 return text[:cut]

@@ -89,6 +89,22 @@ def oracle_token_prob(vocab, rules, floor, context, token):
     return dist.get(token, floor)
 
 
+def oracle_mock_generate(vocab, rules, floor, prompt, stop, max_tokens):
+    """Greedy decode: the argmax of the full distribution, ties to the smallest token,
+    cut before the first stop string once one appears."""
+    tokens = []
+    for _ in range(max_tokens):
+        context = prompt + " " + " ".join(tokens) if tokens else prompt
+        dist = oracle_mock_distribution(vocab, rules, floor, context)
+        best = max(dist.values())
+        tokens.append(min(t for t, p in dist.items() if p == best))
+        text = " ".join(tokens)
+        cuts = [text.find(s) for s in stop if s in text]
+        if cuts:
+            return text[: min(cuts)]
+    return " ".join(tokens)
+
+
 def oracle_tokenize(text):
     """Tokens of a continuation plus the context string seen before each."""
     out = []

@@ -591,6 +591,24 @@ class TestEvalAndReports:
         assert code == 0
         assert records.read_bytes() == full
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["compare", "--report-a", "{a}", "--report-b", "{b}"],
+            ["adherence", "--report", "{a}", "--strategy", "alphabet"],
+        ],
+        ids=["compare", "adherence"],
+    )
+    def test_repeated_example_id_exits_2(self, capsys, fixtures_dir, tmp_path, command):
+        for name in ("a", "b"):
+            run_cli(capsys, *self.eval_args(fixtures_dir, tmp_path / name))
+        records = tmp_path / "a" / "records.jsonl"
+        records.write_bytes(records.read_bytes() + records.read_bytes().splitlines(True)[1])
+        argv = [arg.format(a=tmp_path / "a", b=tmp_path / "b") for arg in command]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "line 4: example id 'e2' repeats line 2" in err
+
     def test_compare_self_not_significant(self, capsys, fixtures_dir, tmp_path):
         run_cli(capsys, *self.eval_args(fixtures_dir, tmp_path / "a"))
         code, out, _ = run_cli(

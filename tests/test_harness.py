@@ -383,6 +383,17 @@ class TestResume:
         assert report.manifest["counts"]["resumed"] == 1
         assert report_bytes(out) == full
 
+    def test_repeated_last_line_refused_not_dropped(self, fixtures_dir, tmp_path):
+        # a whole record that repeats an id is no torn line: the file stays as it is
+        out = tmp_path / "run"
+        run_eval(toy_config(fixtures_dir, out))
+        lines = (out / RECORDS_FILE).read_bytes().splitlines(keepends=True)
+        repeated = lines[0] + lines[1] + lines[0]
+        (out / RECORDS_FILE).write_bytes(repeated)
+        with pytest.raises(DataError, match="line 3: example id 'e1' repeats line 1"):
+            run_eval(toy_config(fixtures_dir, out))
+        assert (out / RECORDS_FILE).read_bytes() == repeated
+
     def test_bad_inner_line_raises(self, fixtures_dir, tmp_path):
         out = tmp_path / "run"
         run_eval(toy_config(fixtures_dir, out))
@@ -502,6 +513,19 @@ class TestLoadReport:
         records = (out / RECORDS_FILE).read_bytes()
         (out / RECORDS_FILE).write_bytes(records[:-20])
         with pytest.raises(DataError, match="line 3"):
+            load_report(out)
+
+    @pytest.mark.parametrize("keep_summary", [True, False], ids=["summary-kept", "summary-deleted"])
+    def test_repeated_example_id_raises_data_error(self, fixtures_dir, tmp_path, keep_summary):
+        out = tmp_path / "run"
+        run_eval(toy_config(fixtures_dir, out))
+        records = out / RECORDS_FILE
+        first = records.read_bytes().splitlines(keepends=True)[0]
+        with records.open("ab") as fh:
+            fh.write(first)
+        if not keep_summary:
+            (out / SUMMARY_FILE).unlink()
+        with pytest.raises(DataError, match=f"{records}: line 4: example id 'e1' repeats line 1"):
             load_report(out)
 
     def test_missing_key_raises_data_error(self, fixtures_dir, tmp_path):

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -10,14 +12,19 @@ import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import iclforge
 from iclforge.errors import DataError
 from iclforge.lm import DEFAULT_FLOOR, CachedModel, MockModel, MockRule, make_backend
 
-from oracles import oracle_mock_distribution
+from oracles import (
+    oracle_mock_distribution,
+    oracle_mock_generate,
+    oracle_token_prob,
+    oracle_tokenize,
+)
 
 
 def mock(vocab, rules=(), floor=DEFAULT_FLOOR):
@@ -203,12 +210,118 @@ class TestMockGeneration:
         assert model.generation_cap_hits == 1
 
 
+INDEX_TOKENS = ["a", "b", "c", "é", "|", "zz"]
+# overlapping suffixes, the empty one, ones with a trailing space (never matched,
+# as a context's trailing spaces are ignored) and one longer than any context
+INDEX_SUFFIXES = [
+    "", "a", "b", "a b", "b a", "c a b", "a ", "b a ", "é", "| é", "x a b c a b c a b"
+]
+
+
+@st.composite
+def mock_tables(draw):
+    vocab = draw(st.lists(st.sampled_from(INDEX_TOKENS), min_size=1, max_size=5, unique=True))
+    weights = st.sampled_from([1, 2, 0.5, 3.0, 1e-12, 1e-300]) | st.floats(0.01, 100.0)
+    rules = draw(
+        st.lists(
+            st.tuples(st.sampled_from(INDEX_SUFFIXES), st.sampled_from(vocab), weights),
+            max_size=10,
+        )
+    )
+    # a floor near its bound leaves a tiny-weight token a share at or below it
+    floor = draw(st.sampled_from([DEFAULT_FLOOR, 0.999 / (len(vocab) + 1)]))
+    return vocab, rules, floor
+
+
+class TestSuffixIndexAgreesWithBruteForce:
+    @given(
+        mock_tables(),
+        st.sampled_from(["", "p:", "x a", "é b"]),
+        st.lists(st.sampled_from(INDEX_TOKENS + ["q"]), max_size=4),
+        st.sampled_from(["", " ", "  "]),
+        st.lists(st.sampled_from(INDEX_TOKENS + ["oov"]), min_size=1, max_size=4, unique=True),
+        st.lists(st.sampled_from(INDEX_TOKENS + ["oov"]), min_size=1, max_size=4),
+        st.sampled_from([[], ["|"], ["b a"], ["zz", "c"]]),
+        st.integers(min_value=1, max_value=6),
+    )
+    @example(
+        (
+            ["a", "b", "c"],
+            [
+                ("", "a", 2), ("a", "b", 1.0), ("b a", "c", 1e-300), ("b a", "c", 4.0),
+                ("b a", "a", 1e-12), ("a ", "c", 5.0), ("x a b c a b c a b", "b", 9.0),
+            ],
+            0.999 / 4,
+        ),
+        "x", ["b", "a"], "  ", ["c", "oov", "a", "b"], ["a", "b", "oov"], ["|"], 4,
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_ops_equal_the_oracles(
+        self, table, prefix, words, trailing, candidates, continuation, stop, max_tokens
+    ):
+        vocab, rules, floor = table
+        model = mock(vocab, rules, floor=floor)
+        context = " ".join([prefix, *words]) + trailing
+
+        assert model.next_token_distribution(context, candidates) == [
+            math.log(oracle_token_prob(vocab, rules, floor, context, c)) for c in candidates
+        ]
+
+        text = " " + " ".join(continuation)
+        scores = model.score_continuation(context, text)
+        assert scores.tokens == tuple(continuation)
+        assert scores.logprobs == tuple(
+            math.log(oracle_token_prob(vocab, rules, floor, context + before, token))
+            for token, before in oracle_tokenize(text)
+        )
+
+        assert model.generate(context, stop, max_tokens) == oracle_mock_generate(
+            vocab, rules, floor, context, stop, max_tokens
+        )
+
+
+def canonical_fingerprint(vocab, rules, floor) -> str:
+    payload = {
+        "vocab": list(vocab),
+        "rules": [{"context_suffix": s, "token": t, "weight": w} for s, t, w in rules],
+        "floor": float(floor),
+    }
+    text = json.dumps(payload, sort_keys=True, ensure_ascii=False)
+    return "mock:" + hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
 class TestMockFixtureFile:
     def test_load_and_fingerprint_stability(self, tmp_path, fixtures_dir):
         model_a = MockModel.from_file(fixtures_dir / "mock_uniform.json")
         model_b = MockModel.from_file(fixtures_dir / "mock_uniform.json")
         assert model_a.fingerprint == model_b.fingerprint
         assert model_a.fingerprint.startswith("mock:")
+
+    @pytest.mark.parametrize(
+        "name, fingerprint",
+        [
+            ("mock_toy.json", "mock:e2b49908a1e4ba59"),
+            ("mock_f1.json", "mock:e78239305c597e44"),
+            ("mock_uniform.json", "mock:d24e92d8b0068083"),
+        ],
+    )
+    def test_committed_fixture_fingerprints(self, fixtures_dir, name, fingerprint):
+        # caches, resumed runs and profile stores are keyed by these values
+        assert MockModel.from_file(fixtures_dir / name).fingerprint == fingerprint
+
+    @pytest.mark.parametrize("n_rules", [0, 1, 255, 256, 257, 513])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fingerprint_hashes_the_canonical_json(self, n_rules, seed):
+        rng = random.Random(f"{n_rules}-{seed}")
+        vocab = rng.sample(["a", "b", "é", "東京", "ß", "🙂", "|", '"q"', "back\\slash"], 6)
+        suffixes = ["", "a", "é a", "東京 ß", "tab\t", "line\u2028", '"', "\\", "🙂 |"]
+        weights = [1, 7, 0.5, 2.0, 1e-300, 123456789, 3.25]
+        rules = [
+            (rng.choice(suffixes), rng.choice(vocab), rng.choice(weights)) for _ in range(n_rules)
+        ]
+        floor = rng.choice([DEFAULT_FLOOR, 0.01, 1e-9])
+        model = mock(vocab, rules, floor=floor)
+        assert model.fingerprint == canonical_fingerprint(vocab, rules, floor)
 
     def test_fingerprint_distinguishes_fixtures(self, fixtures_dir):
         uniform = MockModel.from_file(fixtures_dir / "mock_uniform.json")

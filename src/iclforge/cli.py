@@ -279,7 +279,7 @@ def _cmd_retrieve(args) -> int:
     table = load_embeddings(args.embeddings, train)
     table.require(eval_ds.ids())
     query = eval_ds.by_id(args.id)
-    pool = [ex for ex in train if ex.id != query.id and ex.prompt_safe]
+    pool = [ex for ex in train if ex.prompt_safe]
     shots = retrieve(
         query, pool, table, RetrievalConfig(strategy=args.retrieval, k=args.k, seed=args.seed)
     )

@@ -267,8 +267,9 @@ def write_manifest(out_dir: Path, command: str, payload: dict) -> dict:
 class _PromptPlanner:
     """The run's prompt planner: shots, shot answer orders and rendered prompts.
 
-    Each shot id is planned once, and so are the k-means labels of the run's
-    pool: the first thread to ask computes a result, and concurrent askers wait
+    Every query retrieves from the run's one pool, which leaves the query out
+    when it holds it and clusters itself once. Each shot's answer order is
+    planned once: the first thread to ask plans it, and concurrent askers wait
     for it, so ``jobs`` never changes the backend calls made. The pool's
     embedding rows are looked up once, when the planner is built.
     """
@@ -297,7 +298,6 @@ class _PromptPlanner:
             strategy=config.retrieval_strategy, k=config.k, seed=config.seed
         )
         self._orders: dict[str, Future] = {}
-        self._labels: dict[tuple, Future] = {}
         self._lock = threading.Lock()
         self.reorder_skipped: set[str] = set()
 
@@ -306,10 +306,7 @@ class _PromptPlanner:
         if self.fixed_shots is not None:
             shots: Sequence[Example] = self.fixed_shots
         else:
-            pool = self.pool.without(example.id)
-            # only the run's whole pool recurs; a query's own pool would fill the memo
-            memo = self._labels_once if pool is self.pool else None
-            shots = retrieve(example, pool, self.table, self.retrieval, memo=memo)
+            shots = retrieve(example, self.pool, self.table, self.retrieval)
         shot_pairs = [(s.question, self._ordered_answers(s)) for s in shots]
         prompt = render_prompt(shot_pairs, example.question)
         prompt_answer_pool = {
@@ -317,26 +314,20 @@ class _PromptPlanner:
         }
         return prompt, tuple(s.id for s in shots), prompt_answer_pool
 
-    def _once(self, store: dict, key, compute):
-        """compute() for `key` in `store`, run by the first thread to ask."""
+    def _ordered_answers(self, shot: Example) -> tuple[str, ...]:
+        """The shot's answers in planned order, planned by the first thread to ask."""
         with self._lock:
-            future = store.get(key)
+            future = self._orders.get(shot.id)
             owner = future is None
             if owner:
-                future = store[key] = Future()
+                future = self._orders[shot.id] = Future()
         if owner:
             try:
-                future.set_result(compute())
+                future.set_result(self._plan_order(shot))
             except BaseException as exc:
                 # waiters re-raise the same failure from future.result()
                 future.set_exception(exc)
         return future.result()
-
-    def _labels_once(self, key: tuple, compute):
-        return self._once(self._labels, key, compute)
-
-    def _ordered_answers(self, shot: Example) -> tuple[str, ...]:
-        return self._once(self._orders, shot.id, lambda: self._plan_order(shot))
 
     def _plan_order(self, shot: Example) -> tuple[str, ...]:
         if len(shot.answers) >= MAX_REORDER_ANSWERS:
@@ -391,7 +382,7 @@ def _score_example(
     example: Example,
     prediction: Prediction,
     prompt_answer_pool: set[str],
-) -> tuple[dict, bool]:
+) -> dict:
     exact = set_scores(prediction.answers, example.answers, matcher="exact")
     token = set_scores(prediction.answers, example.answers, matcher="token_f1")
     scores = {
@@ -405,10 +396,9 @@ def _score_example(
         "answer_count": float(len(prediction.answers)),
     }
     nip = not_in_prompt_scores(prediction, example.answers, prompt_answer_pool)
-    skipped = nip is None
-    scores["not_in_prompt_p"] = None if skipped else nip.precision
-    scores["not_in_prompt_r"] = None if skipped else nip.recall
-    return scores, skipped
+    scores["not_in_prompt_p"] = None if nip is None else nip.precision
+    scores["not_in_prompt_r"] = None if nip is None else nip.recall
+    return scores
 
 
 def run_eval(config: RunConfig) -> EvalReport:
@@ -447,15 +437,14 @@ def run_eval(config: RunConfig) -> EvalReport:
         "started_at": started,
     }
 
-    not_in_prompt_skips = 0
     # only model strategies read a prompt when computing adherence
     keep_prompts = config.compute_adherence and config.ordering in MODEL_STRATEGIES
 
-    def evaluate(example: Example) -> tuple[ExampleRecord, bool, str]:
+    def evaluate(example: Example) -> tuple[ExampleRecord, str]:
         prompt, shot_ids, prompt_answer_pool = planner.plan(example)
         raw = model.generate(prompt, stop=[GENERATION_STOP], max_tokens=config.max_tokens)
         prediction = Prediction.from_generation(example.id, raw)
-        scores, nip_skipped = _score_example(example, prediction, prompt_answer_pool)
+        scores = _score_example(example, prediction, prompt_answer_pool)
         record = ExampleRecord(
             example_id=example.id,
             prompt_sha256=_prompt_hash(prompt),
@@ -464,7 +453,7 @@ def run_eval(config: RunConfig) -> EvalReport:
             raw_text=raw,
             scores=scores,
         )
-        return record, nip_skipped, prompt
+        return record, prompt
 
     todo = [ex for ex in eval_ds if ex.id not in resumed]
     records: list[ExampleRecord] = [resumed[ex.id] for ex in eval_ds if ex.id in resumed]
@@ -474,10 +463,8 @@ def run_eval(config: RunConfig) -> EvalReport:
         # written once the records file holds only this run's records
         write_manifest(out_dir, "eval", manifest)
 
-        def flush(outcome: tuple[ExampleRecord, bool, str]) -> None:
-            nonlocal not_in_prompt_skips
-            record, nip_skipped, prompt = outcome
-            not_in_prompt_skips += int(nip_skipped)
+        def flush(outcome: tuple[ExampleRecord, str]) -> None:
+            record, prompt = outcome
             if keep_prompts:
                 prompts[record.example_id] = prompt
             records.append(record)
@@ -522,7 +509,7 @@ def run_eval(config: RunConfig) -> EvalReport:
         "resumed": len(resumed),
         "shot_duty_excluded": planner.shot_duty_excluded,
         "reorder_skipped": len(planner.reorder_skipped),
-        "not_in_prompt_skipped": not_in_prompt_skips,
+        "not_in_prompt_skipped": sum(r.scores.get("not_in_prompt_p") is None for r in records),
         "adherence_skipped": adherence_skipped,
         "cache_hits": getattr(model, "hits", None),
         "cache_misses": getattr(model, "misses", None),

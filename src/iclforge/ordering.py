@@ -37,13 +37,13 @@ def peer_prefix(
     """Prompt for `example` after its k most similar peers, each in gold order.
 
     This is the prefix the model-scored strategies order `example`'s answers
-    against. `example` itself is left out of `pool`, and k is capped at the
+    against. `retrieve` leaves `example` out of `pool`, and k is capped at the
     peers left, so with no peer the prefix is the bare query block.
     """
-    others = Pool.of(pool, table).without(example.id)
-    k = min(k, len(others))
+    pool = Pool.of(pool, table)
+    k = min(k, len(pool) - (example.id in pool.ids))
     peers = (
-        retrieve(example, others, table, RetrievalConfig(strategy="similar", k=k))
+        retrieve(example, pool, table, RetrievalConfig(strategy="similar", k=k))
         if k >= 1
         else []
     )
@@ -63,7 +63,7 @@ def answer_perplexity(prefix: str, answer: str, model: LanguageModel) -> float:
     return math.exp(-sum(scores.logprobs) / scores.token_count)
 
 
-def _perplexities(answers: Sequence[str], prefix: str, model: LanguageModel) -> list[float]:
+def answer_perplexities(answers: Sequence[str], prefix: str, model: LanguageModel) -> list[float]:
     """Each answer's perplexity; a repeated answer is scored once."""
     scores = {a: answer_perplexity(prefix, a, model) for a in dict.fromkeys(answers)}
     return [scores[a] for a in answers]
@@ -88,7 +88,7 @@ def perplexity_permutation(
     _check_not_blank(answers)
     if len(answers) == 1:
         return [0]
-    scores = _perplexities(answers, prefix, model)
+    scores = answer_perplexities(answers, prefix, model)
     return sorted(range(len(answers)), key=lambda i: scores[i])
 
 
@@ -217,7 +217,7 @@ def select_quantile_answer(example, prefix: str, model: LanguageModel, x: float)
     _check_not_blank(answers)
     if len(answers) == 1:
         return answers[0]
-    scores = _perplexities(answers, prefix, model)
+    scores = answer_perplexities(answers, prefix, model)
     descending = sorted(range(len(answers)), key=lambda i: (-scores[i], i))
     rank = int(math.floor(x * (len(answers) - 1) + 0.5))
     return answers[descending[rank]]

@@ -19,7 +19,7 @@ from .core import Dataset, EmbeddingTable, Example, atomic_write_text, derive_rn
 from .errors import DataError
 from .lm import LanguageModel
 from .metrics import set_scores
-from .ordering import answer_perplexity, peer_prefix
+from .ordering import answer_perplexities, peer_prefix
 from .prompting import parse_answers
 from .retrieval import Pool, similarity
 
@@ -56,11 +56,15 @@ def profile_example(
     model: LanguageModel,
     k: int = 5,
 ) -> KnowledgeProfile:
-    """Profile one example against the pool it will serve alongside."""
+    """Profile one example against the pool it will serve alongside.
+
+    The example is left out of `pool` when it is a member: it is never its own
+    peer, and its average similarity is over the other candidates in pool
+    order. A repeated gold answer is scored once.
+    """
     pool = Pool.of(pool, table)
-    if example.id in pool.ids:
-        raise DataError(f"pool contains the profiled example {example.id!r}")
-    if not pool:
+    other_ids = [i for i in pool.ids if i != example.id]
+    if not other_ids:
         raise DataError("empty candidate pool")
     if k < 1:
         raise DataError("shot budget k must be at least 1")
@@ -68,11 +72,9 @@ def profile_example(
     raw = model.generate(prefix, stop=["\n"], max_tokens=PROFILE_MAX_TOKENS)
     predicted = parse_answers(raw)
     f1_em = set_scores(predicted, example.answers, matcher="exact").f1
-    perplexities = tuple(
-        answer_perplexity(prefix, answer, model) for answer in example.answers
-    )
+    perplexities = tuple(answer_perplexities(example.answers, prefix, model))
     avg_similarity = float(
-        np.mean([similarity(example.id, other_id, table) for other_id in pool.ids])
+        np.mean([similarity(example.id, other_id, table) for other_id in other_ids])
     )
     return KnowledgeProfile(
         example_id=example.id,
@@ -96,10 +98,7 @@ def profile_dataset(
     them; a rerun gets its backend results from a caching model (``--cache-dir``).
     """
     pool = Pool.of([ex for ex in dataset if ex.prompt_safe], table)
-    profiles = [
-        profile_example(example, pool.without(example.id), table, model, k=k)
-        for example in pool.examples
-    ]
+    profiles = [profile_example(example, pool, table, model, k=k) for example in pool.examples]
     if store_path is not None:
         save_profiles(profiles, store_path)
     return profiles

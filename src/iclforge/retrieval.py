@@ -12,8 +12,9 @@ every rank and every tie.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,13 +46,17 @@ class Pool:
     """Candidate examples with their ids and their rows in an embedding table.
 
     Building one checks every candidate has an embedding; a caller that
-    retrieves from the same candidates many times builds it once.
+    retrieves from the same candidates many times builds it once. The rows
+    index the table the pool was built over, and the pool clusters them once
+    per (k, seed), however many threads retrieve from it.
     """
 
-    __slots__ = ("examples", "ids", "rows")
+    __slots__ = ("examples", "ids", "rows", "_labels", "_lock")
 
     def __init__(self, examples: tuple[Example, ...], ids: tuple[str, ...], rows: np.ndarray):
         self.examples, self.ids, self.rows = examples, ids, rows
+        self._labels: dict[tuple[int, int], np.ndarray] = {}
+        self._lock = threading.Lock()
 
     @classmethod
     def of(cls, pool: "Pool | Dataset | Sequence[Example]", table: EmbeddingTable) -> "Pool":
@@ -67,17 +72,12 @@ class Pool:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def without(self, example_id: str) -> "Pool":
-        """This pool less the candidate `example_id`; itself when it holds none."""
-        try:
-            i = self.ids.index(example_id)
-        except ValueError:
-            return self
-        return Pool(
-            self.examples[:i] + self.examples[i + 1 :],
-            self.ids[:i] + self.ids[i + 1 :],
-            np.delete(self.rows, i),
-        )
+    def labels(self, table: EmbeddingTable, k: int, seed: int) -> np.ndarray:
+        """The k-means labels of every candidate, computed by the first caller to ask."""
+        with self._lock:
+            if (k, seed) not in self._labels:
+                self._labels[k, seed] = kmeans(table.matrix[self.rows], k, seed)
+            return self._labels[k, seed]
 
 
 def similarity(id_a: str, id_b: str, table: EmbeddingTable) -> float:
@@ -164,9 +164,9 @@ def kmeans(vectors: np.ndarray, k: int, seed: int, max_iter: int = KMEANS_MAX_IT
         empty = [c for c in range(k) if not (labels == c).any()]
         if empty:
             dist_own = ((points - centers[labels]) ** 2).sum(axis=1)
+            order = np.argsort(-dist_own, kind="stable")
             taken: set[int] = set()
             for c in empty:
-                order = np.argsort(-dist_own, kind="stable")
                 idx = next(int(i) for i in order if int(i) not in taken)
                 taken.add(idx)
                 centers[c] = points[idx]
@@ -182,20 +182,20 @@ def retrieve(
     pool: Pool | Dataset | Sequence[Example],
     table: EmbeddingTable,
     config: RetrievalConfig,
-    memo: Callable[[tuple, Callable[[], np.ndarray]], np.ndarray] | None = None,
 ) -> list[Example]:
     """Select `config.k` shots for `query` and arrange them for prompting.
 
-    `memo(key, compute)`, when given, returns compute()'s result for `key`
-    and may reuse an earlier one: the k-means labels of a diverse retrieval
-    are keyed by (pool ids in order, k, seed).
+    The query is never its own shot: when `pool` holds it, it is left out. A
+    diverse retrieval takes the pool's own k-means labels (`Pool.labels`); with
+    the query left out it clusters the other candidates afresh on every call.
     """
     pool = Pool.of(pool, table)
     query_row = table.row(query.id)
+    candidates = np.arange(len(pool))
     if query.id in pool.ids:
-        raise DataError(f"pool contains the query example {query.id!r}")
-    if len(pool) < config.k:
-        raise DataError(f"pool of {len(pool)} examples is smaller than k={config.k}")
+        candidates = np.delete(candidates, pool.ids.index(query.id))
+    if len(candidates) < config.k:
+        raise DataError(f"pool of {len(candidates)} examples is smaller than k={config.k}")
 
     # each candidate, by its position in the pool, is scored at most once, on first use
     sims: dict[int, float] = {}
@@ -209,9 +209,8 @@ def retrieve(
         """Most similar first; ties broken by smaller id."""
         return -sim(i), pool.ids[i]
 
-    everyone = np.arange(len(pool))
     if config.strategy == "random":
-        ordered = sorted(everyone.tolist(), key=pool.ids.__getitem__)
+        ordered = sorted(candidates.tolist(), key=pool.ids.__getitem__)
         rng = derive_rng(config.seed, "retrieval", query.id)
         picks = rng.choice(len(ordered), size=config.k, replace=False)
         chosen = [ordered[int(i)] for i in picks]
@@ -225,28 +224,24 @@ def retrieve(
             return sorted(_shortlist(approx, positions, n, bound).tolist(), key=rank)[:n]
 
         if config.strategy == "similar":
-            chosen = top(everyone, config.k)
+            chosen = top(candidates, config.k)
         elif config.strategy == "topical":
             if query.category is None:
                 raise DataError(f"query {query.id!r} lacks a category for topical retrieval")
-            same = [i for i, ex in enumerate(pool.examples) if ex.category == query.category]
+            same = [i for i in candidates.tolist() if pool.examples[i].category == query.category]
             chosen = top(np.array(same, dtype=np.intp), config.k)
         else:  # diverse: the top-ranked member of each non-empty cluster
-
-            def cluster() -> np.ndarray:
-                return kmeans(table.matrix[pool.rows], config.k, config.seed)
-
-            if memo is None:
-                labels = cluster()
-            else:
-                labels = memo((pool.ids, config.k, config.seed), cluster)
-            members = (np.flatnonzero(labels == c) for c in range(config.k))
+            if len(candidates) == len(pool):
+                labels = pool.labels(table, config.k, config.seed)
+            else:  # no other query retrieves from these rows, so their labels are not kept
+                labels = kmeans(table.matrix[pool.rows[candidates]], config.k, config.seed)
+            members = (candidates[labels == c] for c in range(config.k))
             chosen = [top(m, 1)[0] for m in members if len(m)]
         if len(chosen) < config.k:
             # a sparse category or an empty cluster: backfill from the full ranking;
             # the best k overall hold the best k - len(chosen) not yet chosen
             taken = set(chosen)
-            backfill = [i for i in top(everyone, config.k) if i not in taken]
+            backfill = [i for i in top(candidates, config.k) if i not in taken]
             chosen += backfill[: config.k - len(chosen)]
     chosen.sort(key=lambda i: (sim(i), pool.ids[i]))
     return [pool.examples[i] for i in chosen]

@@ -238,6 +238,29 @@ class TestResume:
         assert report.manifest["counts"]["resumed"] == 1
         assert report_bytes(out) == (full_records, full_summary)
 
+    def test_resume_counts_skipped_not_in_prompt_scores_of_resumed_records(
+        self, fixtures_dir, tmp_path
+    ):
+        # every gold answer of e1 and e2 is a fixed shot's answer, so neither gets
+        # a not-in-prompt score
+        eval_path = tmp_path / "eval.jsonl"
+        text = (fixtures_dir / "toy_eval.jsonl").read_text(encoding="utf-8")
+        rows = [json.loads(line) for line in text.splitlines()]
+        rows[1]["answers"], rows[2]["answers"] = ["stone river"], ["mira kest"]
+        eval_path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        settings = dict(eval_path=str(eval_path), fixed_set_ids=("t1", "t3"))
+        full = run_eval(toy_config(fixtures_dir, tmp_path / "full", **settings))
+        assert full.manifest["counts"]["not_in_prompt_skipped"] == 2
+        out = tmp_path / "run"
+        run_eval(toy_config(fixtures_dir, out, **settings))
+        lines = (out / RECORDS_FILE).read_text(encoding="utf-8").splitlines()
+        (out / RECORDS_FILE).write_text(lines[0] + "\n" + lines[1] + "\n", encoding="utf-8")
+        report = run_eval(toy_config(fixtures_dir, out, **settings))
+        assert report.manifest["counts"]["resumed"] == 2
+        assert report.manifest["counts"]["examples"] == 3
+        assert report.manifest["counts"]["not_in_prompt_skipped"] == 2
+        assert report_bytes(out) == report_bytes(tmp_path / "full")
+
     def test_config_change_discards_partial(self, fixtures_dir, tmp_path):
         out = tmp_path / "run"
         run_eval(toy_config(fixtures_dir, out))

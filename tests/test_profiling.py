@@ -5,7 +5,7 @@ import pytest
 
 from iclforge.core import Dataset, EmbeddingTable, Example
 from iclforge.errors import DataError
-from iclforge.lm import CachedModel
+from iclforge.lm import CachedModel, MockModel
 from iclforge.profiling import (
     ExampleSet,
     KnowledgeProfile,
@@ -85,16 +85,30 @@ class TestProfileExample:
         result = profile_example(target, others, table, model)
         assert result.f1_em == pytest.approx(2 * (1.0 * 0.5) / 1.5)
 
-    def test_pool_containing_example_rejected(self, rig):
+    def test_pool_holding_the_example_gives_the_same_profile(self, rig):
         dataset, table, model = rig
-        example = dataset.examples[0]
-        with pytest.raises(DataError):
-            profile_example(example, list(dataset.examples), table, model)
+        for example in dataset.examples[::3]:  # known, half, unknown
+            others = [ex for ex in dataset if ex.id != example.id]
+            held = profile_example(example, list(dataset.examples), table, model)
+            assert held == profile_example(example, others, table, model)
 
     def test_empty_pool_rejected(self, rig):
         dataset, table, model = rig
-        with pytest.raises(DataError):
-            profile_example(dataset.examples[0], [], table, model)
+        example = dataset.examples[0]
+        # a pool holding only the example is empty once the example is left out
+        for pool in ([], [example]):
+            with pytest.raises(DataError, match="empty candidate pool"):
+                profile_example(example, pool, table, model)
+
+    def test_repeated_gold_answer_scored_once(self):
+        target = Example(id="t", question="which letters?", answers=("alpha", "beta", "alpha"))
+        peer = Example(id="o", question="filler?", answers=("f",))
+        table = EmbeddingTable.from_vectors({"t": [1.0, 0.0], "o": [0.0, 1.0]})
+        model = CountingModel(MockModel(["alpha", "beta", "f", "|", "\n"]))
+        result = profile_example(target, [peer], table, model)
+        assert model.counts["score"] == 2
+        first, _, third = result.answer_perplexities
+        assert first == third
 
     def test_k_below_one_rejected(self, rig):
         dataset, table, model = rig

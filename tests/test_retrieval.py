@@ -131,29 +131,28 @@ class TestRetrieveSimilar:
         result = retrieve(query, candidates, table, RetrievalConfig("similar", k=2))
         assert [ex.id for ex in result] == ["p2", "p1"]
 
-    def test_self_retrieval_forbidden(self):
-        pool, table = make_pool({"q": [1.0], "p": [0.5]})
-        query = pool[1]
-        with pytest.raises(DataError, match="contains the query"):
-            retrieve(query, list(pool), table, RetrievalConfig("similar", k=1))
-
     def test_pool_smaller_than_k_errors(self):
         pool, table = make_pool({"q": [1.0], "p": [0.5]})
         query = next(ex for ex in pool if ex.id == "q")
         with pytest.raises(DataError, match="smaller than k"):
             retrieve(query, [pool[0]], table, RetrievalConfig("similar", k=2))
+        # the query left out of a pool that holds it leaves one candidate
+        with pytest.raises(DataError, match="pool of 1 examples is smaller than k=2"):
+            retrieve(query, pool, table, RetrievalConfig("similar", k=2))
 
     @given(
         st.integers(min_value=0, max_value=10_000),
         st.integers(min_value=1, max_value=10),
         st.integers(min_value=10, max_value=50),
         st.sampled_from(("similar", "topical", "diverse")),
+        st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_brute_force_top_k(self, seed, k, pool_size, strategy):
+    def test_matches_brute_force_top_k(self, seed, k, pool_size, strategy, query_in_pool):
         # coordinates in {-1, 0, 1} over one to four dimensions give exact dot
         # products, many exact ties, and repeated points that leave k-means
-        # clusters empty, so the backfill runs too
+        # clusters empty, so the backfill runs too; a pool that holds the query
+        # must give the shots of the pool without it
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(1, 5))
         vectors = {"query": rng.integers(-1, 2, size=dim).tolist()}
@@ -166,7 +165,7 @@ class TestRetrieveSimilar:
         candidates = [ex for ex in pool if ex.id != "query"]
         pool_ids = [ex.id for ex in candidates]
         config = RetrievalConfig(strategy, k=k, seed=seed)
-        result = retrieve(query, candidates, table, config)
+        result = retrieve(query, pool if query_in_pool else candidates, table, config)
         if strategy == "similar":
             expected = oracle_top_k("query", pool_ids, vectors, k)
         elif strategy == "topical":
@@ -265,18 +264,50 @@ class TestRetrieveNearTies:
             assert [ex.id for ex in result] == want
 
     def test_prebuilt_pool_gives_the_same_shots(self):
+        # a pool that holds the query gives the shots of the pool without it
         rng = np.random.default_rng(8)
         vectors = {f"p{i:02d}": v for i, v in enumerate(near_tied_vectors(rng, 30, 4))}
-        pool, table = make_pool(vectors)
+        pool, table = make_pool(vectors, {i: f"c{n % 3}" for n, i in enumerate(vectors)})
         built = Pool.of(pool, table)
         for query in pool[:5]:
-            for strategy in ("similar", "diverse", "random"):
-                config = RetrievalConfig(strategy, k=4, seed=3)
-                listed = retrieve(query, [ex for ex in pool if ex.id != query.id], table, config)
-                prebuilt = retrieve(query, built.without(query.id), table, config)
-                assert prebuilt == listed
-        with pytest.raises(DataError, match="contains the query"):
-            retrieve(pool[0], built, table, RetrievalConfig("similar", k=1))
+            others = [ex for ex in pool if ex.id != query.id]
+            for prebuilt_pool in (Pool.of(others, table), built):
+                for strategy in retrieval.STRATEGIES:
+                    config = RetrievalConfig(strategy, k=4, seed=3)
+                    listed = retrieve(query, others, table, config)
+                    assert retrieve(query, prebuilt_pool, table, config) == listed
+
+
+class TestPoolLabels:
+    def test_a_pool_clusters_once_and_never_for_a_query_it_holds(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        vectors = {f"p{i:02d}": rng.normal(size=3).tolist() for i in range(20)}
+        vectors.update({f"q{i}": rng.normal(size=3).tolist() for i in range(3)})
+        examples, table = make_pool(vectors)
+        members = [ex for ex in examples if ex.id.startswith("p")]
+        outsiders = [ex for ex in examples if ex.id.startswith("q")]
+        pool = Pool.of(members, table)
+        calls = []
+        kmeans = retrieval.kmeans
+
+        def counting(vectors, k, seed, *rest):
+            calls.append(vectors.copy())
+            return kmeans(vectors, k, seed, *rest)
+
+        monkeypatch.setattr(retrieval, "kmeans", counting)
+        config = RetrievalConfig("diverse", k=3, seed=1)
+        for query in members[:3]:
+            retrieve(query, pool, table, config)
+        # each query clusters the other 19 rows afresh and keeps nothing in the pool
+        assert len(calls) == 3
+        for query, rows in zip(members, calls):
+            others = [ex.id for ex in members if ex.id != query.id]
+            assert rows.tobytes() == np.stack([table.vector(i) for i in others]).tobytes()
+        # so the first query from outside clusters the whole pool, and only it
+        for query in outsiders:
+            retrieve(query, pool, table, config)
+        assert len(calls) == 4
+        assert calls[3].tobytes() == np.stack([table.vector(ex.id) for ex in members]).tobytes()
 
 
 class TestSimilarityCallBudget:

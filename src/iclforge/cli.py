@@ -40,7 +40,7 @@ from .profiling import (
 )
 from .prompting import ANSWER_DELIMITER
 from .retrieval import STRATEGIES as RETRIEVAL_STRATEGIES
-from .retrieval import RetrievalConfig, retrieve, similarity
+from .retrieval import Pool, RetrievalConfig, retrieve, similarity
 
 CACHE_ENV_VAR = "ICLFORGE_CACHE"
 
@@ -258,8 +258,7 @@ def _cmd_order(args) -> int:
             raise UsageError(f"strategy {args.strategy} needs --backend and --embeddings")
         table = load_embeddings(args.embeddings, train)
         model = make_backend(args.backend, _cache_dir(args))
-        pool = [ex for ex in train if ex.prompt_safe]
-        prefix = peer_prefix(example, pool, table, args.k)
+        prefix = peer_prefix(example, Pool.shots(train, table), table, args.k)
     permutation = strategy_permutation(
         args.strategy,
         example.answers,
@@ -279,7 +278,7 @@ def _cmd_retrieve(args) -> int:
     table = load_embeddings(args.embeddings, train)
     table.require(eval_ds.ids())
     query = eval_ds.by_id(args.id)
-    pool = [ex for ex in train if ex.prompt_safe]
+    pool = Pool.shots(train, table)
     shots = retrieve(
         query, pool, table, RetrievalConfig(strategy=args.retrieval, k=args.k, seed=args.seed)
     )

@@ -105,11 +105,15 @@ class Dataset:
     def ids(self) -> list[str]:
         return [ex.id for ex in self.examples]
 
+    @functools.cached_property
+    def _by_id(self) -> dict[str, Example]:
+        return {ex.id: ex for ex in self.examples}
+
     def by_id(self, example_id: str) -> Example:
-        for ex in self.examples:
-            if ex.id == example_id:
-                return ex
-        raise DataError(f"no example with id {example_id!r}")
+        try:
+            return self._by_id[example_id]
+        except KeyError:
+            raise DataError(f"no example with id {example_id!r}") from None
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .core import (
@@ -39,7 +39,7 @@ from .core import (
     read_jsonl,
     read_text,
 )
-from .errors import DataError, TooManyAnswers, UsageError
+from .errors import DataError, NoComparablePairs, TooManyAnswers, UsageError
 from .lm import LanguageModel, make_backend
 from .metrics import (
     AdherenceResult,
@@ -267,8 +267,9 @@ def write_manifest(out_dir: Path, command: str, payload: dict) -> dict:
 class _PromptPlanner:
     """The run's prompt planner: shots, shot answer orders and rendered prompts.
 
-    Every query retrieves from the run's one pool, which leaves the query out
-    when it holds it and clusters itself once. Each shot's answer order is
+    `plan` retrieves a query's shots from the run's one pool, which leaves the
+    query out when it holds it and clusters itself once; `prompt` renders a
+    record's prompt again from its shot ids. Each shot's answer order is
     planned once: the first thread to ask plans it, and concurrent askers wait
     for it, so ``jobs`` never changes the backend calls made. The pool's
     embedding rows are looked up once, when the planner is built.
@@ -278,13 +279,16 @@ class _PromptPlanner:
         self,
         config: RunConfig,
         train: Dataset,
+        eval_ds: Dataset,
         table: EmbeddingTable,
         model: LanguageModel,
     ) -> None:
         self.config = config
+        self.train = train
+        self.eval_ds = eval_ds
         self.table = table
         self.model = model
-        self.pool = Pool.of([ex for ex in train if ex.prompt_safe], table)
+        self.pool = Pool.shots(train, table)
         self.shot_duty_excluded = len(train) - len(self.pool)
         if not self.pool:
             raise DataError("no shot-safe training examples")
@@ -313,6 +317,21 @@ class _PromptPlanner:
             normalize_answer(a) for _, answers in shot_pairs for a in answers
         }
         return prompt, tuple(s.id for s in shots), prompt_answer_pool
+
+    def prompt(self, record: ExampleRecord) -> str:
+        """The prompt `record` was generated from, rendered from its shot ids.
+
+        A prompt whose hash is not the record's stored one is a DataError.
+        """
+        shots = [self.train.by_id(i) for i in record.shot_ids]
+        shot_pairs = [(s.question, self._ordered_answers(s)) for s in shots]
+        prompt = render_prompt(shot_pairs, self.eval_ds.by_id(record.example_id).question)
+        if _prompt_hash(prompt) != record.prompt_sha256:
+            raise DataError(
+                f"re-rendered prompt for {record.example_id!r} does not match the "
+                "stored prompt hash; inputs changed since the run"
+            )
+        return prompt
 
     def _ordered_answers(self, shot: Example) -> tuple[str, ...]:
         """The shot's answers in planned order, planned by the first thread to ask."""
@@ -359,23 +378,7 @@ def _load_run(config: RunConfig) -> tuple[Dataset, _PromptPlanner]:
     table = load_embeddings(config.embeddings_path, train)
     table.require(eval_ds.ids())
     model = make_backend(config.backend, config.cache_dir)
-    return eval_ds, _PromptPlanner(config, train, table, model)
-
-
-def _rederive_prompts(
-    planner: _PromptPlanner, eval_ds: Dataset, records: Sequence[ExampleRecord]
-) -> dict[str, str]:
-    """Each record's prompt, planned again and checked against its stored hash."""
-    prompts: dict[str, str] = {}
-    for record in records:
-        prompt, _, _ = planner.plan(eval_ds.by_id(record.example_id))
-        if _prompt_hash(prompt) != record.prompt_sha256:
-            raise DataError(
-                f"re-derived prompt for {record.example_id!r} does not match the "
-                "stored prompt hash; inputs changed since the run"
-            )
-        prompts[record.example_id] = prompt
-    return prompts
+    return eval_ds, _PromptPlanner(config, train, eval_ds, table, model)
 
 
 def _score_example(
@@ -437,15 +440,12 @@ def run_eval(config: RunConfig) -> EvalReport:
         "started_at": started,
     }
 
-    # only model strategies read a prompt when computing adherence
-    keep_prompts = config.compute_adherence and config.ordering in MODEL_STRATEGIES
-
-    def evaluate(example: Example) -> tuple[ExampleRecord, str]:
+    def evaluate(example: Example) -> ExampleRecord:
         prompt, shot_ids, prompt_answer_pool = planner.plan(example)
         raw = model.generate(prompt, stop=[GENERATION_STOP], max_tokens=config.max_tokens)
         prediction = Prediction.from_generation(example.id, raw)
         scores = _score_example(example, prediction, prompt_answer_pool)
-        record = ExampleRecord(
+        return ExampleRecord(
             example_id=example.id,
             prompt_sha256=_prompt_hash(prompt),
             shot_ids=shot_ids,
@@ -453,51 +453,33 @@ def run_eval(config: RunConfig) -> EvalReport:
             raw_text=raw,
             scores=scores,
         )
-        return record, prompt
 
     todo = [ex for ex in eval_ds if ex.id not in resumed]
     records: list[ExampleRecord] = [resumed[ex.id] for ex in eval_ds if ex.id in resumed]
-    prompts: dict[str, str] = {}
     mode = "a" if resumed else "w"
-    with records_path.open(mode, encoding="utf-8") as fh:
+    # the executor starts a thread only when given work, so one job starts none
+    with (
+        records_path.open(mode, encoding="utf-8") as fh,
+        ThreadPoolExecutor(max_workers=config.jobs) as executor,
+    ):
         # written once the records file holds only this run's records
         write_manifest(out_dir, "eval", manifest)
-
-        def flush(outcome: tuple[ExampleRecord, str]) -> None:
-            record, prompt = outcome
-            if keep_prompts:
-                prompts[record.example_id] = prompt
+        # map yields in submission order, so the on-disk prefix stays sorted, and
+        # a failure cancels the examples still queued
+        for record in (executor.map if config.jobs > 1 else map)(evaluate, todo):
             records.append(record)
             fh.write(record.to_json() + "\n")
             fh.flush()
 
-        if config.jobs > 1 and len(todo) > 1:
-            with ThreadPoolExecutor(max_workers=config.jobs) as executor:
-                futures = [executor.submit(evaluate, ex) for ex in todo]
-                try:
-                    # consume in submission order so the on-disk prefix stays sorted
-                    for future in futures:
-                        flush(future.result())
-                except BaseException:
-                    # a failed run evaluates no queued example
-                    executor.shutdown(cancel_futures=True)
-                    raise
-        else:
-            for example in todo:
-                flush(evaluate(example))
-
     aggregates = compute_aggregates(records)
     adherence_skipped = 0
     if config.compute_adherence and config.ordering != "random":
-        if keep_prompts:
-            unplanned = [r for r in records if r.example_id not in prompts]
-            prompts.update(_rederive_prompts(planner, eval_ds, unplanned))
         try:
             result = adherence_for_records(
-                records, config.ordering, prompts, model, seed=config.seed
+                records, config.ordering, model, config.seed, planner.prompt
             )
             aggregates[f"phi_{config.ordering}"] = result.phi
-        except DataError as exc:
+        except NoComparablePairs as exc:
             log.warning("adherence not computed: %s", exc)
             adherence_skipped = len(records)
 
@@ -522,34 +504,37 @@ def run_eval(config: RunConfig) -> EvalReport:
 def adherence_for_records(
     records: Sequence[ExampleRecord],
     strategy: str,
-    prompts: dict[str, str],
     model: LanguageModel | None,
-    seed: int = 0,
+    seed: int,
+    prompt: Callable[[ExampleRecord], str] | None,
 ) -> AdherenceResult:
     """Adherence of each record's predicted answers to the given strategy.
 
-    Predictions that cannot be reordered (20 or more answers) are skipped.
+    Model strategies score a record's answers after `prompt(record)`, the
+    prompt it was generated from; it is asked for only then, once per record
+    with answers. Predictions that cannot be reordered (20 or more answers)
+    are skipped.
     """
     if strategy == "random":
         raise DataError("adherence against the random strategy is not defined")
 
-    def reorderer(prediction: Prediction):
-        if not prediction.answers:
+    def reorderer(record: ExampleRecord):
+        if not record.answers:
             return []
         try:
             permutation = strategy_permutation(
                 strategy,
-                prediction.answers,
-                prefix=prompts.get(prediction.example_id, ""),
+                record.answers,
+                prefix=prompt(record) if strategy in MODEL_STRATEGIES else "",
                 model=model,
-                example_id=prediction.example_id,
+                example_id=record.example_id,
                 seed=seed,
             )
         except TooManyAnswers:
             return None
-        return strategy_ranks(prediction.answers, permutation)
+        return strategy_ranks(record.answers, permutation)
 
-    return adherence_phi([r.prediction for r in records], reorderer)
+    return adherence_phi(records, reorderer)
 
 
 def adherence_from_report(
@@ -561,17 +546,19 @@ def adherence_from_report(
 ) -> AdherenceResult:
     """Compute adherence of a stored report's predictions to any strategy.
 
-    Model strategies score each prediction after its prompt, so the prompts are
-    re-derived from the manifest config and the input files; the stored prompt
-    hashes guard against drift. The backend's cache is `cache_dir`, else the
-    one the manifest config names, else `fallback_cache_dir`.
+    Model strategies score each prediction after its prompt, so each record's
+    prompt is rendered again from its stored shot ids, with the shot answer
+    orders the manifest config plans over the input files, and no query
+    retrieval; the stored prompt hashes guard against drift. The backend's
+    cache is `cache_dir`, else the one the manifest config names, else
+    `fallback_cache_dir`.
     """
     report = load_report(out_dir)
     if strategy not in MODEL_STRATEGIES:
-        return adherence_for_records(report.records, strategy, {}, None)
+        return adherence_for_records(report.records, strategy, None, 0, None)
     config_data = report.manifest.get("config")
     if config_data is None:
-        raise DataError(f"report in {out_dir} has no manifest config to re-derive prompts")
+        raise DataError(f"report in {out_dir} has no manifest config to re-render prompts")
     try:
         config = RunConfig.from_dict(dict(config_data))
     except (TypeError, UsageError) as exc:  # TypeError: a required field is missing
@@ -579,10 +566,9 @@ def adherence_from_report(
     if backend is not None:
         config.backend = backend
     config.cache_dir = cache_dir or config.cache_dir or fallback_cache_dir
-    eval_ds, planner = _load_run(config)
-    prompts = _rederive_prompts(planner, eval_ds, report.records)
+    _, planner = _load_run(config)
     return adherence_for_records(
-        report.records, strategy, prompts, planner.model, seed=config.seed
+        report.records, strategy, planner.model, config.seed, planner.prompt
     )
 
 
@@ -614,7 +600,7 @@ def load_report(out_dir: str | Path) -> EvalReport:
     manifest_path = out_dir / MANIFEST_FILE
     if manifest_path.exists():
         fields = read_json_object(manifest_path, "manifest")
-        fields.get("config", dict, None)  # adherence re-derives prompts from it
+        fields.get("config", dict, None)  # adherence re-renders prompts from it
         manifest = fields.data
     summary_path = out_dir / SUMMARY_FILE
     aggregates = compute_aggregates(records)

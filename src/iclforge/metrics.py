@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -14,6 +14,8 @@ from .errors import DataError, NoComparablePairs
 MATCHERS = ("exact", "token_f1")
 
 MIN_RESAMPLES = 1000
+
+P = TypeVar("P")  # a Prediction, or anything else with `.answers`
 
 
 def _f1(precision: float, recall: float) -> float:
@@ -85,14 +87,15 @@ class AdherenceResult:
 
 
 def adherence_phi(
-    predictions: Iterable[Prediction],
-    reorderer: Callable[[Prediction], Sequence[int] | None],
+    predictions: Iterable[P],
+    reorderer: Callable[[P], Sequence[int] | None],
 ) -> AdherenceResult:
     """Micro-averaged percentage of consecutive answer pairs in strategy order.
 
     `reorderer` maps a prediction to one strategy-order index per predicted
     answer (duplicates share an index and their pairs count in neither
-    direction), or None to skip the prediction.
+    direction), or None to skip the prediction. Of each prediction only
+    `.answers` is read, so a harness record serves as well as a `Prediction`.
     """
     preserved = 0
     violated = 0

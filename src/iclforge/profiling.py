@@ -97,7 +97,7 @@ def profile_dataset(
     Each profile depends on the whole pool, so every call computes all of
     them; a rerun gets its backend results from a caching model (``--cache-dir``).
     """
-    pool = Pool.of([ex for ex in dataset if ex.prompt_safe], table)
+    pool = Pool.shots(dataset, table)
     profiles = [profile_example(example, pool, table, model, k=k) for example in pool.examples]
     if store_path is not None:
         save_profiles(profiles, store_path)

@@ -69,6 +69,11 @@ class Pool:
         rows = np.fromiter(map(table.rows.__getitem__, ids), dtype=np.intp, count=len(ids))
         return cls(examples, ids, rows)
 
+    @classmethod
+    def shots(cls, dataset: Dataset, table: EmbeddingTable) -> "Pool":
+        """The Pool of `dataset`'s shot-safe examples, the only ones a prompt may show."""
+        return cls.of([ex for ex in dataset if ex.prompt_safe], table)
+
     def __len__(self) -> int:
         return len(self.ids)
 

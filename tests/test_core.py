@@ -68,6 +68,9 @@ class TestLoadDataset:
         ds = load_dataset(path, split="train")
         assert len(ds) == 2
         assert ds.by_id("q2").category == "works"
+        assert ds.by_id("q1") is ds.examples[0]
+        with pytest.raises(DataError, match="no example with id 'q3'"):
+            ds.by_id("q3")
 
     def test_many_answers(self, tmp_path):
         titles = [f"title {i}" for i in range(14)]

@@ -5,13 +5,21 @@ import json
 import re
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from iclforge import harness, retrieval
-from iclforge.core import Dataset, EmbeddingTable, Example, save_dataset, save_embeddings
+from iclforge.core import (
+    Dataset,
+    EmbeddingTable,
+    Example,
+    load_dataset,
+    save_dataset,
+    save_embeddings,
+)
 from iclforge.errors import BackendError, DataError, UsageError
 from iclforge.harness import (
     RECORDS_FILE,
@@ -177,6 +185,24 @@ class TestSingleFlightPlanning:
         assert len(calls) == 1
 
 
+class TestOneJob:
+    def test_one_job_submits_nothing_to_an_executor(self, fixtures_dir, tmp_path, monkeypatch):
+        submitted = []
+        submit = ThreadPoolExecutor.submit
+
+        def counting_submit(self, fn, *args, **kwargs):
+            submitted.append(fn)
+            return submit(self, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
+        report = run_eval(toy_config(fixtures_dir, tmp_path / "one", ordering="greedy", jobs=1))
+        assert len(report.records) == 3
+        assert submitted == []
+        run_eval(toy_config(fixtures_dir, tmp_path / "three", ordering="greedy", jobs=3))
+        assert len(submitted) == 3
+        assert report_bytes(tmp_path / "one") == report_bytes(tmp_path / "three")
+
+
 class TestParallelFailure:
     def test_first_failure_cancels_queued_examples(self, fixtures_dir, tmp_path, monkeypatch):
         shots = [
@@ -268,7 +294,7 @@ class TestResume:
         assert report.manifest["counts"]["resumed"] == 0
 
     def test_greedy_resume_rederives_prompts(self, fixtures_dir, tmp_path):
-        # resumed records get their prompts re-derived for adherence
+        # resumed records get their prompts rendered again from their shot ids
         expected = run_eval(toy_config(fixtures_dir, tmp_path / "full", ordering="greedy"))
         assert "phi_greedy" in expected.aggregates
         out = tmp_path / "run"
@@ -280,6 +306,19 @@ class TestResume:
         assert report.manifest["counts"]["resumed"] == 1
         assert report.aggregates["phi_greedy"] == expected.aggregates["phi_greedy"]
         assert report_bytes(out) == report_bytes(tmp_path / "full")
+
+    def test_tampered_prompt_hash_of_a_resumed_record_raises(self, fixtures_dir, tmp_path):
+        out = tmp_path / "run"
+        run_eval(toy_config(fixtures_dir, out, ordering="greedy"))
+        lines = (out / RECORDS_FILE).read_text(encoding="utf-8").splitlines()
+        kept = json.loads(lines[0])
+        assert len(kept["answers"]) > 1  # its prompt is rendered for adherence
+        tampered = _edit_first_record(lines[0] + "\n", prompt_sha256="0" * 64)
+        (out / RECORDS_FILE).write_text(tampered, encoding="utf-8")
+        (out / SUMMARY_FILE).unlink()
+        with pytest.raises(DataError, match=f"{kept['id']!r} does not match the stored"):
+            run_eval(toy_config(fixtures_dir, out, ordering="greedy"))
+        assert not (out / SUMMARY_FILE).exists()
 
     def copied_inputs(self, fixtures_dir, tmp_path) -> dict:
         paths = {}
@@ -759,20 +798,66 @@ class TestAdherenceThroughHarness:
         reverse = adherence_from_report(tmp_path / "out", "reverse_greedy")
         assert reverse.phi == 0.0
 
+    def test_adherence_from_report_retrieves_no_query_shots(
+        self, fixtures_dir, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "out"
+        report = run_eval(toy_config(fixtures_dir, out, ordering="greedy"))
+
+        def no_retrieval(*args, **kwargs):
+            raise AssertionError("adherence retrieved a query's shots")
+
+        monkeypatch.setattr(harness, "retrieve", no_retrieval)
+        result = adherence_from_report(out, "greedy")
+        assert result.phi == report.aggregates["phi_greedy"]
+
+    def test_data_error_while_scoring_adherence_raises(self, fixtures_dir, tmp_path, monkeypatch):
+        # the model fails only when scoring answers after an eval query's prompt,
+        # which only adherence does; shot ordering scores after peer prefixes
+        evals = load_dataset(fixtures_dir / "toy_eval.jsonl", split="dev")
+        query_ends = tuple(f"Question: {ex.question}\nAnswers:" for ex in evals)
+
+        class AdherenceFails(CountingModel):
+            def score_continuation(self, context, continuation):
+                if context.endswith(query_ends):
+                    raise DataError("reply names no tokens")
+                return super().score_continuation(context, continuation)
+
+        def failing_backend(spec, cache_dir=None):
+            return AdherenceFails(make_backend(spec, cache_dir))
+
+        monkeypatch.setattr(harness, "make_backend", failing_backend)
+        out = tmp_path / "out"
+        with pytest.raises(DataError, match="names no tokens"):
+            run_eval(toy_config(fixtures_dir, out, ordering="greedy"))
+        assert len(load_report(out).records) == 3
+        assert not (out / SUMMARY_FILE).exists()
+
+    def test_no_comparable_pairs_skips_adherence(self, fixtures_dir, tmp_path):
+        # one generated token is at most one answer, so no prediction has a pair
+        config = toy_config(fixtures_dir, tmp_path / "out", ordering="greedy", max_tokens=1)
+        report = run_eval(config)
+        assert all(len(r.answers) <= 1 for r in report.records)
+        assert "phi_greedy" not in report.aggregates
+        assert report.manifest["counts"]["adherence_skipped"] == 3
+        assert load_report(tmp_path / "out").aggregates == report.aggregates
+
     def test_random_raises_before_planning_any_prompt(self, fixtures_dir, tmp_path, monkeypatch):
         out = tmp_path / "out"
         run_eval(toy_config(fixtures_dir, out, ordering="greedy"))
         planned = []
-        plan = harness._PromptPlanner.plan
+        prompt = harness._PromptPlanner.prompt
 
-        def counting_plan(self, example):
-            planned.append(example.id)
-            return plan(self, example)
+        def counting_prompt(self, record):
+            planned.append(record.example_id)
+            return prompt(self, record)
 
-        monkeypatch.setattr(harness._PromptPlanner, "plan", counting_plan)
+        monkeypatch.setattr(harness._PromptPlanner, "prompt", counting_prompt)
         with pytest.raises(DataError, match="random strategy"):
             adherence_from_report(out, "random")
         assert planned == []
+        assert adherence_from_report(out, "greedy").phi == 100.0
+        assert planned == ["e1", "e2", "e3"]
 
     def test_edited_training_answers_detected(self, fixtures_dir, tmp_path):
         train = tmp_path / "train.jsonl"

@@ -27,7 +27,7 @@ from .harness import (
 )
 from .lm import make_backend
 from .metrics import MIN_RESAMPLES
-from .ordering import MODEL_STRATEGIES, peer_prefix, strategy_permutation
+from .ordering import MODEL_STRATEGIES, shot_order
 from .ordering import STRATEGIES as ORDERING_STRATEGIES
 from .profiling import (
     CONDITIONS,
@@ -250,24 +250,15 @@ def _cmd_order(args) -> int:
     _check_at_least("--k", args.k, 0)
     train = load_dataset(args.train, split="train")
     example = train.by_id(args.id)
-    needs_model = args.strategy in MODEL_STRATEGIES
-    prefix = ""
-    model = None
-    if needs_model:
+    pool = table = model = None
+    if args.strategy in MODEL_STRATEGIES:
         if not args.backend or not args.embeddings:
             raise UsageError(f"strategy {args.strategy} needs --backend and --embeddings")
         table = load_embeddings(args.embeddings, train)
         model = make_backend(args.backend, _cache_dir(args))
-        prefix = peer_prefix(example, Pool.shots(train, table), table, args.k)
-    permutation = strategy_permutation(
-        args.strategy,
-        example.answers,
-        prefix=prefix,
-        model=model,
-        example_id=example.id,
-        seed=args.seed,
-    )
-    print(ANSWER_DELIMITER.join(example.answers[i] for i in permutation))
+        pool = Pool.shots(train, table)
+    answers = shot_order(args.strategy, example, pool, table, model, args.k, args.seed)
+    print(ANSWER_DELIMITER.join(answers))
     return 0
 
 

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import logging
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import __version__
 from .core import (
@@ -50,12 +50,7 @@ from .metrics import (
     set_scores,
     strategy_ranks,
 )
-from .ordering import (
-    MAX_REORDER_ANSWERS,
-    MODEL_STRATEGIES,
-    peer_prefix,
-    strategy_permutation,
-)
+from .ordering import MODEL_STRATEGIES, reorderable, shot_order, strategy_permutation
 from .ordering import STRATEGIES as ORDERING_STRATEGIES
 from .prompting import render_prompt
 from .retrieval import STRATEGIES as RETRIEVAL_STRATEGIES
@@ -243,8 +238,8 @@ def file_sha256(path: str) -> str:
 
 def _config_hash(config: RunConfig, input_sha256: dict[str, str], fingerprint: str) -> str:
     """Resume key: the config, the input file contents and the backend fingerprint."""
-    # jobs does not affect results, so resuming across job counts is allowed
-    snapshot = {k: v for k, v in config.to_dict().items() if k != "jobs"}
+    # jobs and cache_dir do not affect results, so a run resumes across them
+    snapshot = {k: v for k, v in config.to_dict().items() if k not in ("jobs", "cache_dir")}
     snapshot["input_sha256"] = input_sha256
     snapshot["model_fingerprint"] = fingerprint
     return hashlib.sha256(
@@ -267,12 +262,14 @@ def write_manifest(out_dir: Path, command: str, payload: dict) -> dict:
 class _PromptPlanner:
     """The run's prompt planner: shots, shot answer orders and rendered prompts.
 
-    `plan` retrieves a query's shots from the run's one pool, which leaves the
-    query out when it holds it and clusters itself once; `prompt` renders a
-    record's prompt again from its shot ids. Each shot's answer order is
-    planned once: the first thread to ask plans it, and concurrent askers wait
-    for it, so ``jobs`` never changes the backend calls made. The pool's
-    embedding rows are looked up once, when the planner is built.
+    `shots` retrieves a query's shots from the run's one pool, which leaves the
+    query out when it holds it and clusters itself once. `order` orders each
+    shot not ordered yet through `ordering.shot_order`, once, with the `map`
+    it is given; `run_eval` orders every shot of a run before it generates, so
+    ``jobs`` never changes the backend calls made and generation only reads
+    `orders`. `render` renders a prompt from ordered shots, and `prompt`
+    renders a record's prompt again from its shot ids. The pool's embedding
+    rows are looked up once, when the planner is built.
     """
 
     def __init__(
@@ -301,22 +298,28 @@ class _PromptPlanner:
         self.retrieval = RetrievalConfig(
             strategy=config.retrieval_strategy, k=config.k, seed=config.seed
         )
-        self._orders: dict[str, Future] = {}
-        self._lock = threading.Lock()
-        self.reorder_skipped: set[str] = set()
+        self.orders: dict[str, tuple[str, ...]] = {}
 
-    def plan(self, example: Example) -> tuple[str, tuple[str, ...], set[str]]:
-        """The prompt for `example`, its shot ids, and the normalized shot answers."""
+    def shots(self, example: Example) -> Sequence[Example]:
+        """The shots of `example`'s prompt: the fixed set, else retrieved ones."""
         if self.fixed_shots is not None:
-            shots: Sequence[Example] = self.fixed_shots
-        else:
-            shots = retrieve(example, self.pool, self.table, self.retrieval)
-        shot_pairs = [(s.question, self._ordered_answers(s)) for s in shots]
-        prompt = render_prompt(shot_pairs, example.question)
-        prompt_answer_pool = {
-            normalize_answer(a) for _, answers in shot_pairs for a in answers
-        }
-        return prompt, tuple(s.id for s in shots), prompt_answer_pool
+            return self.fixed_shots
+        return retrieve(example, self.pool, self.table, self.retrieval)
+
+    def order(self, shots: Iterable[Example], map_: Callable = map) -> None:
+        """Order each of `shots` not ordered yet, once, through `map_`."""
+        todo = list({s.id: s for s in shots if s.id not in self.orders}.values())
+        self.orders.update(zip([s.id for s in todo], map_(self._shot_order, todo)))
+
+    def _shot_order(self, shot: Example) -> tuple[str, ...]:
+        c = self.config
+        return shot_order(
+            c.ordering, shot, self.pool, self.table, self.model, c.ordering_prefix_k, c.seed
+        )
+
+    def render(self, shots: Sequence[Example], query: Example) -> str:
+        """The prompt for `query` after `shots`, each in its planned order."""
+        return render_prompt([(s.question, self.orders[s.id]) for s in shots], query.question)
 
     def prompt(self, record: ExampleRecord) -> str:
         """The prompt `record` was generated from, rendered from its shot ids.
@@ -324,51 +327,14 @@ class _PromptPlanner:
         A prompt whose hash is not the record's stored one is a DataError.
         """
         shots = [self.train.by_id(i) for i in record.shot_ids]
-        shot_pairs = [(s.question, self._ordered_answers(s)) for s in shots]
-        prompt = render_prompt(shot_pairs, self.eval_ds.by_id(record.example_id).question)
+        self.order(shots)
+        prompt = self.render(shots, self.eval_ds.by_id(record.example_id))
         if _prompt_hash(prompt) != record.prompt_sha256:
             raise DataError(
                 f"re-rendered prompt for {record.example_id!r} does not match the "
                 "stored prompt hash; inputs changed since the run"
             )
         return prompt
-
-    def _ordered_answers(self, shot: Example) -> tuple[str, ...]:
-        """The shot's answers in planned order, planned by the first thread to ask."""
-        with self._lock:
-            future = self._orders.get(shot.id)
-            owner = future is None
-            if owner:
-                future = self._orders[shot.id] = Future()
-        if owner:
-            try:
-                future.set_result(self._plan_order(shot))
-            except BaseException as exc:
-                # waiters re-raise the same failure from future.result()
-                future.set_exception(exc)
-        return future.result()
-
-    def _plan_order(self, shot: Example) -> tuple[str, ...]:
-        if len(shot.answers) >= MAX_REORDER_ANSWERS:
-            # batch policy: oversized shots keep gold order, tallied in the manifest
-            with self._lock:
-                self.reorder_skipped.add(shot.id)
-            return shot.answers
-        needs_model = self.config.ordering in MODEL_STRATEGIES
-        prefix = (
-            peer_prefix(shot, self.pool, self.table, self.config.ordering_prefix_k)
-            if needs_model
-            else ""
-        )
-        permutation = strategy_permutation(
-            self.config.ordering,
-            shot.answers,
-            prefix=prefix,
-            model=self.model,
-            example_id=shot.id,
-            seed=self.config.seed,
-        )
-        return tuple(shot.answers[i] for i in permutation)
 
 
 def _load_run(config: RunConfig) -> tuple[Dataset, _PromptPlanner]:
@@ -440,15 +406,16 @@ def run_eval(config: RunConfig) -> EvalReport:
         "started_at": started,
     }
 
-    def evaluate(example: Example) -> ExampleRecord:
-        prompt, shot_ids, prompt_answer_pool = planner.plan(example)
+    def evaluate(example: Example, shots: Sequence[Example]) -> ExampleRecord:
+        prompt = planner.render(shots, example)
         raw = model.generate(prompt, stop=[GENERATION_STOP], max_tokens=config.max_tokens)
         prediction = Prediction.from_generation(example.id, raw)
+        prompt_answer_pool = {normalize_answer(a) for s in shots for a in s.answers}
         scores = _score_example(example, prediction, prompt_answer_pool)
         return ExampleRecord(
             example_id=example.id,
             prompt_sha256=_prompt_hash(prompt),
-            shot_ids=shot_ids,
+            shot_ids=tuple(s.id for s in shots),
             answers=prediction.answers,
             raw_text=raw,
             scores=scores,
@@ -462,11 +429,17 @@ def run_eval(config: RunConfig) -> EvalReport:
         records_path.open(mode, encoding="utf-8") as fh,
         ThreadPoolExecutor(max_workers=config.jobs) as executor,
     ):
+        # map yields in submission order, so the on-disk prefix stays sorted, and
+        # a failure cancels the work still queued
+        map_ = executor.map if config.jobs > 1 else map
+        todo_shots = [planner.shots(ex) for ex in todo]
+        kept_shots = [planner.train.by_id(i) for r in records for i in r.shot_ids]
+        planner.order(itertools.chain(kept_shots, *todo_shots), map_)
+        for record in records:
+            planner.prompt(record)  # a resumed record must still match its inputs
         # written once the records file holds only this run's records
         write_manifest(out_dir, "eval", manifest)
-        # map yields in submission order, so the on-disk prefix stays sorted, and
-        # a failure cancels the examples still queued
-        for record in (executor.map if config.jobs > 1 else map)(evaluate, todo):
+        for record in map_(evaluate, todo, todo_shots):
             records.append(record)
             fh.write(record.to_json() + "\n")
             fh.flush()
@@ -490,7 +463,9 @@ def run_eval(config: RunConfig) -> EvalReport:
         "examples": len(records),
         "resumed": len(resumed),
         "shot_duty_excluded": planner.shot_duty_excluded,
-        "reorder_skipped": len(planner.reorder_skipped),
+        "reorder_skipped": sum(
+            not reorderable(planner.train.by_id(i).answers) for i in planner.orders
+        ),
         "not_in_prompt_skipped": sum(r.scores.get("not_in_prompt_p") is None for r in records),
         "adherence_skipped": adherence_skipped,
         "cache_hits": getattr(model, "hits", None),

@@ -4,7 +4,8 @@ Knowledge-aware strategies score answers against a prompt prefix ending in
 ``Answers:`` (for a shot, its ``peer_prefix``), so the scored continuation is
 a single space followed by the raw answer, mirroring the answer's position in
 a rendered shot. ``strategy_permutation`` is the entry point for every
-strategy.
+strategy over an answer list, and ``shot_order`` the one rule that orders a
+shot's answers for a prompt.
 """
 
 from __future__ import annotations
@@ -69,12 +70,9 @@ def answer_perplexities(answers: Sequence[str], prefix: str, model: LanguageMode
     return [scores[a] for a in answers]
 
 
-def _check_reorderable(n: int) -> None:
-    if n >= MAX_REORDER_ANSWERS:
-        raise TooManyAnswers(
-            f"answer set of size {n} exceeds the reordering limit of "
-            f"{MAX_REORDER_ANSWERS - 1}"
-        )
+def reorderable(answers: Sequence[str]) -> bool:
+    """Whether `answers` is small enough to reorder: fewer than 20 answers."""
+    return len(answers) < MAX_REORDER_ANSWERS
 
 
 def perplexity_permutation(
@@ -182,15 +180,21 @@ def strategy_permutation(
 ) -> list[int]:
     """Permutation of answer indices under any named strategy.
 
-    Knowledge-aware strategies require `prefix` and `model` and reject sets of
-    20 or more answers; `random` requires `example_id` and `seed`. Reverse
-    variants return the exact reversal of their forward counterpart.
+    Knowledge-aware strategies require `prefix` and `model` and raise
+    TooManyAnswers for sets of 20 or more answers, which adherence relies on
+    to skip such predictions; `random` requires `example_id` and `seed`.
+    Reverse variants return the exact reversal of their forward counterpart.
+    A shot's answers are ordered through `shot_order` instead.
     """
     if strategy == "alphabet":
         return alphabet_permutation(answers)
     if strategy == "random":
         return random_permutation(len(answers), example_id, seed)
-    _check_reorderable(len(answers))
+    if not reorderable(answers):
+        raise TooManyAnswers(
+            f"answer set of size {len(answers)} exceeds the reordering limit of "
+            f"{MAX_REORDER_ANSWERS - 1}"
+        )
     if strategy not in MODEL_STRATEGIES:
         raise DataError(f"unknown ordering strategy {strategy!r}")
     if model is None:
@@ -202,6 +206,30 @@ def strategy_permutation(
     if strategy.startswith("reverse_"):
         order = order[::-1]
     return order
+
+
+def shot_order(
+    strategy: str,
+    shot: Example,
+    pool: Pool | None,
+    table: EmbeddingTable | None,
+    model: LanguageModel | None,
+    k: int,
+    seed: int,
+) -> tuple[str, ...]:
+    """`shot`'s answers in the order a prompt shows them under `strategy`.
+
+    A shot of 20 or more answers keeps its gold order under every strategy.
+    Model strategies order against the shot's `peer_prefix` of k peers from
+    `pool`, so they need `pool`, `table` and `model`; the others need none.
+    """
+    if not reorderable(shot.answers):
+        return shot.answers
+    prefix = peer_prefix(shot, pool, table, k) if strategy in MODEL_STRATEGIES else ""
+    permutation = strategy_permutation(
+        strategy, shot.answers, prefix=prefix, model=model, example_id=shot.id, seed=seed
+    )
+    return tuple(shot.answers[i] for i in permutation)
 
 
 def select_quantile_answer(example, prefix: str, model: LanguageModel, x: float) -> str:

@@ -361,6 +361,30 @@ class TestOrder:
         assert code == 0
         assert out.strip() == " | ".join(example.answers[i] for i in permutation)
 
+    @pytest.mark.parametrize("strategy", ["alphabet", "greedy"])
+    def test_oversized_shot_prints_gold_order(self, capsys, fixtures_dir, tmp_path, strategy):
+        # a shot of 20 or more answers keeps its gold order in every eval prompt
+        gold = [f"pebble {i:02d}" for i in reversed(range(25))]
+        big = {"id": "t9", "question": "which pebbles line the long shore?", "answers": gold}
+        train = tmp_path / "train.jsonl"
+        text = (fixtures_dir / "toy_train.jsonl").read_text(encoding="utf-8")
+        train.write_text(text + json.dumps(big) + "\n", encoding="utf-8")
+        embeddings = tmp_path / "emb.jsonl"
+        text = (fixtures_dir / "toy_embeddings.jsonl").read_text(encoding="utf-8")
+        vector = {"id": "t9", "vector": [2.0, 2.0, 2.0, 2.0]}
+        embeddings.write_text(text + json.dumps(vector) + "\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys,
+            "order",
+            "--train", str(train),
+            "--id", "t9",
+            "--strategy", strategy,
+            "--backend", f"mock:{fixtures_dir / 'mock_toy.json'}",
+            "--embeddings", str(embeddings),
+        )
+        assert (code, err) == (0, "")
+        assert out.strip() == " | ".join(gold)
+
     def test_negative_k_is_a_usage_error(self, capsys, knowledge_files):
         code, out, err = run_cli(
             capsys,

@@ -138,8 +138,8 @@ class TestSingleFlightPlanning:
         built: list[CountingModel] = []
 
         def counting_backend(spec, cache_dir=None):
-            # the sleep keeps every backend call open long enough for other
-            # workers to ask for the same shot meanwhile
+            # the sleep keeps every backend call open long enough for the
+            # workers ordering shots and generating to overlap
             built.append(CountingModel(make_backend(spec, cache_dir), delay=0.002))
             return built[-1]
 
@@ -199,7 +199,9 @@ class TestOneJob:
         assert len(report.records) == 3
         assert submitted == []
         run_eval(toy_config(fixtures_dir, tmp_path / "three", ordering="greedy", jobs=3))
-        assert len(submitted) == 3
+        # one submit per distinct shot, ordered before generation, and one per example
+        shots = {i for record in report.records for i in record.shot_ids}
+        assert len(submitted) == len(shots) + len(report.records)
         assert report_bytes(tmp_path / "one") == report_bytes(tmp_path / "three")
 
 
@@ -250,6 +252,27 @@ class TestParallelFailure:
         with pytest.raises(BackendError, match="refused"):
             run_eval(config)
         assert built[0].counts["generate"] <= 2 * jobs
+
+    def test_failure_while_ordering_shots_writes_no_record(
+        self, fixtures_dir, tmp_path, monkeypatch
+    ):
+        class OrderingFails(CountingModel):
+            def score_continuation(self, context, continuation):
+                raise BackendError("backend refused to score")
+
+        built: list[CountingModel] = []
+
+        def failing_backend(spec, cache_dir=None):
+            built.append(OrderingFails(make_backend(spec, cache_dir)))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "make_backend", failing_backend)
+        out = tmp_path / "out"
+        with pytest.raises(BackendError, match="refused to score"):
+            run_eval(toy_config(fixtures_dir, out, ordering="greedy", jobs=2))
+        assert built[0].counts["generate"] == 0
+        assert (out / RECORDS_FILE).read_bytes() == b""
+        assert not (out / SUMMARY_FILE).exists()
 
 
 class TestResume:
@@ -307,7 +330,9 @@ class TestResume:
         assert report.aggregates["phi_greedy"] == expected.aggregates["phi_greedy"]
         assert report_bytes(out) == report_bytes(tmp_path / "full")
 
-    def test_tampered_prompt_hash_of_a_resumed_record_raises(self, fixtures_dir, tmp_path):
+    def test_tampered_prompt_hash_of_a_resumed_record_raises(
+        self, fixtures_dir, tmp_path, monkeypatch
+    ):
         out = tmp_path / "run"
         run_eval(toy_config(fixtures_dir, out, ordering="greedy"))
         lines = (out / RECORDS_FILE).read_text(encoding="utf-8").splitlines()
@@ -316,9 +341,30 @@ class TestResume:
         tampered = _edit_first_record(lines[0] + "\n", prompt_sha256="0" * 64)
         (out / RECORDS_FILE).write_text(tampered, encoding="utf-8")
         (out / SUMMARY_FILE).unlink()
+        built: list[CountingModel] = []
+
+        def counting_backend(spec, cache_dir=None):
+            built.append(CountingModel(make_backend(spec, cache_dir)))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "make_backend", counting_backend)
         with pytest.raises(DataError, match=f"{kept['id']!r} does not match the stored"):
             run_eval(toy_config(fixtures_dir, out, ordering="greedy"))
+        # the resumed record is checked before anything is generated or appended
+        assert built[0].counts["generate"] == 0
+        assert (out / RECORDS_FILE).read_text(encoding="utf-8") == tampered
         assert not (out / SUMMARY_FILE).exists()
+
+    def test_resume_across_a_changed_cache_dir(self, fixtures_dir, tmp_path):
+        run_eval(toy_config(fixtures_dir, tmp_path / "full", ordering="greedy"))
+        out = tmp_path / "run"
+        run_eval(toy_config(fixtures_dir, out, ordering="greedy"))
+        self.cut_to_first_record(out)
+        cache = str(tmp_path / "cache")
+        report = run_eval(toy_config(fixtures_dir, out, ordering="greedy", cache_dir=cache))
+        assert report.manifest["counts"]["resumed"] == 1
+        assert report.manifest["config"]["cache_dir"] == cache
+        assert report_bytes(out) == report_bytes(tmp_path / "full")
 
     def copied_inputs(self, fixtures_dir, tmp_path) -> dict:
         paths = {}

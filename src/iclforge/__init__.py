@@ -20,7 +20,6 @@ from .metrics import (
     AdherenceResult,
     SetScores,
     adherence_phi,
-    answer_count_stats,
     not_in_prompt_scores,
     paired_bootstrap,
     set_scores,
@@ -59,7 +58,6 @@ __all__ = [
     "SetScores",
     "TokenScores",
     "adherence_phi",
-    "answer_count_stats",
     "answer_perplexity",
     "build_sets",
     "compare_runs",

@@ -17,27 +17,21 @@ from . import __version__
 from .core import load_dataset, load_embeddings, read_json_object
 from .errors import BackendError, DataError, UsageError
 from .harness import (
+    PROFILES_FILE,
+    SETS_FILE,
     RunConfig,
     adherence_from_report,
     compare_runs,
-    file_sha256,
     load_report,
+    run_build_sets,
     run_eval,
-    write_manifest,
+    run_profile,
 )
 from .lm import make_backend
 from .metrics import MIN_RESAMPLES
 from .ordering import MODEL_STRATEGIES, shot_order
 from .ordering import STRATEGIES as ORDERING_STRATEGIES
-from .profiling import (
-    CONDITIONS,
-    build_sets,
-    load_profiles,
-    load_sets,
-    median_similarity_filter,
-    profile_dataset,
-    save_sets,
-)
+from .profiling import CONDITIONS, load_sets
 from .prompting import ANSWER_DELIMITER
 from .retrieval import STRATEGIES as RETRIEVAL_STRATEGIES
 from .retrieval import Pool, RetrievalConfig, retrieve, similarity
@@ -176,31 +170,10 @@ def _parse_band(text: str) -> tuple[float, float]:
 
 def _cmd_profile(args) -> int:
     _check_at_least("--k", args.k, 1)
-    train = load_dataset(args.train, split="train")
-    table = load_embeddings(args.embeddings, train)
-    model = make_backend(args.backend, _cache_dir(args))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    store = out_dir / "profiles.jsonl"
-    profiles = profile_dataset(train, table, model, k=args.k, store_path=store)
-    write_manifest(
-        out_dir,
-        "profile",
-        {
-            "model_fingerprint": model.fingerprint,
-            "k": args.k,
-            "input_sha256": {
-                "train": file_sha256(args.train),
-                "embeddings": file_sha256(args.embeddings),
-            },
-            "counts": {
-                "profiled": len(profiles),
-                "cache_hits": getattr(model, "hits", None),
-                "cache_misses": getattr(model, "misses", None),
-            },
-        },
+    profiles = run_profile(
+        args.train, args.embeddings, args.backend, args.k, args.out, _cache_dir(args)
     )
-    print(f"profiled {len(profiles)} examples -> {store}")
+    print(f"profiled {len(profiles)} examples -> {Path(args.out) / PROFILES_FILE}")
     return 0
 
 
@@ -209,40 +182,17 @@ def _cmd_build_sets(args) -> int:
     _check_at_least("--set-size", args.set_size, 1)
     if args.median_n is not None:
         _check_at_least("--median-n", args.median_n, 1)
-    lo, hi = _parse_band(args.band)
-    profiles = load_profiles(args.profiles)
-    if args.median_n is not None:
-        keep = set(median_similarity_filter(profiles, args.median_n))
-        profiles = [p for p in profiles if p.example_id in keep]
-    result = build_sets(
-        profiles,
+    result = run_build_sets(
+        args.profiles,
         args.condition,
-        n_sets=args.n_sets,
-        set_size=args.set_size,
+        args.n_sets,
+        args.set_size,
+        median_n=args.median_n,
+        halfknown_band=_parse_band(args.band),
         seed=args.seed,
-        halfknown_band=(lo, hi),
+        out_dir=args.out,
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    sets_path = out_dir / "sets.jsonl"
-    save_sets(result.sets, sets_path)
-    write_manifest(
-        out_dir,
-        "build-sets",
-        {
-            "condition": args.condition,
-            "seed": args.seed,
-            "input_sha256": {"profiles": file_sha256(args.profiles)},
-            "counts": {
-                "eligible": result.eligible_count,
-                "sets": len(result.sets),
-                "set_size": args.set_size,
-            },
-            "fallback_used": result.fallback_used,
-            "fallback_threshold": result.fallback_threshold,
-        },
-    )
-    print(f"wrote {len(result.sets)} {args.condition} sets -> {sets_path}")
+    print(f"wrote {len(result.sets)} {args.condition} sets -> {Path(args.out) / SETS_FILE}")
     return 0
 
 

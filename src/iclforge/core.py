@@ -168,11 +168,8 @@ class EmbeddingTable:
         """The largest Euclidean norm of a row."""
         return math.sqrt(max(np.einsum("ij,ij->i", self.matrix, self.matrix).tolist()))
 
-    def missing(self, ids) -> list[str]:
-        return sorted(i for i in ids if i not in self.rows)
-
     def require(self, ids) -> None:
-        missing = self.missing(ids)
+        missing = sorted(i for i in ids if i not in self.rows)
         if missing:
             raise DataError(
                 "missing embedding for id " + ", ".join(missing)

@@ -1,5 +1,5 @@
-"""End-to-end evaluation driver: retrieval, ordering, prompting, generation,
-metrics, and report persistence.
+"""Run drivers and their manifests: evaluation (retrieval, ordering, prompting,
+generation, metrics, report persistence), knowledge profiling and set building.
 
 A report directory holds three artifacts: ``records.jsonl`` (one record per
 evaluation example, flushed incrementally in dataset order so interrupted runs
@@ -52,6 +52,15 @@ from .metrics import (
 )
 from .ordering import MODEL_STRATEGIES, reorderable, shot_order, strategy_permutation
 from .ordering import STRATEGIES as ORDERING_STRATEGIES
+from .profiling import (
+    KnowledgeProfile,
+    SetBuildResult,
+    build_sets,
+    load_profiles,
+    median_similarity_filter,
+    profile_dataset,
+    save_sets,
+)
 from .prompting import render_prompt
 from .retrieval import STRATEGIES as RETRIEVAL_STRATEGIES
 from .retrieval import Pool, RetrievalConfig, retrieve
@@ -61,6 +70,8 @@ log = logging.getLogger(__name__)
 RECORDS_FILE = "records.jsonl"
 SUMMARY_FILE = "summary.tsv"
 MANIFEST_FILE = "manifest.json"
+PROFILES_FILE = "profiles.jsonl"
+SETS_FILE = "sets.jsonl"
 
 GENERATION_STOP = "\n"
 SIGNIFICANCE_LEVEL = 0.05
@@ -122,10 +133,7 @@ class RunConfig:
             )
 
     def to_dict(self) -> dict:
-        data = dataclasses.asdict(self)
-        if data["fixed_set_ids"] is not None:
-            data["fixed_set_ids"] = list(data["fixed_set_ids"])
-        return data
+        return dataclasses.asdict(self)  # JSON writes fixed_set_ids as a list
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -172,10 +180,6 @@ class ExampleRecord:
             raw_text=record.get("raw_text", str),
             scores=scores.data,
         )
-
-    @property
-    def prediction(self) -> Prediction:
-        return Prediction(self.example_id, self.answers, self.raw_text)
 
 
 @dataclass
@@ -226,14 +230,26 @@ def _resume_records(path: Path) -> list[ExampleRecord]:
     return records
 
 
-def file_sha256(path: str) -> str:
-    """Hex SHA-256 digest of the file at `path`."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        # fixed-size chunks keep memory flat whatever the file size
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+def _input_sha256(**paths: str) -> dict[str, str]:
+    """Hex SHA-256 digest of each named input file."""
+    digests = {}
+    for name, path in paths.items():
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            # fixed-size chunks keep memory flat whatever the file size
+            for chunk in iter(lambda: fh.read(1 << 16), b""):
+                digest.update(chunk)
+        digests[name] = digest.hexdigest()
+    return digests
+
+
+def _backend_counts(model: LanguageModel) -> dict[str, int | None]:
+    """The backend's cache and generation-cap counters; None where it keeps none."""
+    return {
+        "cache_hits": getattr(model, "hits", None),
+        "cache_misses": getattr(model, "misses", None),
+        "generation_cap_hits": getattr(model, "generation_cap_hits", None),
+    }
 
 
 def _config_hash(config: RunConfig, input_sha256: dict[str, str], fingerprint: str) -> str:
@@ -247,7 +263,7 @@ def _config_hash(config: RunConfig, input_sha256: dict[str, str], fingerprint: s
     ).hexdigest()
 
 
-def write_manifest(out_dir: Path, command: str, payload: dict) -> dict:
+def _write_manifest(out_dir: Path, command: str, payload: dict) -> dict:
     """Replace `out_dir`'s manifest with `payload`, stamped; return what was written."""
     manifest = {
         "tool_version": __version__,
@@ -379,11 +395,9 @@ def run_eval(config: RunConfig) -> EvalReport:
     out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / RECORDS_FILE
 
-    input_sha256 = {
-        "train": file_sha256(config.train_path),
-        "eval": file_sha256(config.eval_path),
-        "embeddings": file_sha256(config.embeddings_path),
-    }
+    input_sha256 = _input_sha256(
+        train=config.train_path, eval=config.eval_path, embeddings=config.embeddings_path
+    )
     cfg_hash = _config_hash(config, input_sha256, model.fingerprint)
     try:
         prior = read_json_object(out_dir / MANIFEST_FILE, "manifest").data
@@ -438,7 +452,7 @@ def run_eval(config: RunConfig) -> EvalReport:
         for record in records:
             planner.prompt(record)  # a resumed record must still match its inputs
         # written once the records file holds only this run's records
-        write_manifest(out_dir, "eval", manifest)
+        _write_manifest(out_dir, "eval", manifest)
         for record in map_(evaluate, todo, todo_shots):
             records.append(record)
             fh.write(record.to_json() + "\n")
@@ -468,12 +482,88 @@ def run_eval(config: RunConfig) -> EvalReport:
         ),
         "not_in_prompt_skipped": sum(r.scores.get("not_in_prompt_p") is None for r in records),
         "adherence_skipped": adherence_skipped,
-        "cache_hits": getattr(model, "hits", None),
-        "cache_misses": getattr(model, "misses", None),
-        "generation_cap_hits": getattr(model, "generation_cap_hits", None),
+        **_backend_counts(model),
     }
-    manifest = write_manifest(out_dir, "eval", manifest)
+    manifest = _write_manifest(out_dir, "eval", manifest)
     return EvalReport(records=records, aggregates=aggregates, manifest=manifest)
+
+
+def run_profile(
+    train_path: str,
+    embeddings_path: str,
+    backend: str,
+    k: int,
+    out_dir: str | Path,
+    cache_dir: str | None = None,
+) -> list[KnowledgeProfile]:
+    """Profile every shot-safe training example into `out_dir`'s profile store."""
+    train = load_dataset(train_path, split="train")
+    table = load_embeddings(embeddings_path, train)
+    model = make_backend(backend, cache_dir)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    profiles = profile_dataset(train, table, model, k=k, store_path=out_dir / PROFILES_FILE)
+    _write_manifest(
+        out_dir,
+        "profile",
+        {
+            "model_fingerprint": model.fingerprint,
+            "k": k,
+            "input_sha256": _input_sha256(train=train_path, embeddings=embeddings_path),
+            "counts": {"profiled": len(profiles), **_backend_counts(model)},
+        },
+    )
+    return profiles
+
+
+def run_build_sets(
+    profiles_path: str,
+    condition: str,
+    n_sets: int,
+    set_size: int,
+    median_n: int | None,
+    halfknown_band: tuple[float, float],
+    seed: int,
+    out_dir: str | Path,
+) -> SetBuildResult:
+    """Sample `condition` sets from one model's profile store into `out_dir`'s set file.
+
+    Known and unknown mean something only for one model, so a store that
+    holds profiles of more than one model is a DataError.
+    """
+    profiles = load_profiles(profiles_path)
+    fingerprints = list(dict.fromkeys(p.model_fingerprint for p in profiles))
+    if len(fingerprints) > 1:
+        raise DataError(
+            f"{profiles_path}: profiles of more than one model "
+            f"({fingerprints[0]!r}, {fingerprints[1]!r}); build sets from one model's store"
+        )
+    if median_n is not None:
+        keep = set(median_similarity_filter(profiles, median_n))
+        profiles = [p for p in profiles if p.example_id in keep]
+    result = build_sets(profiles, condition, n_sets, set_size, seed, halfknown_band)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    save_sets(result.sets, out_dir / SETS_FILE)
+    _write_manifest(
+        out_dir,
+        "build-sets",
+        {
+            "condition": condition,
+            "seed": seed,
+            "input_sha256": _input_sha256(profiles=profiles_path),
+            # build_sets refuses an empty store, so it held one model
+            "model_fingerprint": fingerprints[0],
+            "counts": {
+                "eligible": result.eligible_count,
+                "sets": len(result.sets),
+                "set_size": set_size,
+            },
+            "fallback_used": result.fallback_used,
+            "fallback_threshold": result.fallback_threshold,
+        },
+    )
+    return result
 
 
 def adherence_for_records(
@@ -586,7 +676,7 @@ def load_report(out_dir: str | Path) -> EvalReport:
         summary = Fields(values, summary_path)
         stored = {key: summary.get(key, float) for key in summary.data}
         for key, value in aggregates.items():
-            if key not in stored or abs(stored[key] - value) > 1e-12:
+            if stored.get(key) != value:  # written with repr, so equal bit for bit
                 raise DataError(
                     f"summary value for {key!r} does not match the records "
                     f"({stored.get(key)} vs {value})"

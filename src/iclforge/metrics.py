@@ -154,30 +154,6 @@ def not_in_prompt_scores(
     return set_scores(kept_pred, kept_gold, matcher="exact")
 
 
-@dataclass(frozen=True)
-class AnswerCountStats:
-    mean: float
-    delta: float | None = None
-
-
-def answer_count_stats(
-    predictions: Sequence[Prediction],
-    baseline: Sequence[Prediction] | None = None,
-) -> AnswerCountStats:
-    """Mean generated-answer count, optionally relative to a baseline run."""
-    if not predictions:
-        raise DataError("no predictions")
-    mean = float(np.mean([len(p.answers) for p in predictions]))
-    if baseline is None:
-        return AnswerCountStats(mean=mean)
-    if sorted(p.example_id for p in predictions) != sorted(
-        p.example_id for p in baseline
-    ):
-        raise DataError("prediction runs cover different example ids")
-    base_mean = float(np.mean([len(p.answers) for p in baseline]))
-    return AnswerCountStats(mean=mean, delta=mean - base_mean)
-
-
 def paired_bootstrap(
     scores_a: Sequence[float] | Sequence[Sequence[float]],
     scores_b: Sequence[float] | Sequence[Sequence[float]],

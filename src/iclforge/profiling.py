@@ -105,17 +105,8 @@ def profile_dataset(
 
 
 def save_profiles(profiles: list[KnowledgeProfile], path: str | Path) -> None:
-    """Replace the store at `path` atomically, so a crash never tears it."""
-    lines = []
-    for p in profiles:
-        record = {
-            "example_id": p.example_id,
-            "f1_em": p.f1_em,
-            "answer_perplexities": list(p.answer_perplexities),
-            "avg_similarity": p.avg_similarity,
-            "model_fingerprint": p.model_fingerprint,
-        }
-        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    """Replace the store at `path` atomically, one line per profile; a crash never tears it."""
+    lines = [json.dumps(vars(p), sort_keys=True) + "\n" for p in profiles]
     atomic_write_text(Path(path), "".join(lines))
 
 
@@ -248,16 +239,9 @@ def build_sets(
 
 
 def save_sets(sets: tuple[ExampleSet, ...] | list[ExampleSet], path: str | Path) -> None:
-    """Replace the set file at `path` atomically, so a crash never tears it."""
-    text = "".join(
-        json.dumps(
-            {"condition": s.condition, "member_ids": list(s.member_ids), "seed": s.seed},
-            sort_keys=True,
-        )
-        + "\n"
-        for s in sets
-    )
-    atomic_write_text(Path(path), text)
+    """Replace the set file at `path` atomically, one line per set; a crash never tears it."""
+    lines = [json.dumps(vars(s), sort_keys=True) + "\n" for s in sets]
+    atomic_write_text(Path(path), "".join(lines))
 
 
 def load_sets(path: str | Path) -> list[ExampleSet]:

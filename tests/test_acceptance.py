@@ -16,7 +16,6 @@ from iclforge.harness import RECORDS_FILE, SUMMARY_FILE, RunConfig, run_eval
 from iclforge.lm import DEFAULT_FLOOR, MockModel, MockRule
 from iclforge.metrics import (
     adherence_phi,
-    answer_count_stats,
     paired_bootstrap,
     set_scores,
     strategy_ranks,
@@ -285,7 +284,7 @@ def test_criterion_10_adherence_and_answer_count_pipeline(tmp_path):
         "reverse_perplexity",
         "reverse_greedy",
     )
-    predictions = {}
+    answer_counts = {}
     for strategy in strategies:
         run_config = RunConfig(
             train_path=listcont["train"],
@@ -298,11 +297,8 @@ def test_criterion_10_adherence_and_answer_count_pipeline(tmp_path):
             seed=0,
             compute_adherence=False,
         )
-        predictions[strategy] = [r.prediction for r in run_eval(run_config).records]
-    deltas = {
-        s: answer_count_stats(predictions[s], predictions["random"]).delta
-        for s in strategies
-    }
+        answer_counts[strategy] = run_eval(run_config).aggregates["answer_count"]
+    deltas = {s: answer_counts[s] - answer_counts["random"] for s in strategies}
     ranked = sorted(deltas, key=deltas.__getitem__, reverse=True)
     assert ranked[0] == "alphabet"
     values = [deltas[s] for s in ranked]

@@ -459,6 +459,106 @@ class TestProfileAndBuildSets:
         store_bytes = (profile_dir / "profiles.jsonl").read_bytes()
         assert manifest["input_sha256"] == {"profiles": hashlib.sha256(store_bytes).hexdigest()}
 
+    def test_manifests_key_for_key(self, capsys, knowledge_files, tmp_path):
+        profile_dir, sets_dir = tmp_path / "profiles", tmp_path / "sets"
+        run_cli(
+            capsys,
+            "profile",
+            "--train", knowledge_files["train"],
+            "--embeddings", knowledge_files["embeddings"],
+            "--backend", knowledge_files["mock"],
+            "--out", str(profile_dir),
+        )
+        run_cli(
+            capsys,
+            "build-sets",
+            "--profiles", str(profile_dir / "profiles.jsonl"),
+            "--condition", "unknown",
+            "--n-sets", "1",
+            "--set-size", "5",
+            "--out", str(sets_dir),
+        )
+        manifests = [
+            json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+            for out in (profile_dir, sets_dir)
+        ]
+        for manifest in manifests:
+            assert manifest.pop("written_at")
+        assert manifests[0] == {
+            "tool_version": "0.1.0",
+            "command": "profile",
+            "model_fingerprint": "mock:26a794f520d4ac11",
+            "k": 5,
+            "input_sha256": {
+                "train": "66b1b6e9704ac013ca3255cbc3ad9dcd4461e404a61cd77eda2d9be9d64b47f3",
+                "embeddings": "458c930555c84356364c4ec1119f1aa3aca6de2927f421e2abda759f5869ab7d",
+            },
+            "counts": {
+                "profiled": 24,
+                "cache_hits": None,
+                "cache_misses": None,
+                "generation_cap_hits": 0,
+            },
+        }
+        assert manifests[1] == {
+            "tool_version": "0.1.0",
+            "command": "build-sets",
+            "condition": "unknown",
+            "seed": 0,
+            "input_sha256": {
+                "profiles": "0da8263a4df62c1a0f9bdcd6e6f7b12441b2a4e1350b10ea6aa83e4c25fdbdf8",
+            },
+            "model_fingerprint": "mock:26a794f520d4ac11",
+            "counts": {"eligible": 8, "sets": 1, "set_size": 5},
+            "fallback_used": False,
+            "fallback_threshold": None,
+        }
+
+    def test_profile_rerun_through_one_cache_hits_every_call(self, capsys, fixtures_dir, tmp_path):
+        counts, stores = [], []
+        for run in (1, 2):
+            out = tmp_path / f"profile-{run}"
+            code, stdout, _ = run_cli(
+                capsys,
+                "profile",
+                "--train", str(fixtures_dir / "toy_train.jsonl"),
+                "--embeddings", str(fixtures_dir / "toy_embeddings.jsonl"),
+                "--backend", f"mock:{fixtures_dir / 'mock_toy.json'}",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--out", str(out),
+            )
+            assert code == 0
+            assert stdout == f"profiled 6 examples -> {out / 'profiles.jsonl'}\n"
+            manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+            counts.append(manifest["counts"])
+            stores.append((out / "profiles.jsonl").read_bytes())
+        assert stores[0] == stores[1]
+        assert counts[0]["cache_hits"] == 0 and counts[0]["cache_misses"] > 0
+        assert counts[1]["cache_hits"] == counts[0]["cache_misses"]
+        assert counts[1]["cache_misses"] == 0
+
+    def test_store_of_two_models_exits_2(self, capsys, tmp_path):
+        store = tmp_path / "profiles.jsonl"
+        lines = [
+            {**GOOD_PROFILE, "example_id": "t1", "model_fingerprint": "mock:a"},
+            {**GOOD_PROFILE, "example_id": "t2", "model_fingerprint": "mock:a"},
+            {**GOOD_PROFILE, "example_id": "t3", "model_fingerprint": "mock:b"},
+        ]
+        store.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        out = tmp_path / "sets"
+        code, _, err = run_cli(
+            capsys,
+            "build-sets",
+            "--profiles", str(store),
+            "--condition", "random",
+            "--n-sets", "1",
+            "--set-size", "2",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert str(store) in err and "'mock:a'" in err and "'mock:b'" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 import sys
 import time
@@ -34,7 +35,7 @@ from iclforge.harness import (
     run_eval,
 )
 from iclforge.lm import make_backend
-from iclforge.metrics import answer_count_stats, paired_bootstrap
+from iclforge.metrics import paired_bootstrap
 
 from rigs import CountingModel, build_copycat_rig, build_listcont_rig
 
@@ -615,6 +616,17 @@ class TestLoadReport:
         with pytest.raises(DataError, match="does not match"):
             load_report(out)
 
+    def test_summary_value_one_ulp_off_detected(self, fixtures_dir, tmp_path):
+        out = tmp_path / "run"
+        report = run_eval(toy_config(fixtures_dir, out))
+        moved = math.nextafter(report.aggregates["f1_f1"], math.inf)
+        summary = (out / SUMMARY_FILE).read_text(encoding="utf-8")
+        (out / SUMMARY_FILE).write_text(
+            re.sub(r"(?m)^f1_f1\t.*$", f"f1_f1\t{moved!r}", summary), encoding="utf-8"
+        )
+        with pytest.raises(DataError, match="summary value for 'f1_f1' does not match"):
+            load_report(out)
+
     def test_torn_records_raise_data_error(self, fixtures_dir, tmp_path):
         out = tmp_path / "run"
         run_eval(toy_config(fixtures_dir, out))
@@ -942,12 +954,10 @@ class TestAnswerCountDeltas:
                 compute_adherence=False,
             )
             reports[strategy] = run_eval(config)
-        baseline = [r.prediction for r in reports["random"].records]
+        baseline = reports["random"].aggregates["answer_count"]
         deltas = {
-            strategy: answer_count_stats(
-                [r.prediction for r in reports[strategy].records], baseline
-            ).delta
-            for strategy in reports
+            strategy: report.aggregates["answer_count"] - baseline
+            for strategy, report in reports.items()
         }
         lengths = paths["lengths"]
         for strategy, report in reports.items():

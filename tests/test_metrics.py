@@ -9,7 +9,6 @@ from iclforge.core import Prediction, normalize_answer
 from iclforge.errors import DataError, NoComparablePairs
 from iclforge.metrics import (
     adherence_phi,
-    answer_count_stats,
     not_in_prompt_scores,
     paired_bootstrap,
     set_exact_match,
@@ -210,27 +209,6 @@ class TestNotInPrompt:
 
     def test_gold_subset_of_prompt_skips(self):
         assert not_in_prompt_scores(prediction(["x"]), ["x"], prompt_answers={"x"}) is None
-
-
-class TestAnswerCountStats:
-    def test_mean(self):
-        preds = [prediction(["a", "b"]), prediction(["a", "b", "c", "d"])]
-        assert answer_count_stats(preds).mean == 3.0
-
-    def test_identical_runs_delta_zero(self):
-        preds = [prediction(["a"], "e1"), prediction(["a", "b"], "e2")]
-        assert answer_count_stats(preds, preds).delta == 0.0
-
-    def test_delta(self):
-        a = [prediction(["x", "y", "z"], "e1"), prediction(["x", "y", "z"], "e2")]
-        b = [prediction(["x", "y"], "e1"), prediction(["x", "y"], "e2")]
-        assert answer_count_stats(a, b).delta == pytest.approx(1.0)
-
-    def test_id_mismatch_rejected(self):
-        a = [prediction(["x"], "e1")]
-        b = [prediction(["x"], "eX")]
-        with pytest.raises(DataError):
-            answer_count_stats(a, b)
 
 
 class TestPairedBootstrap:

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .core import load_dataset, load_embeddings, read_json_object
+from .core import SPLITS, load_dataset, load_embeddings, read_json_object
 from .errors import BackendError, DataError, UsageError
 from .harness import (
     PROFILES_FILE,
@@ -110,7 +110,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--cache-dir")
     p.add_argument("--jobs", type=int)
     p.add_argument("--max-tokens", type=int)
-    p.add_argument("--eval-split", choices=("train", "dev", "test"))
+    p.add_argument("--eval-split", choices=SPLITS)
     p.add_argument("--fixed-set", help="sets file produced by build-sets")
     p.add_argument("--fixed-set-index", type=int, default=0)
     p.add_argument("--no-adherence", dest="compute_adherence", action="store_false", default=None)

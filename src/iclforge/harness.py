@@ -30,6 +30,7 @@ from .core import (
     Example,
     Prediction,
     Fields,
+    SPLITS,
     atomic_write_text,
     decode_json,
     load_dataset,
@@ -123,6 +124,8 @@ class RunConfig:
             raise UsageError(f"unknown ordering strategy {self.ordering!r}")
         if self.retrieval_strategy not in RETRIEVAL_STRATEGIES:
             raise UsageError(f"unknown retrieval strategy {self.retrieval_strategy!r}")
+        if self.eval_split not in SPLITS:
+            raise UsageError(f"unknown eval split {self.eval_split!r}; expected one of {SPLITS}")
         if self.fixed_set_ids is not None and not self.fixed_set_ids:
             raise UsageError("fixed example set is empty")
         if self.k < 1 or self.max_tokens < 1 or self.jobs < 1:
@@ -263,6 +266,17 @@ def _config_hash(config: RunConfig, input_sha256: dict[str, str], fingerprint: s
     ).hexdigest()
 
 
+def _make_out_dir(out_dir: str | Path) -> Path:
+    """`out_dir`, made with its parents; a path that cannot be made a
+    directory, such as an existing file, is a UsageError."""
+    out_dir = Path(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot make output directory {out_dir}: {exc.strerror or exc}") from exc
+    return out_dir
+
+
 def _write_manifest(out_dir: Path, command: str, payload: dict) -> dict:
     """Replace `out_dir`'s manifest with `payload`, stamped; return what was written."""
     manifest = {
@@ -391,8 +405,7 @@ def run_eval(config: RunConfig) -> EvalReport:
     started = datetime.now(timezone.utc).isoformat()
     eval_ds, planner = _load_run(config)
     model = planner.model
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(config.out_dir)
     records_path = out_dir / RECORDS_FILE
 
     input_sha256 = _input_sha256(
@@ -500,8 +513,7 @@ def run_profile(
     train = load_dataset(train_path, split="train")
     table = load_embeddings(embeddings_path, train)
     model = make_backend(backend, cache_dir)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(out_dir)
     profiles = profile_dataset(train, table, model, k=k, store_path=out_dir / PROFILES_FILE)
     _write_manifest(
         out_dir,
@@ -542,8 +554,7 @@ def run_build_sets(
         keep = set(median_similarity_filter(profiles, median_n))
         profiles = [p for p in profiles if p.example_id in keep]
     result = build_sets(profiles, condition, n_sets, set_size, seed, halfknown_band)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(out_dir)
     save_sets(result.sets, out_dir / SETS_FILE)
     _write_manifest(
         out_dir,

@@ -75,7 +75,9 @@ class LanguageModel(abc.ABC):
     continuation ``" " + " ".join(tokens)`` scored after ``context``, the
     logprob of ``tokens[j]`` equals ``next_token_distribution(context + " " +
     " ".join(tokens[:j]), [tokens[j]])[0]``, trailing spaces of a context
-    being ignored. Greedy ordering reads logprobs from score replies on it.
+    being ignored. Greedy ordering relies on it: a step's candidate logprobs
+    read from per-answer score replies equal those ``next_token_distribution``
+    gives, so the order does not depend on which of the two it asks.
     """
 
     @property

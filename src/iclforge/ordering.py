@@ -2,21 +2,23 @@
 
 Knowledge-aware strategies score answers against a prompt prefix ending in
 ``Answers:`` (for a shot, its ``peer_prefix``), so the scored continuation is
-a single space followed by the raw answer, mirroring the answer's position in
-a rendered shot. ``strategy_permutation`` is the entry point for every
-strategy over an answer list, and ``shot_order`` the one rule that orders a
-shot's answers for a prompt.
+a single space followed by the raw answer (for greedy, the whole answer
+line), mirroring the answer's position in a rendered shot.
+``strategy_permutation`` is the entry point for every strategy over an answer
+list, and ``shot_order`` the one rule that orders a shot's answers for a
+prompt.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Sequence
 
 from .core import EmbeddingTable, Example, derive_rng
 from .errors import DataError, TooManyAnswers
-from .lm import LanguageModel
-from .prompting import render_prompt
+from .lm import LanguageModel, TokenScores
+from .prompting import ANSWER_DELIMITER, render_prompt
 from .retrieval import Pool, RetrievalConfig, retrieve
 
 # strategies that score answers with a model against a shot prefix
@@ -30,6 +32,12 @@ MODEL_STRATEGIES = (
 STRATEGIES = ("random", "alphabet") + MODEL_STRATEGIES
 
 MAX_REORDER_ANSWERS = 20
+
+# backends one of whose answer-line replies did not split on single spaces;
+# greedy scores each answer on them from then on, so a backend with subword
+# tokens pays for one line call over its lifetime (one per thread that asked
+# before the first reply came back), not one per answer set
+_LINE_UNSPLIT: weakref.WeakSet[LanguageModel] = weakref.WeakSet()
 
 
 def peer_prefix(
@@ -90,6 +98,29 @@ def perplexity_permutation(
     return sorted(range(len(answers)), key=lambda i: scores[i])
 
 
+def _joined_tokens(
+    distinct: Sequence[str], prefix: str, model: LanguageModel
+) -> dict[str, tuple[str, ...]] | None:
+    """Each answer's tokens from one score of the whole answer line, or None.
+
+    The continuation is the line a gold-order shot renders, ``" " +
+    " | ".join(distinct)``. When no answer has an empty space-split piece
+    (doubled, leading or trailing spaces) and the reply's tokens are that
+    line split on single spaces, an answer's tokens are its own split. A set
+    with such spacing is None before any call. A reply that does not split,
+    such as subword tokens, is None after one, and marks `model` so that
+    every later set on it is None before any call.
+    """
+    pieces = [tuple(a.split(" ")) for a in distinct]
+    if any("" in p for p in pieces) or model in _LINE_UNSPLIT:
+        return None
+    joined = ANSWER_DELIMITER.join(distinct)
+    if model.score_continuation(prefix, " " + joined).tokens != tuple(joined.split(" ")):
+        _LINE_UNSPLIT.add(model)
+        return None
+    return dict(zip(distinct, pieces))
+
+
 def greedy_permutation(
     answers: Sequence[str], prefix: str, model: LanguageModel
 ) -> list[int]:
@@ -102,27 +133,38 @@ def greedy_permutation(
     ``" | "`` delimiter joins the working context, and decoding restarts on
     the remaining set.
 
-    Backend cost: one ``score_continuation`` per distinct answer, to
-    tokenize it, plus one ``next_token_distribution`` per contested step (two
-    or more permissible tokens) after the first answer completes. A forced
-    step costs no call, since the argmax over one candidate is that
-    candidate; a one-answer set therefore costs none at all.
+    Backend cost: one ``score_continuation`` of the whole answer line, to
+    tokenize every distinct answer at once, plus one
+    ``next_token_distribution`` per contested step (two or more permissible
+    tokens). A forced step costs no call, since the argmax over one
+    candidate is that candidate; a one-answer set therefore costs none at
+    all.
 
-    Until the first answer completes, the context is the prefix plus the
-    emitted tokens: the context in which each viable answer's score reply
-    already holds the logprob of its next token (the agreement
-    ``LanguageModel`` states). Those steps read their candidate logprobs from
-    the score replies. This holds only for an answer whose tokens, joined by
-    single spaces, spell it; a step with a candidate that no such answer
-    carries asks ``next_token_distribution`` as any later step does.
+    When that line cannot tokenize the set (see ``_joined_tokens``), each
+    distinct answer costs one ``score_continuation`` instead; on a backend
+    whose line replies do not split, that is every set, plus the line calls
+    made before the first such reply came back. The steps before the first
+    answer completes read their candidate logprobs from those replies: the
+    context is then the prefix plus the emitted tokens, in which each viable
+    answer's score reply already holds the logprob of its next token (the
+    agreement ``LanguageModel`` states). This holds only for an answer whose
+    tokens, joined by single spaces, spell it; a step with a candidate that
+    no such answer carries, or any step after the first answer completes,
+    asks ``next_token_distribution``.
     """
     _check_not_blank(answers)
     if len(answers) == 1:
         return [0]
-    replies = {a: model.score_continuation(prefix, " " + a) for a in dict.fromkeys(answers)}
-    scored = [replies[a] for a in answers]
-    token_seqs = [s.tokens for s in scored]
-    spelled = [" ".join(s.tokens) == a for s, a in zip(scored, answers)]
+    distinct = list(dict.fromkeys(answers))
+    tokens = _joined_tokens(distinct, prefix, model)
+    # per-answer score replies of the answers they spell, which the steps
+    # before the first answer completes may read logprobs from
+    spelled: dict[str, TokenScores] = {}
+    if tokens is None:
+        replies = {a: model.score_continuation(prefix, " " + a) for a in distinct}
+        tokens = {a: s.tokens for a, s in replies.items()}
+        spelled = {a: s for a, s in replies.items() if " ".join(s.tokens) == a}
+    token_seqs = [tokens[a] for a in answers]
     remaining = list(range(len(answers)))
     context = prefix
     order: list[int] = []
@@ -137,9 +179,9 @@ def greedy_permutation(
                 held: dict[str, float] = {}
                 if not order:
                     held = {
-                        token_seqs[i][emitted]: scored[i].logprobs[emitted]
+                        token_seqs[i][emitted]: spelled[answers[i]].logprobs[emitted]
                         for i in viable
-                        if spelled[i]
+                        if answers[i] in spelled
                     }
                 if len(held) == len(candidates):
                     logprobs = [held[c] for c in candidates]

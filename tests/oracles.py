@@ -126,18 +126,23 @@ def oracle_answer_perplexity(vocab, rules, floor, prefix, answer):
     return product ** (-1.0 / len(tokens))
 
 
-def oracle_greedy_order(vocab, rules, floor, prefix, answers):
-    """Step-by-step simulation of the constrained greedy decode."""
+def _oracle_greedy_decode(vocab, rules, floor, prefix, answers):
+    """Step-by-step simulation of the constrained greedy decode: the order, and
+    each contested step as (step, candidates, alive answer indices, answers
+    done before it), and each answer's tokens."""
     seqs = [tuple(t for t, _ in oracle_tokenize(" " + a)) for a in answers]
     remaining = list(range(len(answers)))
     context = prefix
     order = []
+    contested = []
     while remaining:
         alive = list(remaining)
         emitted = []
         while True:
             step = len(emitted)
             candidates = sorted({seqs[i][step] for i in alive})
+            if len(candidates) > 1:
+                contested.append((step, candidates, alive, len(order)))
             scored = [
                 (oracle_token_prob(vocab, rules, floor, context, c), c)
                 for c in candidates
@@ -154,7 +159,31 @@ def oracle_greedy_order(vocab, rules, floor, prefix, answers):
                 remaining.remove(winner)
                 context = context + " |"
                 break
-    return order
+    return order, contested, seqs
+
+
+def oracle_greedy_order(vocab, rules, floor, prefix, answers):
+    """Step-by-step simulation of the constrained greedy decode."""
+    return _oracle_greedy_decode(vocab, rules, floor, prefix, answers)[0]
+
+
+def oracle_per_answer_greedy_calls(vocab, rules, floor, prefix, answers):
+    """Backend calls of greedy ordering that scores every distinct answer.
+
+    A one-answer set costs none. Otherwise each distinct answer costs one
+    score, and a contested step one next-token request, except a step before
+    the first answer completes whose every candidate is the next token of an
+    alive answer that its tokens, joined by single spaces, spell.
+    """
+    if len(answers) == 1:
+        return 0
+    _, contested, seqs = _oracle_greedy_decode(vocab, rules, floor, prefix, answers)
+    calls = len(set(answers))
+    for step, candidates, alive, done_before in contested:
+        held = {seqs[i][step] for i in alive if " ".join(seqs[i]) == answers[i]}
+        if done_before or held != set(candidates):
+            calls += 1
+    return calls
 
 
 def python_dot(u, v):

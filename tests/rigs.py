@@ -22,7 +22,7 @@ import numpy as np
 from iclforge.core import Dataset, EmbeddingTable, Example, save_dataset, save_embeddings
 from iclforge.lm import LanguageModel, MockModel, MockRule, TokenScores
 from iclforge.ordering import random_permutation
-from iclforge.prompting import render_prompt
+from iclforge.prompting import ANSWER_DELIMITER, render_prompt
 
 JUNK = "zzz"
 
@@ -73,6 +73,40 @@ class CountingModel(LanguageModel):
 
     def generate(self, prompt: str, stop: Sequence[str], max_tokens: int) -> str:
         self._count("generate", prompt, tuple(stop), max_tokens)
+        return self.inner.generate(prompt, stop, max_tokens)
+
+
+class FoldedDelimiterModel(LanguageModel):
+    """Backend whose score reply for an answer line, a continuation holding
+    ``" | "``, folds each ``|`` token into the token before it, as a subword
+    tokenizer might; every other request is passed through to `inner`."""
+
+    def __init__(self, inner: LanguageModel):
+        self.inner = inner
+
+    @property
+    def fingerprint(self) -> str:
+        return self.inner.fingerprint
+
+    def score_continuation(self, context: str, continuation: str) -> TokenScores:
+        scores = self.inner.score_continuation(context, continuation)
+        if ANSWER_DELIMITER not in continuation:
+            return scores
+        tokens: list[str] = []
+        logprobs: list[float] = []
+        for token, logprob in zip(scores.tokens, scores.logprobs):
+            if token == "|" and tokens:
+                tokens[-1] += " |"
+                logprobs[-1] += logprob
+            else:
+                tokens.append(token)
+                logprobs.append(logprob)
+        return TokenScores(tuple(tokens), tuple(logprobs))
+
+    def next_token_distribution(self, context: str, candidates: Sequence[str]) -> list[float]:
+        return self.inner.next_token_distribution(context, candidates)
+
+    def generate(self, prompt: str, stop: Sequence[str], max_tokens: int) -> str:
         return self.inner.generate(prompt, stop, max_tokens)
 
 

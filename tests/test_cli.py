@@ -559,6 +559,40 @@ class TestProfileAndBuildSets:
         assert str(store) in err and "'mock:a'" in err and "'mock:b'" in err
         assert not out.exists()
 
+    def test_profile_out_naming_a_file_exits_1(self, capsys, knowledge_files, tmp_path):
+        out = tmp_path / "afile"
+        out.write_text("kept\n", encoding="utf-8")
+        code, _, err = run_cli(
+            capsys,
+            "profile",
+            "--train", knowledge_files["train"],
+            "--embeddings", knowledge_files["embeddings"],
+            "--backend", knowledge_files["mock"],
+            "--out", str(out),
+        )
+        assert code == 1
+        assert f"usage error: cannot make output directory {out}" in err
+        assert out.read_text(encoding="utf-8") == "kept\n"
+
+    def test_build_sets_out_naming_a_file_exits_1(self, capsys, tmp_path):
+        store = tmp_path / "profiles.jsonl"
+        lines = [{**GOOD_PROFILE, "example_id": f"t{i}"} for i in range(3)]
+        store.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        out = tmp_path / "afile"
+        out.write_text("kept\n", encoding="utf-8")
+        code, _, err = run_cli(
+            capsys,
+            "build-sets",
+            "--profiles", str(store),
+            "--condition", "random",
+            "--n-sets", "1",
+            "--set-size", "2",
+            "--out", str(out),
+        )
+        assert code == 1
+        assert f"usage error: cannot make output directory {out}" in err
+        assert out.read_text(encoding="utf-8") == "kept\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -927,6 +961,31 @@ class TestEvalAndReports:
         code, _, err = run_cli(capsys, "eval", "--config", str(config_path))
         assert code == 1
         assert "usage error" in err and "not a JSON object" in err
+
+    def test_eval_out_naming_a_file_exits_1(self, capsys, fixtures_dir, tmp_path):
+        out = tmp_path / "afile"
+        out.write_text("kept\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, *self.eval_args(fixtures_dir, out))
+        assert code == 1
+        assert f"usage error: cannot make output directory {out}" in err
+        assert out.read_text(encoding="utf-8") == "kept\n"
+
+    def test_unknown_eval_split_exits_1_before_any_file_is_read(self, capsys, tmp_path):
+        missing = tmp_path / "missing"
+        config = {
+            "train_path": str(missing / "train.jsonl"),
+            "eval_path": str(missing / "eval.jsonl"),
+            "embeddings_path": str(missing / "emb.jsonl"),
+            "backend": f"mock:{missing / 'mock.json'}",
+            "out_dir": str(tmp_path / "out"),
+            "eval_split": "bogus",
+        }
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        code, _, err = run_cli(capsys, "eval", "--config", str(config_path))
+        assert code == 1
+        assert "usage error: unknown eval split 'bogus'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_required_settings_exit_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "eval", "--out", str(tmp_path / "x"))

@@ -15,8 +15,12 @@ from iclforge.ordering import (
     strategy_permutation,
 )
 
-from oracles import oracle_answer_perplexity, oracle_greedy_order
-from rigs import CountingModel
+from oracles import (
+    oracle_answer_perplexity,
+    oracle_greedy_order,
+    oracle_per_answer_greedy_calls,
+)
+from rigs import CountingModel, FoldedDelimiterModel
 
 
 def example(answers, example_id="ex"):
@@ -170,11 +174,11 @@ class TestGreedyForcedSteps:
         answers = ["new york", "new jersey", "boston"]
         result = order("greedy", answers, model)
         assert [answers[i] for i in result] == ["boston", "new jersey", "new york"]
-        # one score per answer; {boston, new} is contested before the first
-        # answer completes, so the score replies decide it; next-token only
-        # for {jersey, york}
-        assert model.counts == {"score": 3, "next_token": 1}
-        assert model.candidate_lists == [("jersey", "york")]
+        # one score of the answer line tokenizes all three; each contested
+        # step, {boston, new} and then {jersey, york}, asks for next tokens
+        assert model.counts == {"score": 1, "next_token": 2}
+        assert model.requests[0] == ("score", "", " new york | new jersey | boston")
+        assert model.candidate_lists == [("boston", "new"), ("jersey", "york")]
 
     def test_answers_that_do_not_spell_their_tokens_ask_every_contested_step(self, f1_mock):
         model = CountingModel(f1_mock, refuse_forced=True)
@@ -254,23 +258,99 @@ class TestGreedyFirstSegment:
                 assert got == expected, (table, rules, answers, prefix)
 
     def test_no_next_token_request_before_the_first_answer_completes(self):
+        # on the per-answer path, taken here because the answer line's reply
+        # does not split on spaces, the score replies decide the first answer
         rng = np.random.default_rng(20261020)
         asked = 0
         for _ in range(100):
             vocab, rules, random_answers = random_fixture(rng)
             inner = MockModel(vocab, tuple(MockRule(*r) for r in rules))
             for answers in (random_answers, *SHARED_PREFIX_SETS):
-                model = CountingModel(inner, refuse_forced=True)
-                greedy_permutation(answers, "p:", model)
+                model = CountingModel(FoldedDelimiterModel(inner), refuse_forced=True)
+                got = greedy_permutation(answers, "p:", model)
+                assert got == oracle_greedy_order(vocab, rules, DEFAULT_FLOOR, "p:", answers)
                 # "|" joins the context only once an answer has completed
                 assert all("|" in ctx for ctx in model.next_token_contexts), (rules, answers)
+                if len(answers) > 1:
+                    assert model.counts["score"] == 1 + len(set(answers)), (rules, answers)
                 asked += len(model.next_token_contexts)
         assert asked > 0
 
     def test_two_answers_with_one_contested_step_cost_only_their_scores(self, f1_mock):
+        # one score of the answer line, then {jersey, york} asks for next tokens
         model = CountingModel(f1_mock)
         assert order("greedy", ["new york", "new jersey"], model) == [1, 0]
-        assert model.counts == {"score": 2}
+        assert model.counts == {"score": 1, "next_token": 1}
+        # per answer, the score replies decide the contested step: the line's
+        # score, then one per answer
+        model = CountingModel(FoldedDelimiterModel(f1_mock))
+        assert order("greedy", ["new york", "new jersey"], model) == [1, 0]
+        assert model.counts == {"score": 3}
+
+
+class TestGreedyAnswerLine:
+    """Greedy tokenizes a set with one score of its answer line when it can."""
+
+    @staticmethod
+    def tables():
+        rng = np.random.default_rng(20261021)
+        for _ in range(150):
+            vocab, rules, answers = random_fixture(rng)
+            yield vocab, rules, answers
+            for shared in SHARED_PREFIX_SETS:
+                yield vocab, rules, shared
+        for _ in range(150):
+            yield spaced_fixture(rng)
+
+    def test_orders_match_and_calls_never_exceed_scoring_each_answer(self):
+        joined_sets = 0
+        for table, (vocab, rules, answers) in enumerate(self.tables()):
+            inner = MockModel(vocab, tuple(MockRule(*r) for r in rules))
+            distinct = list(dict.fromkeys(answers))
+            clean = len(answers) > 1 and all("" not in a.split(" ") for a in distinct)
+            for prefix in ("p:", "p: "):
+                expected = oracle_greedy_order(vocab, rules, DEFAULT_FLOOR, prefix, answers)
+                per_answer = oracle_per_answer_greedy_calls(
+                    vocab, rules, DEFAULT_FLOOR, prefix, answers
+                )
+                case = (table, rules, answers, prefix)
+                model = CountingModel(inner, refuse_forced=True)
+                assert greedy_permutation(answers, prefix, model) == expected, case
+                assert sum(model.counts.values()) <= per_answer, case
+                scores = [r for r in model.requests if r[0] == "score"]
+                if clean:
+                    assert scores == [("score", prefix, " " + " | ".join(distinct))], case
+                    joined_sets += 1
+                else:
+                    assert len(scores) == (len(distinct) if len(answers) > 1 else 0), case
+                # a line whose reply does not split costs its one call, then
+                # exactly what scoring each answer costs
+                model = CountingModel(FoldedDelimiterModel(inner), refuse_forced=True)
+                assert greedy_permutation(answers, prefix, model) == expected, case
+                assert sum(model.counts.values()) == per_answer + clean, case
+        assert joined_sets > 0
+
+    def test_a_backend_whose_line_does_not_split_pays_for_one_line_call(self):
+        rng = np.random.default_rng(20261022)
+        for table in range(50):
+            vocab, rules, random_answers = random_fixture(rng)
+            inner = MockModel(vocab, tuple(MockRule(*r) for r in rules))
+            splitting = CountingModel(inner, refuse_forced=True)
+            folding = CountingModel(FoldedDelimiterModel(inner), refuse_forced=True)
+            per_answer = clean_sets = 0
+            for answers in (random_answers, *SHARED_PREFIX_SETS):
+                for prefix in ("p:", "p: "):
+                    expected = oracle_greedy_order(vocab, rules, DEFAULT_FLOOR, prefix, answers)
+                    for model in (splitting, folding):
+                        assert greedy_permutation(answers, prefix, model) == expected, table
+                    per_answer += oracle_per_answer_greedy_calls(
+                        vocab, rules, DEFAULT_FLOOR, prefix, answers
+                    )
+                    clean_sets += len(answers) > 1
+            # a backend whose replies split keeps its one line call per set; the
+            # first line reply that does not split is the only one asked for
+            assert splitting.counts["score"] == clean_sets, (table, rules)
+            assert sum(folding.counts.values()) == per_answer + 1, (table, rules)
 
 
 class TestOneAnswerSets:
@@ -333,7 +413,8 @@ class TestRepeatedAnswers:
         inner = MockModel(["a", "b", "c", "|"], (MockRule("", "a", 2.0),))
         answers = ["a b", "c", "a b"]
         for strategy, calls in (
-            ("greedy", {"score": 2, "next_token": 1}),
+            # one score of the line "a b | c"; {a, c} is contested twice
+            ("greedy", {"score": 1, "next_token": 2}),
             ("perplexity", {"score": 2}),
         ):
             model = CountingModel(inner)
@@ -372,7 +453,9 @@ class TestRepeatedAnswers:
                 model = CountingModel(inner)
                 assert run(model) == expected, (table, name, rules, answers)
                 assert len(set(model.requests)) == len(model.requests), (table, name)
-                assert model.counts["score"] == len(set(answers)), (table, name)
+                # greedy scores the line of distinct answers once
+                scores = 1 if name == "greedy" else len(set(answers))
+                assert model.counts["score"] == scores, (table, name)
 
 
 class TestOrderAlphabet:

@@ -5,16 +5,20 @@ from __future__ import annotations
 
 import json
 import threading
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
 import pytest
 
 from iclforge.errors import ProtocolError, TransportError
-from iclforge.lm import MockModel, MockRule, RemoteModel
+from iclforge.lm import LanguageModel, MockModel, MockRule, RemoteModel
+from iclforge.ordering import greedy_permutation
+
+from rigs import FoldedDelimiterModel
 
 
-def make_handler(model: MockModel, failures: dict):
+def make_handler(model: LanguageModel, failures: dict):
     class Handler(BaseHTTPRequestHandler):
         def log_message(self, *args):  # keep test output quiet
             pass
@@ -76,15 +80,24 @@ def backing_model():
     )
 
 
+@contextmanager
+def serving(model: LanguageModel, failures: dict):
+    """The base URL of a test server answering from `model`."""
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), make_handler(model, failures))
+    thread = threading.Thread(target=httpd.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{httpd.server_port}"
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+
+
 @pytest.fixture
 def server(backing_model):
     failures: dict = {}
-    httpd = ThreadingHTTPServer(("127.0.0.1", 0), make_handler(backing_model, failures))
-    thread = threading.Thread(target=httpd.serve_forever, args=(0.05,), daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{httpd.server_port}", failures
-    httpd.shutdown()
-    httpd.server_close()
+    with serving(backing_model, failures) as url:
+        yield url, failures
 
 
 def test_remote_matches_mock(server, backing_model):
@@ -260,15 +273,39 @@ def test_fingerprint_is_url_based(server):
     assert RemoteModel(url).fingerprint == f"remote:{url}"
 
 
+GREEDY_SETS = (["a b", "c", "b"], ["b a", "b", "c a b"], ["a", "a b", "c", "a"])
+
+
+def test_greedy_scores_each_answer_set_once(server, backing_model):
+    url, seen = server
+    remote = RemoteModel(url, retries=0)
+    for answers in GREEDY_SETS:
+        assert greedy_permutation(answers, "q", remote) == (
+            greedy_permutation(answers, "q", backing_model)
+        ), answers
+    assert seen["paths"].count("/v1/score") == len(GREEDY_SETS)
+
+
+def test_greedy_answer_line_that_does_not_split_falls_back_to_each_answer(backing_model):
+    seen: dict = {}
+    with serving(FoldedDelimiterModel(backing_model), seen) as url:
+        remote = RemoteModel(url, retries=0)
+        for answers in GREEDY_SETS:
+            assert greedy_permutation(answers, "q", remote) == (
+                greedy_permutation(answers, "q", backing_model)
+            ), answers
+    # the first set's answer line, then one score per distinct answer: the
+    # first reply that did not split is remembered for this backend
+    expected = 1 + sum(len(set(answers)) for answers in GREEDY_SETS)
+    assert seen["paths"].count("/v1/score") == expected
+
+
 def test_full_harness_over_remote_backend(tmp_path, fixtures_dir):
     """The eval pipeline produces the same records via HTTP as via the mock."""
     from iclforge.harness import RECORDS_FILE, RunConfig, run_eval
 
     toy_model = MockModel.from_file(fixtures_dir / "mock_toy.json")
-    httpd = ThreadingHTTPServer(("127.0.0.1", 0), make_handler(toy_model, {}))
-    thread = threading.Thread(target=httpd.serve_forever, args=(0.05,), daemon=True)
-    thread.start()
-    try:
+    with serving(toy_model, {}) as url:
         common = dict(
             train_path=str(fixtures_dir / "toy_train.jsonl"),
             eval_path=str(fixtures_dir / "toy_eval.jsonl"),
@@ -279,7 +316,7 @@ def test_full_harness_over_remote_backend(tmp_path, fixtures_dir):
         )
         remote_report = run_eval(
             RunConfig(
-                backend=f"remote:http://127.0.0.1:{httpd.server_port}",
+                backend=f"remote:{url}",
                 out_dir=str(tmp_path / "remote"),
                 cache_dir=str(tmp_path / "cache"),
                 **common,
@@ -292,9 +329,6 @@ def test_full_harness_over_remote_backend(tmp_path, fixtures_dir):
                 **common,
             )
         )
-    finally:
-        httpd.shutdown()
-        httpd.server_close()
     assert (tmp_path / "remote" / RECORDS_FILE).read_bytes() == (
         tmp_path / "local" / RECORDS_FILE
     ).read_bytes()

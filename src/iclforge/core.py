@@ -244,13 +244,35 @@ class Fields:
         return float(value) if kind is float else value
 
 
-def decode_json(text: str, source, line: int | None = None):
-    """`text` as JSON; malformed JSON is a DataError naming `source` and `line`."""
+def lone_surrogate(text: str, value) -> str | None:
+    """The first lone surrogate in `value`, decoded from the JSON `text`, as a
+    ``\\uXXXX`` escape, or None. A string holding one cannot be written as UTF-8.
+
+    `text` was read as UTF-8, which admits no surrogate, so only a ``\\u`` escape
+    in it can make one; text without one costs a substring test.
+    """
+    if "\\u" not in text:
+        return None
     try:
-        return json.loads(text)
+        json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return f"\\u{ord(exc.object[exc.start]):04x}"
+    return None
+
+
+def decode_json(text: str, source, line: int | None = None):
+    """`text` as JSON; malformed JSON, or a lone surrogate escape, is a DataError
+    naming `source` and `line`."""
+    try:
+        value = json.loads(text)
     except json.JSONDecodeError as exc:
         where = f"{source}: line {line}" if line else source
         raise DataError(f"{where}: malformed JSON: {exc}") from exc
+    escape = lone_surrogate(text, value)
+    if escape is not None:
+        where = f"{source}: line {line}" if line else source
+        raise DataError(f"{where}: lone surrogate escape {escape} is not UTF-8 text")
+    return value
 
 
 def _decode(data: bytes, path: Path, first_line: int = 1) -> str:

@@ -403,9 +403,9 @@ def _score_example(
 def run_eval(config: RunConfig) -> EvalReport:
     """Evaluate the configured strategy over the eval split and persist a report."""
     started = datetime.now(timezone.utc).isoformat()
+    out_dir = _make_out_dir(config.out_dir)
     eval_ds, planner = _load_run(config)
     model = planner.model
-    out_dir = _make_out_dir(config.out_dir)
     records_path = out_dir / RECORDS_FILE
 
     input_sha256 = _input_sha256(
@@ -510,10 +510,10 @@ def run_profile(
     cache_dir: str | None = None,
 ) -> list[KnowledgeProfile]:
     """Profile every shot-safe training example into `out_dir`'s profile store."""
+    out_dir = _make_out_dir(out_dir)
     train = load_dataset(train_path, split="train")
     table = load_embeddings(embeddings_path, train)
     model = make_backend(backend, cache_dir)
-    out_dir = _make_out_dir(out_dir)
     profiles = profile_dataset(train, table, model, k=k, store_path=out_dir / PROFILES_FILE)
     _write_manifest(
         out_dir,

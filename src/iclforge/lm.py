@@ -18,6 +18,13 @@ The mock answers a query from a suffix index built with it: each distinct
 lengths are tried longest first, one slice and one dict lookup each. Only the
 tokens of the matched group get a probability computed; the full distribution
 is never built.
+
+Building a mock checks each rule and indexes it in one pass, then hashes the
+table for its fingerprint: ``mock:`` and 16 hex digits of the sha256 of the
+canonical JSON ``json.dumps({"floor", "rules", "vocab"}, sort_keys=True,
+ensure_ascii=False)``. A fixture file's int weight is read as a float. Every
+byte of that JSON is written by the encoders ``json.dumps`` itself uses, so a
+fingerprint never changes with how it is computed.
 """
 
 from __future__ import annotations
@@ -31,9 +38,9 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .core import Fields, atomic_write_text, read_json_object
+from .core import Fields, atomic_write_text, lone_surrogate, read_json_object
 from .errors import DataError, ProtocolError, TransportError, UsageError
 
 log = logging.getLogger(__name__)
@@ -111,32 +118,45 @@ def _tokenize_with_offsets(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
-@dataclass(frozen=True, slots=True)
-class MockRule:
+class MockRule(NamedTuple):
+    """One row of the mock's rule table: after a context whose longest matched
+    suffix is `context_suffix`, `token` shares that suffix's mass by `weight`."""
+
     context_suffix: str
     token: str
     weight: float
 
 
-# rules hashed per json.dumps call when fingerprinting a mock
+# rules hashed per update when fingerprinting a mock
 _FINGERPRINT_RUN = 256
+
+
+def _json_number(value: int | float) -> str:
+    """`value` as ``json.dumps`` writes it, through ``int.__repr__`` or
+    ``float.__repr__``: a subclass's own repr, such as numpy's ``np.float64(0.1)``,
+    is not JSON."""
+    return int.__repr__(value) if isinstance(value, int) else float.__repr__(value)
 
 
 def _mock_fingerprint(vocab: tuple[str, ...], rules: tuple[MockRule, ...], floor: float) -> str:
     """``mock:`` and 16 hex digits of the sha256 of the fixture's canonical JSON.
 
     The canonical JSON is ``json.dumps(payload, sort_keys=True, ensure_ascii=False)``
-    of ``{"vocab", "rules", "floor"}``. Its bytes are hashed in runs of rules, so
-    the whole fixture is never held as one string.
+    of ``{"vocab", "rules", "floor"}``. Each rule's object is written here with the
+    encoder ``json.dumps`` uses for strings and the repr it uses for numbers, keys
+    in sorted order, so the bytes are the same. They are hashed in runs of rules,
+    so the whole fixture is never held as one string.
     """
+    encode = json.encoder.encode_basestring  # the C encoder of ensure_ascii=False
     digest = hashlib.sha256()
     digest.update(f'{{"floor": {json.dumps(floor)}, "rules": ['.encode("utf-8"))
     for start in range(0, len(rules), _FINGERPRINT_RUN):
-        run = [
-            {"context_suffix": r.context_suffix, "token": r.token, "weight": r.weight}
-            for r in rules[start : start + _FINGERPRINT_RUN]
-        ]
-        text = json.dumps(run, sort_keys=True, ensure_ascii=False)[1:-1]
+        # a plain float, the type of every weight a fixture file gives, is written by its repr
+        text = ", ".join(
+            f'{{"context_suffix": {encode(suffix)}, "token": {encode(token)}, '
+            f'"weight": {repr(weight) if type(weight) is float else _json_number(weight)}}}'
+            for suffix, token, weight in rules[start : start + _FINGERPRINT_RUN]
+        )
         digest.update((", " + text if start else text).encode("utf-8"))
     vocab_json = json.dumps(list(vocab), ensure_ascii=False)
     digest.update(f'], "vocab": {vocab_json}}}'.encode("utf-8"))
@@ -160,34 +180,32 @@ class MockModel(LanguageModel):
             if not isinstance(token, str) or not token or " " in token:
                 raise DataError(f"bad vocabulary token {token!r}")
         vocab_set = set(vocab)
-        for rule in rules:
-            if not isinstance(rule.context_suffix, str):
-                raise DataError(f"rule context_suffix must be a string in {rule}")
-            if not isinstance(rule.token, str) or rule.token not in vocab_set:
-                raise DataError(f"rule token {rule.token!r} not in vocabulary")
-            w = rule.weight
-            if isinstance(w, bool) or not (isinstance(w, (int, float)) and 0 < w < math.inf):
-                raise DataError(f"rule weight must be a positive finite number in {rule}")
-        if not 0 < floor < 1 / (len(vocab) + 1):
-            raise DataError(f"floor probability {floor} out of range")
-        self.vocab = tuple(vocab)
         self.rules = tuple(rules)
-        self.floor = float(floor)
-        self.generation_cap_hits = 0
-        self._cap_lock = threading.Lock()
-        self._vocab_set = vocab_set
         # suffix -> its rule, or a tuple of its rules in rule order; one object
         # per rule, not a probability table per suffix, keeps the index small
         index: dict[str, MockRule | tuple[MockRule, ...]] = {}
         shared_suffixes: dict[str, list[MockRule]] = {}
         for rule in self.rules:
-            suffix = rule.context_suffix
+            suffix, token, w = rule
+            if not isinstance(suffix, str):
+                raise DataError(f"rule context_suffix must be a string in {rule}")
+            if not isinstance(token, str) or token not in vocab_set:
+                raise DataError(f"rule token {token!r} not in vocabulary")
+            if isinstance(w, bool) or not (isinstance(w, (int, float)) and 0 < w < math.inf):
+                raise DataError(f"rule weight must be a positive finite number in {rule}")
             if suffix in index:
                 shared_suffixes.setdefault(suffix, [index[suffix]]).append(rule)
             else:
                 index[suffix] = rule
+        if not 0 < floor < 1 / (len(vocab) + 1):
+            raise DataError(f"floor probability {floor} out of range")
         for suffix, group in shared_suffixes.items():
             index[suffix] = tuple(group)
+        self.vocab = tuple(vocab)
+        self.floor = float(floor)
+        self.generation_cap_hits = 0
+        self._cap_lock = threading.Lock()
+        self._vocab_set = vocab_set
         self._by_suffix = index
         self._suffix_lengths = sorted({len(suffix) for suffix in index}, reverse=True)
         self._fingerprint = _mock_fingerprint(self.vocab, self.rules, self.floor)
@@ -195,13 +213,18 @@ class MockModel(LanguageModel):
     @classmethod
     def from_file(cls, path: str | Path) -> "MockModel":
         fixture = read_json_object(Path(path), "mock fixture")
+        records = fixture.get("rules", list, [], of=dict)
+        vocab = fixture.get("vocab", list, of=str)
+        # each rule shares its vocabulary token's string: json.loads makes one per occurrence
+        own = {token: token for token in vocab}
         rules = []
-        for r in fixture.get("rules", list, [], of=dict):
-            weight = r.get("weight")
+        for r in records:
+            token, weight = r.get("token"), r.get("weight")
+            if type(token) is str:
+                token = own.get(token, token)
             if type(weight) is int:  # read as a float, so the fingerprint stays that of the float
                 weight = float(weight)
-            rules.append(MockRule(r.get("context_suffix"), r.get("token"), weight))
-        vocab = fixture.get("vocab", list, of=str)
+            rules.append(MockRule(r.get("context_suffix"), token, weight))
         try:
             return cls(vocab, rules, fixture.get("floor", float, DEFAULT_FLOOR))
         except DataError as exc:
@@ -386,9 +409,14 @@ class RemoteModel(LanguageModel):
             if status != 200:
                 raise ProtocolError(f"{url} returned {status}")
             try:
-                body = json.loads(raw)
-            except ValueError as exc:
+                # strict UTF-8, as a surrogate's bytes would decode to a lone one
+                text = raw.decode("utf-8-sig")
+                body = json.loads(text)
+            except ValueError as exc:  # UnicodeDecodeError is one
                 raise ProtocolError(f"{url} returned non-JSON body: {exc}") from exc
+            escape = lone_surrogate(text, body)
+            if escape is not None:
+                raise ProtocolError(f"{url} returned a lone surrogate escape {escape}")
             return Fields(body, url, error=ProtocolError)
         raise TransportError(f"backend unreachable after {self.retries + 1} attempts: {last_error}")
 

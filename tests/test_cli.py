@@ -197,6 +197,13 @@ class TestValidate:
                 "line 2: vector[0] must be a finite number, got 1000",
                 id="embedding-int-beyond-float",
             ),
+            pytest.param(
+                "--train",
+                b'{"format": "icl-forge/v1"}\n'
+                b'{"id": "t1", "question": "q\\ud800", "answers": ["a"]}\n',
+                "line 2: lone surrogate escape \\ud800",
+                id="question-lone-surrogate",
+            ),
         ],
     )
     def test_malformed_input_exits_2(self, capsys, tmp_path, flag, body, message):
@@ -568,6 +575,22 @@ class TestProfileAndBuildSets:
             "--train", knowledge_files["train"],
             "--embeddings", knowledge_files["embeddings"],
             "--backend", knowledge_files["mock"],
+            "--out", str(out),
+        )
+        assert code == 1
+        assert f"usage error: cannot make output directory {out}" in err
+        assert out.read_text(encoding="utf-8") == "kept\n"
+
+    def test_profile_out_naming_a_file_is_checked_before_any_input(self, capsys, tmp_path):
+        missing = tmp_path / "missing"
+        out = tmp_path / "afile"
+        out.write_text("kept\n", encoding="utf-8")
+        code, _, err = run_cli(
+            capsys,
+            "profile",
+            "--train", str(missing / "train.jsonl"),
+            "--embeddings", str(missing / "emb.jsonl"),
+            "--backend", f"mock:{missing / 'mock.json'}",
             "--out", str(out),
         )
         assert code == 1
@@ -969,6 +992,24 @@ class TestEvalAndReports:
         assert code == 1
         assert f"usage error: cannot make output directory {out}" in err
         assert out.read_text(encoding="utf-8") == "kept\n"
+
+    def test_eval_out_naming_a_file_is_checked_before_any_input(self, capsys, tmp_path):
+        missing = tmp_path / "missing"
+        out = tmp_path / "afile"
+        out.write_text("kept\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, *self.eval_args(missing, out))
+        assert code == 1
+        assert f"usage error: cannot make output directory {out}" in err
+        assert out.read_text(encoding="utf-8") == "kept\n"
+
+    def test_lone_surrogate_in_the_mock_fixture_exits_2(self, capsys, fixtures_dir, tmp_path):
+        fixture = tmp_path / "mock.json"
+        fixture.write_text('{"vocab": ["a", "\\udc00b"]}', encoding="utf-8")
+        args = self.eval_args(fixtures_dir, tmp_path / "out")
+        args[args.index("--backend") + 1] = f"mock:{fixture}"
+        code, _, err = run_cli(capsys, *args)
+        assert code == 2
+        assert f"data error: {fixture}: lone surrogate escape \\udc00" in err
 
     def test_unknown_eval_split_exits_1_before_any_file_is_read(self, capsys, tmp_path):
         missing = tmp_path / "missing"

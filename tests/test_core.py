@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -299,6 +300,34 @@ class TestReadJsonl:
         path.write_bytes(HEADER.encode() + b'\n{not json\n{"id": "q\xff"}\n')
         with pytest.raises(DataError, match="line 2: malformed JSON"):
             load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "question, escape",
+        [
+            ("\\ud800", "\\ud800"),
+            ("\\udfff tail", "\\udfff"),
+            ("\\ude00\\ud83d", "\\ude00"),  # a pair in the wrong order
+            ("\\ud83d \\ude00", "\\ud83d"),
+        ],
+    )
+    def test_lone_surrogate_escape_names_its_line(self, tmp_path, question, escape):
+        path = tmp_path / "d.jsonl"
+        bad = '{"id": "q2", "question": "%s"}' % question
+        write_lines(path, HEADER, record("q1", "a", ["x"]), bad)
+        message = f"{path}: line 3: lone surrogate escape {escape}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_dataset(path)
+
+    def test_escaped_surrogate_pair_and_backslash_u_load(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_lines(
+            path,
+            HEADER,
+            '{"id": "q1", "question": "smile \\ud83d\\ude00", "answers": ["C:\\\\ud800"]}',
+        )
+        (example,) = load_dataset(path)
+        assert example.question == "smile \U0001F600"
+        assert example.answers == ("C:\\ud800",)
 
 
 class TestAtomicWriteText:

@@ -11,6 +11,7 @@ import textwrap
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -313,15 +314,57 @@ class TestMockFixtureFile:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_fingerprint_hashes_the_canonical_json(self, n_rules, seed):
         rng = random.Random(f"{n_rules}-{seed}")
-        vocab = rng.sample(["a", "b", "é", "東京", "ß", "🙂", "|", '"q"', "back\\slash"], 6)
-        suffixes = ["", "a", "é a", "東京 ß", "tab\t", "line\u2028", '"', "\\", "🙂 |"]
-        weights = [1, 7, 0.5, 2.0, 1e-300, 123456789, 3.25]
-        rules = [
-            (rng.choice(suffixes), rng.choice(vocab), rng.choice(weights)) for _ in range(n_rules)
+        vocab = rng.sample(
+            ["a", "b", "é", "東京", "ß", "🙂", "|", '"q"', "back\\slash", "nul\x00", "</x>"], 6
+        )
+        suffixes = [
+            "", "a", "é a", "東京 ß", "tab\t", "line\u2028", '"', "\\", "🙂 |",
+            "\x00", "unit\x1f", "del\x7f", "para\u2029", "</script>", "𝄞 a",
         ]
+        # every float repr form, a float subclass whose own repr is not JSON's, an int
+        # beyond 64 bits
+        weights = [
+            1, 7, 0.5, 2.0, 1e-300, 123456789, 3.25, 0.1, 1e16, 1e-07, 5e-324,
+            1.7976931348623157e308, 10**20, np.float64(0.1),
+        ]
+        # each value is used once the table is long enough
+        rules = [
+            (suffixes[i % len(suffixes)], vocab[i % len(vocab)], weights[i % len(weights)])
+            for i in range(n_rules)
+        ]
+        rng.shuffle(rules)
         floor = rng.choice([DEFAULT_FLOOR, 0.01, 1e-9])
         model = mock(vocab, rules, floor=floor)
         assert model.fingerprint == canonical_fingerprint(vocab, rules, floor)
+
+    def test_random_fixture_file_fingerprint_is_the_canonical_json(self, tmp_path):
+        rng = random.Random(3000)
+        alphabet = "ab é東🙂\"\\/<>\x00\x1f\x7f\u2028\u2029𝄞"
+        vocab = list(dict.fromkeys(
+            "".join(rng.choice(alphabet.replace(" ", "")) for _ in range(rng.randint(1, 4)))
+            for _ in range(300)
+        ))
+        rules = [
+            (
+                "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6))),
+                rng.choice(vocab),
+                rng.choice([rng.randint(1, 10**6), rng.uniform(1e-9, 1e9), 10**20]),
+            )
+            for _ in range(3000)
+        ]
+        assert {type(w) for _, _, w in rules} == {int, float}
+        path = tmp_path / "m.json"
+        payload = {
+            "vocab": vocab,
+            "rules": [{"context_suffix": s, "token": t, "weight": w} for s, t, w in rules],
+            "floor": 1e-5,
+        }
+        path.write_text(json.dumps(payload), encoding="utf-8")  # non-ASCII as \\u escapes
+        # an int weight is read as a float
+        floated = [(s, t, float(w)) for s, t, w in rules]
+        assert MockModel.from_file(path).fingerprint == canonical_fingerprint(
+            vocab, floated, 1e-5
+        )
 
     def test_fingerprint_distinguishes_fixtures(self, fixtures_dir):
         uniform = MockModel.from_file(fixtures_dir / "mock_uniform.json")
@@ -375,6 +418,7 @@ class TestMockFixtureFile:
                 "weight must be a positive finite number",
             ),
             ('{"vocab": ["a"], "floor": "0.1"}', "floor must be a finite number"),
+            ('{"vocab": ["a", "b\\ud800"]}', "lone surrogate escape \\\\ud800"),
         ],
         ids=[
             "a-list",
@@ -385,6 +429,7 @@ class TestMockFixtureFile:
             "weight-nan",
             "weight-missing",
             "floor-string",
+            "vocab-lone-surrogate",
         ],
     )
     def test_malformed_fixture_names_file_and_field(self, tmp_path, body, message):
@@ -453,6 +498,7 @@ class TestCache:
             ("next_token", {"logprobs": [-0.5, -0.5]}),
             ("next_token", {"logprobs": [True]}),
             ("generate", {"text": None}),
+            ("generate", {"text": "w\ud800"}),
         ],
         ids=[
             "tokens-a-string",
@@ -463,6 +509,7 @@ class TestCache:
             "logprob-count-mismatch",
             "logprob-a-bool",
             "text-null",
+            "text-a-lone-surrogate",
         ],
     )
     def test_bad_response_discarded_and_recomputed_as_a_miss(

@@ -12,7 +12,7 @@ from urllib.parse import urlsplit
 import pytest
 
 from iclforge.errors import ProtocolError, TransportError
-from iclforge.lm import LanguageModel, MockModel, MockRule, RemoteModel
+from iclforge.lm import CachedModel, LanguageModel, MockModel, MockRule, RemoteModel
 from iclforge.ordering import greedy_permutation
 
 from rigs import FoldedDelimiterModel
@@ -148,6 +148,33 @@ def test_non_json_body_is_protocol_error_and_not_retried(server):
     with pytest.raises(ProtocolError, match="non-JSON"):
         remote.score_continuation("q", "a")
     assert failures["posts"] == 1
+
+
+@pytest.mark.parametrize(
+    "raw_body, message",
+    [
+        (b'{"text": "a\\ud800"}', r"lone surrogate escape \\ud800"),
+        (b'{"text": "\\ude00\\ud83d"}', r"lone surrogate escape \\ude00"),
+        (b'{"text": "a\xed\xa0\x80"}', "non-JSON body: 'utf-8' codec can't decode"),
+    ],
+    ids=["escape", "pair-reversed", "surrogate-bytes"],
+)
+def test_lone_surrogate_reply_is_protocol_error_and_never_cached(
+    server, tmp_path, raw_body, message
+):
+    url, failures = server
+    failures["raw_body"] = raw_body
+    model = CachedModel(RemoteModel(url, retries=3, backoff=0.01), tmp_path / "cache")
+    with pytest.raises(ProtocolError, match=message):
+        model.generate("q", ["\n"], 10)
+    assert failures["posts"] == 1
+    assert list((tmp_path / "cache").iterdir()) == []
+
+
+def test_escaped_surrogate_pair_reply_is_text(server):
+    url, failures = server
+    failures["generate_body"] = {"text": "a \U0001F600"}  # sent as the pair \ud83d\ude00
+    assert RemoteModel(url).generate("q", [], 1) == "a \U0001F600"
 
 
 def test_connection_closed_without_reply_is_retried(server):

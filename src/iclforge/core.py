@@ -251,7 +251,9 @@ def lone_surrogate(text: str, value) -> str | None:
     `text` was read as UTF-8, which admits no surrogate, so only a ``\\u`` escape
     in it can make one; text without one costs a substring test.
     """
-    if "\\u" not in text:
+    # a one-character test is a memchr, ten times faster on a long line than the
+    # two-character one, and most lines (every embedding line) hold no backslash
+    if "\\" not in text or "\\u" not in text:
         return None
     try:
         json.dumps(value, ensure_ascii=False).encode("utf-8")

@@ -13,6 +13,7 @@ import re
 import string
 import sys
 import tempfile
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -130,9 +131,11 @@ class Prediction:
 
 
 class EmbeddingTable:
-    """Embedding vectors as the rows of one (N, d) float64 matrix, with an id -> row map.
+    """Embedding vectors as the rows of one C-contiguous (N, d) float64 matrix, with
+    an id -> row map.
 
-    The matrix is read-only; `vector` returns a view of one row.
+    The matrix is read-only; `vector` returns a view of one row. `load_embeddings`
+    makes it a view of the one buffer it read the file into, not a copy.
     """
 
     def __init__(self, rows: dict[str, int], matrix: np.ndarray) -> None:
@@ -187,6 +190,8 @@ def normalize_answer(text: str) -> str:
     return " ".join(out.split())
 
 
+_FLOAT_MAX = sys.float_info.max
+
 # kind -> (description, check); str.__instancecheck__(v) is isinstance(v, str)
 _KINDS = {
     str: ("a string", str.__instancecheck__),
@@ -194,7 +199,7 @@ _KINDS = {
     float: (
         "a finite number",
         lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
-        and abs(v) <= sys.float_info.max,
+        and abs(v) <= _FLOAT_MAX,
     ),
     int: ("an int", lambda v: isinstance(v, int) and not isinstance(v, bool)),
     dict: ("an object", dict.__instancecheck__),
@@ -383,38 +388,46 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 
 
 def load_embeddings(path: str | Path, dataset: Dataset | None = None) -> EmbeddingTable:
-    """Load an embedding file and check it covers every id of `dataset`."""
+    """Load an embedding file and check it covers every id of `dataset`.
+
+    Each line's vector is appended to one growing float64 buffer, which becomes
+    the table's matrix without a copy, so a load peaks near one matrix rather
+    than two (a row array per line, then a stacked copy). A number converts as
+    `float()` does, so an int beyond 2**53 rounds as `float(int)`.
+    """
     path = Path(path)
     rows: dict[str, int] = {}
-    vectors: list[np.ndarray] = []  # stacked into the table's matrix once the file is read
+    values = array("d")  # every row, in file order
+    dim = 0
     for record in read_jsonl(path, "embedding", header=True):
         vec_id = record.get("id", str)
         row = record.get("vector", list)
-        try:  # converted while the line is fresh in memory
-            vector = np.array(row)
-        except ValueError:  # elements of different shapes
-            vector = None
-        # numpy infers a float or int array only when every element is a number (or a
-        # boolean among numbers); any other vector is checked element by element
-        if vector is None or vector.ndim != 1 or vector.dtype.kind not in "fi":
-            vector = np.array(record.get("vector", list, of=float))  # raises, bar ints > 2**63
-        if not len(vector):
+        start = len(values)
+        try:
+            values.extend(row)
+        except (TypeError, OverflowError):  # a non-number, or an int beyond any float
+            # an element before the bad one may have been appended already
+            del values[start:]
+            values.extend(record.get("vector", list, of=float))  # raises for the element
+        size = len(values) - start
+        if not size:
             raise record.fail("vector must be a non-empty list")
-        if vectors and len(vector) != len(vectors[0]):
-            raise record.fail(
-                f"dimension mismatch (expected {len(vectors[0])}, got {len(vector)})"
-            )
+        if rows and size != dim:
+            raise record.fail(f"dimension mismatch (expected {dim}, got {size})")
         if vec_id in rows:
             raise record.fail(f"duplicate id {vec_id!r}")
-        rows[vec_id] = len(vectors)
-        vectors.append(vector)
-    if not vectors:
+        rows[vec_id] = len(rows)
+        dim = size
+    if not rows:
         raise DataError(f"{path}: no vectors")
-    matrix = np.array(vectors, dtype=np.float64)
-    del vectors
-    # one check for the whole file; only when it fails is the file read again. A
-    # boolean among numbers reads as exactly 0 or 1, so those values are re-checked
-    if not np.isfinite(matrix).all() or ((matrix == 0.0) | (matrix == 1.0)).any():
+    matrix = np.frombuffer(values, np.float64).reshape(len(rows), dim)
+    # one check for the whole file, short-circuiting so that one boolean temporary
+    # is alive at a time; only when it fires is the file read again. A boolean
+    # reads as exactly 0 or 1, and an int beyond the float range that rounds to
+    # the largest float as +-max, so those values are re-checked
+    if not np.isfinite(matrix).all() or any(
+        (matrix == value).any() for value in (0.0, 1.0, _FLOAT_MAX, -_FLOAT_MAX)
+    ):
         for record in read_jsonl(path, "embedding", header=True):
             record.get("vector", list, of=float)  # raises for a non-finite or boolean element
     table = EmbeddingTable(rows, matrix)

@@ -235,6 +235,54 @@ class TestLoadEmbeddings:
         assert table.vector("q2").tolist() == [0.5, -(2.0**70)]
         assert table.matrix.dtype == np.float64
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_tables_load_as_float_of_each_element(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        special = [
+            -0.0, 0.0, 1.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+            2**53 + 1, -(2**53 + 1), 2**63, 2**64 + 1, -(2**64 + 1), 10**20, 0, 1, 7,
+        ]
+
+        def element():
+            draw = rng.integers(4)
+            if draw == 0:
+                return special[rng.integers(len(special))]
+            if draw == 1:
+                return int(rng.integers(-(2**62), 2**62)) * int(rng.integers(1, 2**10))
+            return float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300))
+
+        n, dim = int(rng.integers(1, 60)), int(rng.integers(1, 9))
+        rows = [(f"v{int(i)}", [element() for _ in range(dim)]) for i in rng.permutation(n)]
+        table = load_embeddings(self.embedding_file(tmp_path, rows))
+        expected = np.array([[float(x) for x in row] for _, row in rows], dtype=np.float64)
+        assert table.matrix.shape == expected.shape
+        assert (table.matrix.view(np.uint64) == expected.view(np.uint64)).all()
+        assert table.matrix.flags.c_contiguous and not table.matrix.flags.writeable
+        assert list(table.rows) == [vec_id for vec_id, _ in rows]
+        assert list(table.rows.values()) == list(range(n))
+
+    def test_int_that_rounds_to_the_largest_float_errors(self, tmp_path):
+        # float() of it is the largest float, but the int itself is beyond it
+        path = self.embedding_file(
+            tmp_path, [("q1", [0.5, 0.25]), ("q2", [0.5, int(np.finfo(np.float64).max) + 1])]
+        )
+        with pytest.raises(DataError, match=r"line 3: vector\[1\] must be a finite number"):
+            load_embeddings(path)
+
+    def test_load_peaks_near_one_matrix(self, tmp_path):
+        rng = np.random.default_rng(0)
+        rows = [(f"e{i}", rng.standard_normal(64).tolist()) for i in range(2000)]
+        path = self.embedding_file(tmp_path, rows)
+        load_embeddings(path)  # imports and caches are made before tracing starts
+        tracemalloc.start()
+        try:
+            table = load_embeddings(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a row array per line, then a stacked copy, would peak above twice the matrix
+        assert peak < 1.5 * table.matrix.nbytes
+
     def test_round_trip(self, tmp_path):
         path = self.embedding_file(tmp_path, [("q1", [0.25, -1.5]), ("q2", [3.0, 0.125])])
         table = load_embeddings(path)

@@ -351,6 +351,13 @@ class RemoteModel(LanguageModel):
         import urllib.request
 
         self.base_url = base_url.rstrip("/")
+        # http.client sends the request line as ASCII and refuses a space or a
+        # control character in it
+        bad = next((ch for ch in base_url if not "!" <= ch <= "~"), None)
+        if bad is not None:
+            raise UsageError(
+                f"bad remote URL {base_url!r}: {bad!r} must be percent-encoded"
+            )
         try:
             parts = urllib.parse.urlsplit(self.base_url)
             parts.port  # raises ValueError for a port that is not a number
@@ -454,7 +461,12 @@ class CachedModel(LanguageModel):
     def __init__(self, inner: LanguageModel, cache_dir: str | Path) -> None:
         self.inner = inner
         self.cache_dir = Path(cache_dir)
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.cache_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # such as an existing file
+            raise UsageError(
+                f"cannot make cache directory {self.cache_dir}: {exc.strerror or exc}"
+            ) from exc
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()

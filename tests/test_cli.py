@@ -198,6 +198,13 @@ class TestValidate:
                 id="embedding-int-beyond-float",
             ),
             pytest.param(
+                "--embeddings",
+                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [0.5, 0.25, 0.125, 1.5]}\n'
+                b'{"id": "b", "vector": [0.5, 0.75, 2, "x"]}\n',
+                'line 3: vector[3] must be a finite number, got "x"',
+                id="embedding-a-string-after-good-elements",
+            ),
+            pytest.param(
                 "--train",
                 b'{"format": "icl-forge/v1"}\n'
                 b'{"id": "t1", "question": "q\\ud800", "answers": ["a"]}\n',
@@ -405,6 +412,21 @@ class TestOrder:
         )
         assert code == 1
         assert "usage error: --k must be at least 0, got -1" in err
+        assert out == ""
+
+
+    def test_non_ascii_remote_url_is_a_usage_error(self, capsys, knowledge_files):
+        code, out, err = run_cli(
+            capsys,
+            "order",
+            "--train", knowledge_files["train"],
+            "--id", "p000",
+            "--strategy", "perplexity",
+            "--backend", "remote:http://127.0.0.1:1/\u00e9",
+            "--embeddings", knowledge_files["embeddings"],
+        )
+        assert code == 1
+        assert "usage error: bad remote URL 'http://127.0.0.1:1/\u00e9'" in err
         assert out == ""
 
 
@@ -992,6 +1014,21 @@ class TestEvalAndReports:
         assert code == 1
         assert f"usage error: cannot make output directory {out}" in err
         assert out.read_text(encoding="utf-8") == "kept\n"
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_cache_dir_naming_a_file_exits_1(self, capsys, fixtures_dir, tmp_path, monkeypatch, via):
+        cache = tmp_path / "afile"
+        cache.write_text("kept\n", encoding="utf-8")
+        if via == "flag":
+            monkeypatch.delenv("ICLFORGE_CACHE", raising=False)
+            extra = ["--cache-dir", str(cache)]
+        else:
+            monkeypatch.setenv("ICLFORGE_CACHE", str(cache))
+            extra = []
+        code, _, err = run_cli(capsys, *self.eval_args(fixtures_dir, tmp_path / "out", *extra))
+        assert code == 1
+        assert f"usage error: cannot make cache directory {cache}" in err
+        assert cache.read_text(encoding="utf-8") == "kept\n"
 
     def test_eval_out_naming_a_file_is_checked_before_any_input(self, capsys, tmp_path):
         missing = tmp_path / "missing"

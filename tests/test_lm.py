@@ -592,6 +592,9 @@ class TestMakeBackend:
             "http://user@127.0.0.1",
             "http://127.0.0.1:abc",
             "http://[::1",
+            "http://127.0.0.1:8000/\u00e9",
+            "http://h\u00e9st:8000",
+            "http://127.0.0.1:8000/a b",
         ],
     )
     def test_remote_url_needs_an_http_scheme_and_a_host(self, url):

@@ -403,12 +403,12 @@ def load_embeddings(path: str | Path, dataset: Dataset | None = None) -> Embeddi
         vec_id = record.get("id", str)
         row = record.get("vector", list)
         start = len(values)
+        # fromlist grows the buffer once per row, and leaves it as it was when an
+        # element fails, so no part of a bad row stays in it
         try:
-            values.extend(row)
+            values.fromlist(row)
         except (TypeError, OverflowError):  # a non-number, or an int beyond any float
-            # an element before the bad one may have been appended already
-            del values[start:]
-            values.extend(record.get("vector", list, of=float))  # raises for the element
+            values.fromlist(record.get("vector", list, of=float))  # raises for the element
         size = len(values) - start
         if not size:
             raise record.fail("vector must be a non-empty list")

@@ -391,9 +391,8 @@ def load_embeddings(path: str | Path, dataset: Dataset | None = None) -> Embeddi
     """Load an embedding file and check it covers every id of `dataset`.
 
     Each line's vector is appended to one growing float64 buffer, which becomes
-    the table's matrix without a copy, so a load peaks near one matrix rather
-    than two (a row array per line, then a stacked copy). A number converts as
-    `float()` does, so an int beyond 2**53 rounds as `float(int)`.
+    the table's matrix without a copy, so a load peaks near one matrix. A number
+    converts as `float()` does, so an int beyond 2**53 rounds as `float(int)`.
     """
     path = Path(path)
     rows: dict[str, int] = {}

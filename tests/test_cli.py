@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -203,6 +204,14 @@ class TestValidate:
                 b'{"id": "b", "vector": [0.5, 0.75, 2, "x"]}\n',
                 'line 3: vector[3] must be a finite number, got "x"',
                 id="embedding-a-string-after-good-elements",
+            ),
+            pytest.param(
+                "--embeddings",
+                # float() of it is the largest float, but the int itself is beyond it
+                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [0.5, 0.25]}\n'
+                b'{"id": "b", "vector": [0.5, %d]}\n' % (int(sys.float_info.max) + 1),
+                "line 3: vector[1] must be a finite number, got 17976931348623157",
+                id="embedding-int-rounding-to-the-largest-float",
             ),
             pytest.param(
                 "--train",
@@ -412,21 +421,6 @@ class TestOrder:
         )
         assert code == 1
         assert "usage error: --k must be at least 0, got -1" in err
-        assert out == ""
-
-
-    def test_non_ascii_remote_url_is_a_usage_error(self, capsys, knowledge_files):
-        code, out, err = run_cli(
-            capsys,
-            "order",
-            "--train", knowledge_files["train"],
-            "--id", "p000",
-            "--strategy", "perplexity",
-            "--backend", "remote:http://127.0.0.1:1/\u00e9",
-            "--embeddings", knowledge_files["embeddings"],
-        )
-        assert code == 1
-        assert "usage error: bad remote URL 'http://127.0.0.1:1/\u00e9'" in err
         assert out == ""
 
 
@@ -1016,7 +1010,9 @@ class TestEvalAndReports:
         assert out.read_text(encoding="utf-8") == "kept\n"
 
     @pytest.mark.parametrize("via", ["flag", "env"])
-    def test_cache_dir_naming_a_file_exits_1(self, capsys, fixtures_dir, tmp_path, monkeypatch, via):
+    def test_cache_dir_naming_a_file_exits_1(
+        self, capsys, fixtures_dir, tmp_path, monkeypatch, via
+    ):
         cache = tmp_path / "afile"
         cache.write_text("kept\n", encoding="utf-8")
         if via == "flag":

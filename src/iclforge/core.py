@@ -308,9 +308,12 @@ def read_text(path: Path, kind: str) -> str:
         return _decode(fh.read(), path)
 
 
-def read_jsonl(path: Path, kind: str, header: bool = False, data: bytes | None = None):
+def read_jsonl(
+    path: Path, kind: str, header: bool = False, data: bytes | None = None, texts: bool = False
+):
     """Fields for each non-blank line of the JSON-lines `kind` file at `path`, or of
-    its bytes `data`. With `header`, line 1 must be the format header.
+    its bytes `data`. With `header`, line 1 must be the format header. With
+    `texts`, each item is a pair of the line's text and its Fields.
 
     It holds one line in memory at a time, so the first bad line wins, whether it
     is not UTF-8, not JSON or not an object; the lines after it are not checked.
@@ -330,7 +333,8 @@ def read_jsonl(path: Path, kind: str, header: bool = False, data: bytes | None =
         for lineno, raw in enumerate(fh, 2 if header else 1):
             line = _decode(raw, path, lineno)
             if line.strip():
-                yield Fields(decode_json(line.rstrip("\n"), path, lineno), path, lineno)
+                fields = Fields(decode_json(line.rstrip("\n"), path, lineno), path, lineno)
+                yield (line, fields) if texts else fields
 
 
 def read_json_object(path: Path, kind: str) -> Fields:
@@ -387,6 +391,19 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
+def _may_hold_boolean(text: str, vec_id: str) -> bool:
+    """Whether the embedding line `text`, of id `vec_id`, may hold true, false or NaN.
+
+    Outside its id string a line's keys and numbers hold no "a" and no "u", while
+    those three words do, so most lines cost two one-character tests (memchr).
+    The id's own letters are counted out; an escape that reads as an "a" in it is
+    written with a "u" the id does not hold, so such a line is checked.
+    """
+    if "a" not in text and "u" not in text:
+        return False
+    return text.count("a") > vec_id.count("a") or text.count("u") > vec_id.count("u")
+
+
 def load_embeddings(path: str | Path, dataset: Dataset | None = None) -> EmbeddingTable:
     """Load an embedding file and check it covers every id of `dataset`.
 
@@ -398,9 +415,11 @@ def load_embeddings(path: str | Path, dataset: Dataset | None = None) -> Embeddi
     rows: dict[str, int] = {}
     values = array("d")  # every row, in file order
     dim = 0
-    for record in read_jsonl(path, "embedding", header=True):
+    for text, record in read_jsonl(path, "embedding", header=True, texts=True):
         vec_id = record.get("id", str)
-        row = record.get("vector", list)
+        # a boolean reads as 0 or 1 in the buffer, so a line that may hold one has
+        # its elements checked, which raises for a boolean or a NaN
+        row = record.get("vector", list, of=float if _may_hold_boolean(text, vec_id) else None)
         start = len(values)
         # fromlist grows the buffer once per row, and leaves it as it was when an
         # element fails, so no part of a bad row stays in it
@@ -421,14 +440,14 @@ def load_embeddings(path: str | Path, dataset: Dataset | None = None) -> Embeddi
         raise DataError(f"{path}: no vectors")
     matrix = np.frombuffer(values, np.float64).reshape(len(rows), dim)
     # one check for the whole file, short-circuiting so that one boolean temporary
-    # is alive at a time; only when it fires is the file read again. A boolean
-    # reads as exactly 0 or 1, and an int beyond the float range that rounds to
-    # the largest float as +-max, so those values are re-checked
+    # is alive at a time; only when it fires is the file read again. An infinity
+    # holds no "a" or "u", and an int beyond the float range that rounds to the
+    # largest float reads as +-max, so those values are re-checked
     if not np.isfinite(matrix).all() or any(
-        (matrix == value).any() for value in (0.0, 1.0, _FLOAT_MAX, -_FLOAT_MAX)
+        (matrix == value).any() for value in (_FLOAT_MAX, -_FLOAT_MAX)
     ):
         for record in read_jsonl(path, "embedding", header=True):
-            record.get("vector", list, of=float)  # raises for a non-finite or boolean element
+            record.get("vector", list, of=float)  # raises for a non-finite element
     table = EmbeddingTable(rows, matrix)
     if dataset is not None:
         table.require(dataset.ids())

@@ -85,12 +85,22 @@ class LanguageModel(abc.ABC):
     being ignored. Greedy ordering relies on it: a step's candidate logprobs
     read from per-answer score replies equal those ``next_token_distribution``
     gives, so the order does not depend on which of the two it asks.
+
+    A backend whose ``splits_on_spaces`` is True promises more: the tokens of
+    every ``score_continuation`` reply are the continuation split on single
+    spaces with empty pieces dropped, whatever the context. Greedy then
+    tokenizes an answer set itself instead of asking the backend.
     """
 
     @property
     @abc.abstractmethod
     def fingerprint(self) -> str:
         """Stable identifier keying caches and knowledge profiles."""
+
+    @property
+    def splits_on_spaces(self) -> bool:
+        """Whether ``score_continuation`` tokenizes by splitting on single spaces."""
+        return False
 
     @abc.abstractmethod
     def score_continuation(self, context: str, continuation: str) -> TokenScores:
@@ -233,6 +243,10 @@ class MockModel(LanguageModel):
     @property
     def fingerprint(self) -> str:
         return self._fingerprint
+
+    @property
+    def splits_on_spaces(self) -> bool:
+        return True
 
     def _named_probabilities(self, context: str) -> dict[str, float] | None:
         """Probabilities of the tokens the longest matching suffix names, or None
@@ -456,6 +470,9 @@ class CachedModel(LanguageModel):
     inner backend's fingerprint). An entry that is not JSON, holds another
     request or whose response has the wrong shape for its op (the shape of a
     remote reply) is discarded, recomputed and counted as a miss.
+
+    ``splits_on_spaces`` is the inner backend's, so greedy asks a cache over the
+    mock for no answer line, just as it asks the bare mock for none.
     """
 
     def __init__(self, inner: LanguageModel, cache_dir: str | Path) -> None:
@@ -474,6 +491,10 @@ class CachedModel(LanguageModel):
     @property
     def fingerprint(self) -> str:
         return self.inner.fingerprint
+
+    @property
+    def splits_on_spaces(self) -> bool:
+        return self.inner.splits_on_spaces
 
     @property
     def generation_cap_hits(self) -> int | None:

@@ -2,8 +2,8 @@
 
 Knowledge-aware strategies score answers against a prompt prefix ending in
 ``Answers:`` (for a shot, its ``peer_prefix``), so the scored continuation is
-a single space followed by the raw answer (for greedy, the whole answer
-line), mirroring the answer's position in a rendered shot.
+a single space followed by the raw answer (for greedy's line call, the whole
+answer line), mirroring the answer's position in a rendered shot.
 ``strategy_permutation`` is the entry point for every strategy over an answer
 list, and ``shot_order`` the one rule that orders a shot's answers for a
 prompt.
@@ -11,15 +11,18 @@ prompt.
 
 from __future__ import annotations
 
+import logging
 import math
 import weakref
 from typing import Sequence
 
 from .core import EmbeddingTable, Example, derive_rng
-from .errors import DataError, TooManyAnswers
+from .errors import DataError, TooManyAnswers, TransportError
 from .lm import LanguageModel, TokenScores
 from .prompting import ANSWER_DELIMITER, render_prompt
 from .retrieval import Pool, RetrievalConfig, retrieve
+
+log = logging.getLogger(__name__)
 
 # strategies that score answers with a model against a shot prefix
 MODEL_STRATEGIES = (
@@ -33,10 +36,10 @@ STRATEGIES = ("random", "alphabet") + MODEL_STRATEGIES
 
 MAX_REORDER_ANSWERS = 20
 
-# backends one of whose answer-line replies did not split on single spaces;
-# greedy scores each answer on them from then on, so a backend with subword
-# tokens pays for one line call over its lifetime (one per thread that asked
-# before the first reply came back), not one per answer set
+# backends one of whose answer-line replies did not split on single spaces, or
+# that failed to answer one; greedy scores each answer on them from then on, so
+# a backend with subword tokens pays for one line call over its lifetime (one
+# per thread that asked before the first reply came back), not one per answer set
 _LINE_UNSPLIT: weakref.WeakSet[LanguageModel] = weakref.WeakSet()
 
 
@@ -101,23 +104,34 @@ def perplexity_permutation(
 def _joined_tokens(
     distinct: Sequence[str], prefix: str, model: LanguageModel
 ) -> dict[str, tuple[str, ...]] | None:
-    """Each answer's tokens from one score of the whole answer line, or None.
+    """Each answer's tokens as its own split on single spaces, or None.
 
-    The continuation is the line a gold-order shot renders, ``" " +
-    " | ".join(distinct)``. When no answer has an empty space-split piece
-    (doubled, leading or trailing spaces) and the reply's tokens are that
-    line split on single spaces, an answer's tokens are its own split. A set
-    with such spacing is None before any call. A reply that does not split,
-    such as subword tokens, is None after one, and marks `model` so that
-    every later set on it is None before any call.
+    A set in which some answer has an empty space-split piece (doubled,
+    leading or trailing spaces) is None before any call. Otherwise, on a
+    backend that ``splits_on_spaces``, the split is the answer's tokens with
+    no call. Any other backend is asked to score the whole answer line, ``" "
+    + " | ".join(distinct)``, the line a gold-order shot renders, and the
+    split holds when the reply's tokens are that line split on single spaces.
+    A reply that does not split, such as subword tokens, or a transport error
+    is None after the one call, and marks `model` so that every later set on
+    it is None before any call.
     """
     pieces = [tuple(a.split(" ")) for a in distinct]
     if any("" in p for p in pieces) or model in _LINE_UNSPLIT:
         return None
-    joined = ANSWER_DELIMITER.join(distinct)
-    if model.score_continuation(prefix, " " + joined).tokens != tuple(joined.split(" ")):
-        _LINE_UNSPLIT.add(model)
-        return None
+    if not model.splits_on_spaces:
+        joined = ANSWER_DELIMITER.join(distinct)
+        try:
+            tokens = model.score_continuation(prefix, " " + joined).tokens
+        except TransportError as exc:
+            # such as a cache written before the line call existed, in front of
+            # a backend that is gone: the per-answer requests may still be cached
+            log.warning("answer line not scored (%s); greedy scores each answer from now on", exc)
+            _LINE_UNSPLIT.add(model)
+            return None
+        if tokens != tuple(joined.split(" ")):
+            _LINE_UNSPLIT.add(model)
+            return None
     return dict(zip(distinct, pieces))
 
 
@@ -133,24 +147,24 @@ def greedy_permutation(
     ``" | "`` delimiter joins the working context, and decoding restarts on
     the remaining set.
 
-    Backend cost: one ``score_continuation`` of the whole answer line, to
-    tokenize every distinct answer at once, plus one
-    ``next_token_distribution`` per contested step (two or more permissible
-    tokens). A forced step costs no call, since the argmax over one
-    candidate is that candidate; a one-answer set therefore costs none at
-    all.
+    Backend cost: one ``next_token_distribution`` per contested step (two or
+    more permissible tokens), after tokenizing every distinct answer at once:
+    for free on a backend that ``splits_on_spaces`` (the mock, and a cache
+    over it), else with one ``score_continuation`` of the whole answer line. A
+    forced step costs no call, since the argmax over one candidate is that
+    candidate; a one-answer set therefore costs none at all.
 
-    When that line cannot tokenize the set (see ``_joined_tokens``), each
+    When the set cannot be tokenized that way (see ``_joined_tokens``), each
     distinct answer costs one ``score_continuation`` instead; on a backend
-    whose line replies do not split, that is every set, plus the line calls
-    made before the first such reply came back. The steps before the first
-    answer completes read their candidate logprobs from those replies: the
-    context is then the prefix plus the emitted tokens, in which each viable
-    answer's score reply already holds the logprob of its next token (the
-    agreement ``LanguageModel`` states). This holds only for an answer whose
-    tokens, joined by single spaces, spell it; a step with a candidate that
-    no such answer carries, or any step after the first answer completes,
-    asks ``next_token_distribution``.
+    whose line replies do not split, or that failed to answer one, that is
+    every set, plus the line calls made before the first such reply came
+    back. The steps before the first answer completes read their candidate
+    logprobs from those replies: the context is then the prefix plus the
+    emitted tokens, in which each viable answer's score reply already holds
+    the logprob of its next token (the agreement ``LanguageModel`` states).
+    This holds only for an answer whose tokens, joined by single spaces,
+    spell it; a step with a candidate that no such answer carries, or any
+    step after the first answer completes, asks ``next_token_distribution``.
     """
     _check_not_blank(answers)
     if len(answers) == 1:

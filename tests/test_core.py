@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from iclforge import core
 from iclforge.core import (
     Dataset,
     Example,
@@ -274,6 +275,47 @@ class TestLoadEmbeddings:
             tracemalloc.stop()
         # a row array per line, then a stacked copy, would peak above twice the matrix
         assert peak < 1.5 * table.matrix.nbytes
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The read_jsonl passes load_embeddings makes, one list of arguments each."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return read_jsonl(*args, **kwargs)
+
+        monkeypatch.setattr(core, "read_jsonl", counted)
+        return calls
+
+    def test_toy_file_is_read_once(self, fixtures_dir, passes):
+        # the toy file holds exact 0.0 and 1.0 values, which a boolean would read as
+        table = load_embeddings(fixtures_dir / "toy_embeddings.jsonl")
+        assert (table.matrix == 0.0).any() and (table.matrix == 1.0).any()
+        assert len(passes) == 1
+
+    @pytest.mark.parametrize(
+        "vec_id",
+        ["q1", "aqua", "sauna", "\\u0061", "é"],
+        ids=["plain", "a-and-u", "two-a", "escaped-a", "non-ascii"],
+    )
+    def test_a_boolean_is_caught_whatever_the_id(self, tmp_path, passes, vec_id):
+        # an "a" or a "u" in the id is no sign of a boolean, written plain or escaped
+        path = tmp_path / "e.jsonl"
+        write_lines(path, HEADER, f'{{"id": "{vec_id}", "vector": [0.0, 1.0, 0.5]}}')
+        assert load_embeddings(path).matrix.tolist() == [[0.0, 1.0, 0.5]]
+        assert len(passes) == 1
+        for word, at in (("true", 0), ("false", 2), ("NaN", 1)):
+            vector = ["0.0", "1.0", "0.5"]
+            vector[at] = word
+            write_lines(
+                path,
+                HEADER,
+                f'{{"id": "x{vec_id}", "vector": [1.0, 0.0, 0.5]}}',
+                f'{{"id": "{vec_id}", "vector": [{", ".join(vector)}]}}',
+            )
+            with pytest.raises(DataError, match=rf"line 3: vector\[{at}\] .* got {word}$"):
+                load_embeddings(path)
 
     def test_round_trip(self, tmp_path):
         path = self.embedding_file(tmp_path, [("q1", [0.25, -1.5]), ("q2", [3.0, 0.125])])

@@ -18,7 +18,14 @@ from hypothesis import strategies as st
 
 import iclforge
 from iclforge.errors import DataError
-from iclforge.lm import DEFAULT_FLOOR, CachedModel, MockModel, MockRule, make_backend
+from iclforge.lm import (
+    DEFAULT_FLOOR,
+    CachedModel,
+    MockModel,
+    MockRule,
+    RemoteModel,
+    make_backend,
+)
 
 from oracles import (
     oracle_mock_distribution,
@@ -289,6 +296,37 @@ def canonical_fingerprint(vocab, rules, floor) -> str:
     }
     text = json.dumps(payload, sort_keys=True, ensure_ascii=False)
     return "mock:" + hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+class TestSplitsOnSpaces:
+    """A backend that ``splits_on_spaces`` promises that every score reply's tokens
+    are the continuation split on single spaces, empty pieces dropped."""
+
+    @given(
+        mock_tables(),
+        st.sampled_from(["", "p:", "p: ", "x a", "é b |"]),
+        st.lists(
+            st.tuples(st.sampled_from(["", " ", "  "]), st.sampled_from(INDEX_TOKENS + ["oov"])),
+            min_size=1,
+            max_size=5,
+        ),
+        st.sampled_from(["", " ", "  "]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mock_score_tokens_are_the_space_split(self, table, context, pieces, trailing):
+        vocab, rules, floor = table
+        model = mock(vocab, rules, floor)
+        # doubled, leading and trailing spaces, and tokens run together
+        continuation = "".join(gap + token for gap, token in pieces) + trailing
+        assert model.splits_on_spaces
+        expected = tuple(p for p in continuation.split(" ") if p)
+        assert model.score_continuation(context, continuation).tokens == expected
+
+    def test_a_cache_answers_as_its_backend(self, tmp_path):
+        assert CachedModel(mock(["a"]), tmp_path / "mock").splits_on_spaces
+        remote = RemoteModel("http://127.0.0.1:1")
+        assert not remote.splits_on_spaces
+        assert not CachedModel(remote, tmp_path / "remote").splits_on_spaces
 
 
 class TestMockFixtureFile:

@@ -288,8 +288,28 @@ class TestGreedyFirstSegment:
         assert model.counts == {"score": 3}
 
 
+@pytest.fixture
+def mock_requests(monkeypatch):
+    """Every request a MockModel answers, as (op, *arguments), recorded by patching
+    its three op methods on the class, as the benchmark counts them."""
+    requests: list[tuple] = []
+    for method, op in (
+        ("score_continuation", "score"),
+        ("next_token_distribution", "next_token"),
+        ("generate", "generate"),
+    ):
+
+        def recorded(self, *args, _original=vars(MockModel)[method], _op=op):
+            requests.append((_op, *(tuple(a) if isinstance(a, list) else a for a in args)))
+            return _original(self, *args)
+
+        monkeypatch.setattr(MockModel, method, recorded)
+    return requests
+
+
 class TestGreedyAnswerLine:
-    """Greedy tokenizes a set with one score of its answer line when it can."""
+    """Greedy tokenizes a set with one score of its answer line when it can, and
+    with none on a backend that splits on spaces."""
 
     @staticmethod
     def tables():
@@ -329,6 +349,29 @@ class TestGreedyAnswerLine:
                 assert greedy_permutation(answers, prefix, model) == expected, case
                 assert sum(model.counts.values()) == per_answer + clean, case
         assert joined_sets > 0
+
+    def test_a_backend_that_splits_on_spaces_is_sent_no_answer_line(self, mock_requests):
+        clean_sets = 0
+        for table, (vocab, rules, answers) in enumerate(self.tables()):
+            inner = MockModel(vocab, tuple(MockRule(*r) for r in rules))
+            distinct = list(dict.fromkeys(answers))
+            clean = len(answers) > 1 and all("" not in a.split(" ") for a in distinct)
+            for prefix in ("p:", "p: "):
+                case = (table, rules, answers, prefix)
+                expected = oracle_greedy_order(vocab, rules, DEFAULT_FLOOR, prefix, answers)
+                # CountingModel does not split on spaces, so it takes the line path
+                line_path = CountingModel(inner)
+                assert greedy_permutation(answers, prefix, line_path) == expected, case
+                mock_requests.clear()
+                assert greedy_permutation(answers, prefix, inner) == expected, case
+                if clean:
+                    assert not [r for r in mock_requests if r[0] == "score"], case
+                    next_tokens = [r for r in line_path.requests if r[0] == "next_token"]
+                    assert mock_requests == next_tokens, case
+                    clean_sets += 1
+                else:
+                    assert mock_requests == line_path.requests, case
+        assert clean_sets > 0
 
     def test_a_backend_whose_line_does_not_split_pays_for_one_line_call(self):
         rng = np.random.default_rng(20261022)

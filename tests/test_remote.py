@@ -4,6 +4,7 @@ wire protocol, backed by a mock model."""
 from __future__ import annotations
 
 import json
+import logging
 import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -325,6 +326,39 @@ def test_greedy_answer_line_that_does_not_split_falls_back_to_each_answer(backin
     # first reply that did not split is remembered for this backend
     expected = 1 + sum(len(set(answers)) for answers in GREEDY_SETS)
     assert seen["paths"].count("/v1/score") == expected
+
+
+def test_greedy_over_a_cache_without_answer_lines_needs_no_backend(
+    tmp_path, backing_model, caplog
+):
+    # a cache like one written before greedy scored answer lines: the line
+    # reply does not split here, so each answer's requests are cached too
+    seen: dict = {}
+    with serving(FoldedDelimiterModel(backing_model), seen) as url:
+        writer = CachedModel(RemoteModel(url, retries=0), tmp_path / "cache")
+        for answers in GREEDY_SETS:
+            greedy_permutation(answers, "q", writer)
+    lines = [
+        entry
+        for entry in (tmp_path / "cache").glob("*.json")
+        if " | " in json.loads(entry.read_text(encoding="utf-8"))["request"].get("continuation", "")
+    ]
+    assert len(lines) == 1
+    lines[0].unlink()
+    # the server is stopped: the line request misses and cannot be sent
+    cached = CachedModel(RemoteModel(url, retries=0), tmp_path / "cache")
+    with caplog.at_level(logging.WARNING, logger="iclforge.ordering"):
+        for answers in GREEDY_SETS:
+            assert greedy_permutation(answers, "q", cached) == (
+                greedy_permutation(answers, "q", backing_model)
+            ), answers
+    # every request the writer made but the line is served from the cache
+    assert (cached.hits, cached.misses) == (writer.hits + writer.misses - 1, 0)
+    assert caplog.text.count("answer line not scored") == 1
+    # with nothing cached, the first answer's score fails as well
+    empty = CachedModel(RemoteModel(url, retries=0), tmp_path / "empty")
+    with pytest.raises(TransportError):
+        greedy_permutation(GREEDY_SETS[0], "q", empty)
 
 
 def test_full_harness_over_remote_backend(tmp_path, fixtures_dir):

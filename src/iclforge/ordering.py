@@ -49,11 +49,11 @@ def peer_prefix(
     """Prompt for `example` after its k most similar peers, each in gold order.
 
     This is the prefix the model-scored strategies order `example`'s answers
-    against. `retrieve` leaves `example` out of `pool`, and k is capped at the
-    peers left, so with no peer the prefix is the bare query block.
+    against. The peers are drawn from `Pool.others` of `example`, and k is
+    capped at their number, so with no peer the prefix is the bare query block.
     """
     pool = Pool.of(pool, table)
-    k = min(k, len(pool) - (example.id in pool.ids))
+    k = min(k, len(pool.others(example, table)))
     peers = (
         retrieve(example, pool, table, RetrievalConfig(strategy="similar", k=k))
         if k >= 1

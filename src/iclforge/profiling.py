@@ -58,13 +58,12 @@ def profile_example(
 ) -> KnowledgeProfile:
     """Profile one example against the pool it will serve alongside.
 
-    The example is left out of `pool` when it is a member: it is never its own
-    peer, and its average similarity is over the other candidates in pool
-    order. A repeated gold answer is scored once.
+    Its peers and its average similarity are over `Pool.others` of the
+    example, the average in pool order. A repeated gold answer is scored once.
     """
     pool = Pool.of(pool, table)
-    other_ids = [i for i in pool.ids if i != example.id]
-    if not other_ids:
+    others = pool.others(example, table)
+    if not len(others):
         raise DataError("empty candidate pool")
     if k < 1:
         raise DataError("shot budget k must be at least 1")
@@ -74,7 +73,7 @@ def profile_example(
     f1_em = set_scores(predicted, example.answers, matcher="exact").f1
     perplexities = tuple(answer_perplexities(example.answers, prefix, model))
     avg_similarity = float(
-        np.mean([similarity(example.id, other_id, table) for other_id in other_ids])
+        np.mean([similarity(example.id, pool.ids[i], table) for i in others.tolist()])
     )
     return KnowledgeProfile(
         example_id=example.id,

@@ -77,6 +77,15 @@ class Pool:
     def __len__(self) -> int:
         return len(self.ids)
 
+    def others(self, example: Example, table: EmbeddingTable) -> np.ndarray:
+        """Positions, in pool order, of the candidates whose embedding row is not `example`'s.
+
+        This is the one rule that keeps an example from being its own shot or
+        peer: every copy of it in a list pool goes. An example with no
+        embedding has no copy here (rows are never negative).
+        """
+        return np.flatnonzero(self.rows != table.rows.get(example.id, -1))
+
     def labels(self, table: EmbeddingTable, k: int, seed: int) -> np.ndarray:
         """The k-means labels of every candidate, computed by the first caller to ask."""
         with self._lock:
@@ -190,15 +199,13 @@ def retrieve(
 ) -> list[Example]:
     """Select `config.k` shots for `query` and arrange them for prompting.
 
-    The query is never its own shot: when `pool` holds it, it is left out. A
-    diverse retrieval takes the pool's own k-means labels (`Pool.labels`); with
-    the query left out it clusters the other candidates afresh on every call.
+    The candidates are `Pool.others` of the query. A diverse retrieval takes
+    the pool's own k-means labels (`Pool.labels`); when the query is left out
+    it clusters the other candidates afresh on every call.
     """
     pool = Pool.of(pool, table)
     query_row = table.row(query.id)
-    candidates = np.arange(len(pool))
-    if query.id in pool.ids:
-        candidates = np.delete(candidates, pool.ids.index(query.id))
+    candidates = pool.others(query, table)
     if len(candidates) < config.k:
         raise DataError(f"pool of {len(candidates)} examples is smaller than k={config.k}")
 

@@ -5,15 +5,17 @@ import itertools
 import numpy as np
 import pytest
 
-from iclforge.core import Example
+from iclforge.core import EmbeddingTable, Example
 from iclforge.errors import DataError, TooManyAnswers
 from iclforge.lm import DEFAULT_FLOOR, MockModel, MockRule
 from iclforge.ordering import (
     answer_perplexity,
     greedy_permutation,
+    peer_prefix,
     select_quantile_answer,
     strategy_permutation,
 )
+from iclforge.prompting import render_prompt
 
 from oracles import (
     oracle_answer_perplexity,
@@ -44,6 +46,25 @@ F1_RULES = [
 
 def f1_model():
     return MockModel(F1_VOCAB, tuple(MockRule(*r) for r in F1_RULES))
+
+
+class TestPeerPrefix:
+    table = EmbeddingTable.from_vectors({"t0": [1.0, 0.0], "t1": [0.6, 0.8]})
+    t0 = Example(id="t0", question="first?", answers=("a",))
+    t1 = Example(id="t1", question="second?", answers=("b",))
+
+    def test_an_example_held_twice_is_not_its_own_peer(self):
+        bare = render_prompt([], "first?")
+        assert peer_prefix(self.t0, [self.t0, self.t0], self.table, 1) == bare
+        expected = render_prompt([("second?", ("b",))], "first?")
+        assert peer_prefix(self.t0, [self.t0, self.t1, self.t0], self.table, 2) == expected
+
+    def test_k_zero_needs_no_embedding(self):
+        outsider = Example(id="x", question="outside?", answers=("c",))
+        bare = render_prompt([], "outside?")
+        assert peer_prefix(outsider, [self.t0, self.t1], self.table, 0) == bare
+        with pytest.raises(DataError, match="missing embedding for id x"):
+            peer_prefix(outsider, [self.t0, self.t1], self.table, 1)
 
 
 class TestAnswerPerplexity:

@@ -86,19 +86,36 @@ class TestProfileExample:
         assert result.f1_em == pytest.approx(2 * (1.0 * 0.5) / 1.5)
 
     def test_pool_holding_the_example_gives_the_same_profile(self, rig):
+        # however many copies of the example the pool holds, none is its own peer:
+        # the backend gets the same requests, so the prefix is the same too
         dataset, table, model = rig
         for example in dataset.examples[::3]:  # known, half, unknown
             others = [ex for ex in dataset if ex.id != example.id]
-            held = profile_example(example, list(dataset.examples), table, model)
-            assert held == profile_example(example, others, table, model)
+            alone = CountingModel(model)
+            expected = profile_example(example, others, table, alone)
+            for pool in (list(dataset.examples), [example, *dataset.examples]):
+                held = CountingModel(model)
+                assert profile_example(example, pool, table, held) == expected
+                assert held.requests == alone.requests
 
     def test_empty_pool_rejected(self, rig):
         dataset, table, model = rig
         example = dataset.examples[0]
         # a pool holding only the example is empty once the example is left out
-        for pool in ([], [example]):
+        for pool in ([], [example], [example, example]):
             with pytest.raises(DataError, match="empty candidate pool"):
                 profile_example(example, pool, table, model)
+
+    def test_of_two_faults_the_pool_and_then_k_are_reported(self, rig):
+        # an example with no embedding fails only once a peer is retrieved
+        dataset, table, model = rig
+        outsider = Example(id="x", question="outside?", answers=("a",))
+        with pytest.raises(DataError, match="empty candidate pool"):
+            profile_example(outsider, [], table, model, k=0)
+        with pytest.raises(DataError, match="shot budget k must be at least 1"):
+            profile_example(outsider, list(dataset.examples), table, model, k=0)
+        with pytest.raises(DataError, match="missing embedding for id x"):
+            profile_example(outsider, list(dataset.examples), table, model, k=1)
 
     def test_repeated_gold_answer_scored_once(self):
         target = Example(id="t", question="which letters?", answers=("alpha", "beta", "alpha"))

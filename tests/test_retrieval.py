@@ -382,6 +382,48 @@ class TestRetrieveDiverse:
         assert len({ex.id for ex in result}) == 4
 
 
+class TestLeaveOneOut:
+    """`Pool.others` leaves an example out by its embedding row, so every copy of
+    it in a list pool goes; `retrieve` takes its candidates from it."""
+
+    @staticmethod
+    def held_twice():
+        # unit vectors, so t0 is its own most similar candidate
+        vectors = {f"t{i}": [np.cos(i / 2), np.sin(i / 2)] for i in range(4)}
+        examples, table = make_pool(vectors, dict.fromkeys(vectors, "c"))
+        t0, *rest = examples
+        return t0, [t0, t0, *rest], rest, table
+
+    def test_others_are_every_candidate_but_the_copies(self):
+        t0, held, rest, table = self.held_twice()
+        pool = Pool.of(held, table)
+        assert pool.others(t0, table).tolist() == [2, 3, 4]
+        assert pool.others(rest[0], table).tolist() == [0, 1, 3, 4]
+        # an example with no embedding has no copy in any pool
+        outsider = Example(id="x", question="q", answers=("a",))
+        assert pool.others(outsider, table).tolist() == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("strategy", retrieval.STRATEGIES)
+    def test_a_query_held_twice_is_never_its_own_shot(self, strategy):
+        t0, held, rest, table = self.held_twice()
+        config = RetrievalConfig(strategy, k=3, seed=0)
+        result = retrieve(t0, held, table, config)
+        assert t0 not in result
+        assert result == retrieve(t0, rest, table, config)
+
+    def test_a_pool_of_only_the_query_is_empty(self):
+        t0, _, _, table = self.held_twice()
+        for pool in ([t0], [t0, t0]):
+            with pytest.raises(DataError, match="pool of 0 examples is smaller than k=1"):
+                retrieve(t0, pool, table, RetrievalConfig("similar", k=1))
+
+    def test_a_query_without_embedding_fails_before_the_pool_size(self):
+        _, _, _, table = self.held_twice()
+        outsider = Example(id="x", question="q", answers=("a",))
+        with pytest.raises(DataError, match="missing embedding for id x"):
+            retrieve(outsider, [], table, RetrievalConfig("similar", k=1))
+
+
 class TestRetrieveTopical:
     def make_categorized(self):
         vectors = {

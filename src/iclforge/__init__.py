@@ -25,7 +25,7 @@ from .metrics import (
     set_scores,
     token_f1,
 )
-from .ordering import answer_perplexity, select_quantile_answer, strategy_permutation
+from .ordering import answer_perplexity, strategy_permutation
 from .profiling import (
     ExampleSet,
     KnowledgeProfile,
@@ -35,7 +35,7 @@ from .profiling import (
     profile_example,
 )
 from .prompting import parse_answers, render_prompt
-from .retrieval import RetrievalConfig, kmeans, retrieve, similarity
+from .retrieval import Pool, RetrievalConfig, kmeans, retrieve, similarity
 from .harness import EvalReport, RunConfig, compare_runs, load_report, run_eval
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
     "LanguageModel",
     "MockModel",
     "MockRule",
+    "Pool",
     "Prediction",
     "RemoteModel",
     "RetrievalConfig",
@@ -78,7 +79,6 @@ __all__ = [
     "run_eval",
     "save_dataset",
     "save_embeddings",
-    "select_quantile_answer",
     "set_scores",
     "similarity",
     "strategy_permutation",

@@ -112,7 +112,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-tokens", type=int)
     p.add_argument("--eval-split", choices=SPLITS)
     p.add_argument("--fixed-set", help="sets file produced by build-sets")
-    p.add_argument("--fixed-set-index", type=int, default=0)
+    p.add_argument("--fixed-set-index", type=int, help="set to use from --fixed-set (default 0)")
     p.add_argument("--no-adherence", dest="compute_adherence", action="store_false", default=None)
 
     p = sub.add_parser("adherence", help="compute ordering adherence from a report")
@@ -200,14 +200,14 @@ def _cmd_order(args) -> int:
     _check_at_least("--k", args.k, 0)
     train = load_dataset(args.train, split="train")
     example = train.by_id(args.id)
-    pool = table = model = None
+    pool = model = None
     if args.strategy in MODEL_STRATEGIES:
         if not args.backend or not args.embeddings:
             raise UsageError(f"strategy {args.strategy} needs --backend and --embeddings")
         table = load_embeddings(args.embeddings, train)
         model = make_backend(args.backend, _cache_dir(args))
         pool = Pool.shots(train, table)
-    answers = shot_order(args.strategy, example, pool, table, model, args.k, args.seed)
+    answers = shot_order(args.strategy, example, pool, model, args.k, args.seed)
     print(ANSWER_DELIMITER.join(answers))
     return 0
 
@@ -219,11 +219,8 @@ def _cmd_retrieve(args) -> int:
     table = load_embeddings(args.embeddings, train)
     table.require(eval_ds.ids())
     query = eval_ds.by_id(args.id)
-    pool = Pool.shots(train, table)
-    shots = retrieve(
-        query, pool, table, RetrievalConfig(strategy=args.retrieval, k=args.k, seed=args.seed)
-    )
-    for shot in shots:
+    config = RetrievalConfig(strategy=args.retrieval, k=args.k, seed=args.seed)
+    for shot in retrieve(query, Pool.shots(train, table), config):
         sim = similarity(query.id, shot.id, table)
         print(f"{shot.id}\t{sim!r}\t{shot.question}")
     return 0
@@ -242,12 +239,14 @@ def _cmd_eval(args) -> int:
         if args.retrieval_strategy is not None:
             raise UsageError("--fixed-set and --retrieval are mutually exclusive")
         sets = load_sets(args.fixed_set)
-        if not 0 <= args.fixed_set_index < len(sets):
+        index = args.fixed_set_index or 0
+        if not 0 <= index < len(sets):
             raise UsageError(
-                f"--fixed-set-index {args.fixed_set_index} out of range "
-                f"(file holds {len(sets)} sets)"
+                f"--fixed-set-index {index} out of range (file holds {len(sets)} sets)"
             )
-        data["fixed_set_ids"] = list(sets[args.fixed_set_index].member_ids)
+        data["fixed_set_ids"] = list(sets[index].member_ids)
+    elif args.fixed_set_index is not None:
+        raise UsageError("--fixed-set-index needs --fixed-set")
     if data.get("cache_dir") is None and os.environ.get(CACHE_ENV_VAR):
         data["cache_dir"] = os.environ[CACHE_ENV_VAR]
     missing = [

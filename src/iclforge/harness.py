@@ -126,8 +126,11 @@ class RunConfig:
             raise UsageError(f"unknown retrieval strategy {self.retrieval_strategy!r}")
         if self.eval_split not in SPLITS:
             raise UsageError(f"unknown eval split {self.eval_split!r}; expected one of {SPLITS}")
-        if self.fixed_set_ids is not None and not self.fixed_set_ids:
+        ids = self.fixed_set_ids
+        if ids is not None and not ids:
             raise UsageError("fixed example set is empty")
+        if ids is not None and len(set(ids)) < len(ids):
+            raise UsageError(f"fixed example set repeats an id: {list(ids)!r}")
         if self.k < 1 or self.max_tokens < 1 or self.jobs < 1:
             raise UsageError("k, max_tokens, and jobs must be positive")
         if self.ordering_prefix_k < 0:
@@ -313,7 +316,6 @@ class _PromptPlanner:
         self.config = config
         self.train = train
         self.eval_ds = eval_ds
-        self.table = table
         self.model = model
         self.pool = Pool.shots(train, table)
         self.shot_duty_excluded = len(train) - len(self.pool)
@@ -334,7 +336,7 @@ class _PromptPlanner:
         """The shots of `example`'s prompt: the fixed set, else retrieved ones."""
         if self.fixed_shots is not None:
             return self.fixed_shots
-        return retrieve(example, self.pool, self.table, self.retrieval)
+        return retrieve(example, self.pool, self.retrieval)
 
     def order(self, shots: Iterable[Example], map_: Callable = map) -> None:
         """Order each of `shots` not ordered yet, once, through `map_`."""
@@ -343,9 +345,7 @@ class _PromptPlanner:
 
     def _shot_order(self, shot: Example) -> tuple[str, ...]:
         c = self.config
-        return shot_order(
-            c.ordering, shot, self.pool, self.table, self.model, c.ordering_prefix_k, c.seed
-        )
+        return shot_order(c.ordering, shot, self.pool, self.model, c.ordering_prefix_k, c.seed)
 
     def render(self, shots: Sequence[Example], query: Example) -> str:
         """The prompt for `query` after `shots`, each in its planned order."""

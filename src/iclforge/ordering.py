@@ -1,4 +1,4 @@
-"""Answer-set ordering strategies and single-answer quantile selection.
+"""Answer-set ordering strategies.
 
 Knowledge-aware strategies score answers against a prompt prefix ending in
 ``Answers:`` (for a shot, its ``peer_prefix``), so the scored continuation is
@@ -16,7 +16,7 @@ import math
 import weakref
 from typing import Sequence
 
-from .core import EmbeddingTable, Example, derive_rng
+from .core import Example, derive_rng
 from .errors import DataError, TooManyAnswers, TransportError
 from .lm import LanguageModel, TokenScores
 from .prompting import ANSWER_DELIMITER, render_prompt
@@ -43,22 +43,16 @@ MAX_REORDER_ANSWERS = 20
 _LINE_UNSPLIT: weakref.WeakSet[LanguageModel] = weakref.WeakSet()
 
 
-def peer_prefix(
-    example: Example, pool: Pool | Sequence[Example], table: EmbeddingTable, k: int
-) -> str:
+def peer_prefix(example: Example, pool: Pool, k: int) -> str:
     """Prompt for `example` after its k most similar peers, each in gold order.
 
     This is the prefix the model-scored strategies order `example`'s answers
-    against. The peers are drawn from `Pool.others` of `example`, and k is
-    capped at their number, so with no peer the prefix is the bare query block.
+    against. The peers are drawn from `Pool.others` of `example` and ranked in
+    the pool's table, and k is capped at their number, so with no peer the
+    prefix is the bare query block, which needs no embedding of `example`.
     """
-    pool = Pool.of(pool, table)
-    k = min(k, len(pool.others(example, table)))
-    peers = (
-        retrieve(example, pool, table, RetrievalConfig(strategy="similar", k=k))
-        if k >= 1
-        else []
-    )
+    k = min(k, len(pool.others(example)))
+    peers = retrieve(example, pool, RetrievalConfig(strategy="similar", k=k)) if k >= 1 else []
     return render_prompt([(p.question, p.answers) for p in peers], example.question)
 
 
@@ -268,7 +262,6 @@ def shot_order(
     strategy: str,
     shot: Example,
     pool: Pool | None,
-    table: EmbeddingTable | None,
     model: LanguageModel | None,
     k: int,
     seed: int,
@@ -277,31 +270,14 @@ def shot_order(
 
     A shot of 20 or more answers keeps its gold order under every strategy.
     Model strategies order against the shot's `peer_prefix` of k peers from
-    `pool`, so they need `pool`, `table` and `model`; the others need none.
+    `pool`, whose table holds their embeddings, so they need `pool` and
+    `model`; the others need neither.
     """
     if not reorderable(shot.answers):
         return shot.answers
-    prefix = peer_prefix(shot, pool, table, k) if strategy in MODEL_STRATEGIES else ""
+    prefix = peer_prefix(shot, pool, k) if strategy in MODEL_STRATEGIES else ""
     permutation = strategy_permutation(
         strategy, shot.answers, prefix=prefix, model=model, example_id=shot.id, seed=seed
     )
     return tuple(shot.answers[i] for i in permutation)
 
-
-def select_quantile_answer(example, prefix: str, model: LanguageModel, x: float) -> str:
-    """Answer at the x-th quantile of descending perplexity (nearest rank).
-
-    ``x=1.0`` selects the lowest-perplexity, best-known answer; ``x=0.0`` the
-    least-known one. Each distinct answer costs one backend call, and a
-    one-answer example none.
-    """
-    if not 0.0 <= x <= 1.0:
-        raise DataError(f"quantile {x} outside [0, 1]")
-    answers = example.answers
-    _check_not_blank(answers)
-    if len(answers) == 1:
-        return answers[0]
-    scores = answer_perplexities(answers, prefix, model)
-    descending = sorted(range(len(answers)), key=lambda i: (-scores[i], i))
-    rank = int(math.floor(x * (len(answers) - 1) + 0.5))
-    return answers[descending[rank]]

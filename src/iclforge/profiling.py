@@ -50,30 +50,26 @@ class ExampleSet:
 
 
 def profile_example(
-    example: Example,
-    pool: Pool | list[Example],
-    table: EmbeddingTable,
-    model: LanguageModel,
-    k: int = 5,
+    example: Example, pool: Pool, model: LanguageModel, k: int = 5
 ) -> KnowledgeProfile:
     """Profile one example against the pool it will serve alongside.
 
     Its peers and its average similarity are over `Pool.others` of the
-    example, the average in pool order. A repeated gold answer is scored once.
+    example, the average in pool order, both read from the pool's table. A
+    repeated gold answer is scored once.
     """
-    pool = Pool.of(pool, table)
-    others = pool.others(example, table)
+    others = pool.others(example)
     if not len(others):
         raise DataError("empty candidate pool")
     if k < 1:
         raise DataError("shot budget k must be at least 1")
-    prefix = peer_prefix(example, pool, table, k)
+    prefix = peer_prefix(example, pool, k)
     raw = model.generate(prefix, stop=["\n"], max_tokens=PROFILE_MAX_TOKENS)
     predicted = parse_answers(raw)
     f1_em = set_scores(predicted, example.answers, matcher="exact").f1
     perplexities = tuple(answer_perplexities(example.answers, prefix, model))
     avg_similarity = float(
-        np.mean([similarity(example.id, pool.ids[i], table) for i in others.tolist()])
+        np.mean([similarity(example.id, pool.ids[i], pool.table) for i in others.tolist()])
     )
     return KnowledgeProfile(
         example_id=example.id,
@@ -97,7 +93,7 @@ def profile_dataset(
     them; a rerun gets its backend results from a caching model (``--cache-dir``).
     """
     pool = Pool.shots(dataset, table)
-    profiles = [profile_example(example, pool, table, model, k=k) for example in pool.examples]
+    profiles = [profile_example(example, pool, model, k=k) for example in pool.examples]
     if store_path is not None:
         save_profiles(profiles, store_path)
     return profiles
@@ -250,11 +246,10 @@ def load_sets(path: str | Path) -> list[ExampleSet]:
         if condition not in CONDITIONS:
             choices = ", ".join(CONDITIONS)
             raise record.fail(f"condition must be one of {choices}, got {condition!r}")
-        sets.append(
-            ExampleSet(
-                condition=condition,
-                member_ids=tuple(record.get("member_ids", list, of=str)),
-                seed=record.get("seed", int),
-            )
-        )
+        member_ids = tuple(record.get("member_ids", list, of=str))
+        if not member_ids:
+            raise record.fail("member_ids is empty")
+        if len(set(member_ids)) < len(member_ids):
+            raise record.fail(f"member_ids repeats an id: {list(member_ids)!r}")
+        sets.append(ExampleSet(condition, member_ids, record.get("seed", int)))
     return sets

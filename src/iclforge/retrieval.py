@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -43,31 +43,36 @@ class RetrievalConfig:
 
 
 class Pool:
-    """Candidate examples with their ids and their rows in an embedding table.
+    """Candidate examples with their ids, their embedding table and their rows in it.
 
     Building one checks every candidate has an embedding; a caller that
-    retrieves from the same candidates many times builds it once. The rows
-    index the table the pool was built over, and the pool clusters them once
+    retrieves from the same candidates many times builds it once. Retrieval,
+    peer prefixes, shot ordering and profiling read every vector from the
+    pool's `table`, the one its rows index. The pool clusters its rows once
     per (k, seed), however many threads retrieve from it.
     """
 
-    __slots__ = ("examples", "ids", "rows", "_labels", "_lock")
+    __slots__ = ("examples", "ids", "rows", "table", "_labels", "_lock")
 
-    def __init__(self, examples: tuple[Example, ...], ids: tuple[str, ...], rows: np.ndarray):
-        self.examples, self.ids, self.rows = examples, ids, rows
+    def __init__(
+        self,
+        examples: tuple[Example, ...],
+        ids: tuple[str, ...],
+        rows: np.ndarray,
+        table: EmbeddingTable,
+    ):
+        self.examples, self.ids, self.rows, self.table = examples, ids, rows, table
         self._labels: dict[tuple[int, int], np.ndarray] = {}
         self._lock = threading.Lock()
 
     @classmethod
-    def of(cls, pool: "Pool | Dataset | Sequence[Example]", table: EmbeddingTable) -> "Pool":
-        """`pool` itself if it is a Pool, else a Pool of its examples over `table`."""
-        if isinstance(pool, Pool):
-            return pool
-        examples = tuple(pool)
+    def of(cls, examples: Iterable[Example], table: EmbeddingTable) -> "Pool":
+        """The Pool of `examples` over `table`."""
+        examples = tuple(examples)
         ids = tuple(ex.id for ex in examples)
         table.require(ids)
         rows = np.fromiter(map(table.rows.__getitem__, ids), dtype=np.intp, count=len(ids))
-        return cls(examples, ids, rows)
+        return cls(examples, ids, rows, table)
 
     @classmethod
     def shots(cls, dataset: Dataset, table: EmbeddingTable) -> "Pool":
@@ -77,20 +82,20 @@ class Pool:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def others(self, example: Example, table: EmbeddingTable) -> np.ndarray:
+    def others(self, example: Example) -> np.ndarray:
         """Positions, in pool order, of the candidates whose embedding row is not `example`'s.
 
         This is the one rule that keeps an example from being its own shot or
-        peer: every copy of it in a list pool goes. An example with no
-        embedding has no copy here (rows are never negative).
+        peer: every copy of it in the pool goes. An example with no embedding
+        has no copy here (rows are never negative).
         """
-        return np.flatnonzero(self.rows != table.rows.get(example.id, -1))
+        return np.flatnonzero(self.rows != self.table.rows.get(example.id, -1))
 
-    def labels(self, table: EmbeddingTable, k: int, seed: int) -> np.ndarray:
+    def labels(self, k: int, seed: int) -> np.ndarray:
         """The k-means labels of every candidate, computed by the first caller to ask."""
         with self._lock:
             if (k, seed) not in self._labels:
-                self._labels[k, seed] = kmeans(table.matrix[self.rows], k, seed)
+                self._labels[k, seed] = kmeans(self.table.matrix[self.rows], k, seed)
             return self._labels[k, seed]
 
 
@@ -191,21 +196,17 @@ def kmeans(vectors: np.ndarray, k: int, seed: int, max_iter: int = KMEANS_MAX_IT
     return labels
 
 
-def retrieve(
-    query: Example,
-    pool: Pool | Dataset | Sequence[Example],
-    table: EmbeddingTable,
-    config: RetrievalConfig,
-) -> list[Example]:
-    """Select `config.k` shots for `query` and arrange them for prompting.
+def retrieve(query: Example, pool: Pool, config: RetrievalConfig) -> list[Example]:
+    """Select `config.k` shots for `query` from `pool` and arrange them for prompting.
 
-    The candidates are `Pool.others` of the query. A diverse retrieval takes
+    The candidates are `Pool.others` of the query, scored against it in the
+    pool's own table, which must also hold the query. A diverse retrieval takes
     the pool's own k-means labels (`Pool.labels`); when the query is left out
     it clusters the other candidates afresh on every call.
     """
-    pool = Pool.of(pool, table)
+    table = pool.table
     query_row = table.row(query.id)
-    candidates = pool.others(query, table)
+    candidates = pool.others(query)
     if len(candidates) < config.k:
         raise DataError(f"pool of {len(candidates)} examples is smaller than k={config.k}")
 
@@ -244,7 +245,7 @@ def retrieve(
             chosen = top(np.array(same, dtype=np.intp), config.k)
         else:  # diverse: the top-ranked member of each non-empty cluster
             if len(candidates) == len(pool):
-                labels = pool.labels(table, config.k, config.seed)
+                labels = pool.labels(config.k, config.seed)
             else:  # no other query retrieves from these rows, so their labels are not kept
                 labels = kmeans(table.matrix[pool.rows[candidates]], config.k, config.seed)
             members = (candidates[labels == c] for c in range(config.k))

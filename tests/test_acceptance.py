@@ -23,7 +23,7 @@ from iclforge.metrics import (
 from iclforge.ordering import alphabet_permutation, answer_perplexity, strategy_permutation
 from iclforge.profiling import build_sets, profile_dataset
 from iclforge.prompting import parse_answers, render_prompt
-from iclforge.retrieval import RetrievalConfig, retrieve
+from iclforge.retrieval import Pool, RetrievalConfig, retrieve
 
 from oracles import oracle_greedy_order, oracle_set_scores, oracle_top_k
 from rigs import build_copycat_rig, build_knowledge_rig, build_listcont_rig
@@ -200,18 +200,15 @@ def test_criterion_07_retrieval_oracle():
         for i in range(pool_size):
             vectors[f"p{i:02d}"] = rng.normal(size=5).tolist()
         table = EmbeddingTable.from_vectors(vectors)
-        pool = [
-            Example(id=i, question=f"q {i}", answers=("a",))
-            for i in sorted(vectors)
-            if i != "query"
-        ]
+        ids = [i for i in sorted(vectors) if i != "query"]
+        pool = Pool.of([Example(id=i, question=f"q {i}", answers=("a",)) for i in ids], table)
         query = Example(id="query", question="q", answers=("a",))
         for k in range(1, 11):
-            got = retrieve(query, pool, table, RetrievalConfig("similar", k=k))
-            expected = oracle_top_k("query", [e.id for e in pool], vectors, k)
+            got = retrieve(query, pool, RetrievalConfig("similar", k=k))
+            expected = oracle_top_k("query", ids, vectors, k)
             assert {e.id for e in got} == set(expected), (trial, k)
-        diverse = retrieve(query, pool, table, RetrievalConfig("diverse", k=1, seed=trial))
-        similar = retrieve(query, pool, table, RetrievalConfig("similar", k=1))
+        diverse = retrieve(query, pool, RetrievalConfig("diverse", k=1, seed=trial))
+        similar = retrieve(query, pool, RetrievalConfig("similar", k=1))
         assert [e.id for e in diverse] == [e.id for e in similar]
     ok(7, "similar top-k equals brute force on pools up to 50 and diverse k=1 equals similar")
 

@@ -694,6 +694,18 @@ class TestProfileAndBuildSets:
                 "condition must be one of unknown, random, halfknown, known, got 'bogus'",
                 id="set-condition-unknown",
             ),
+            pytest.param(
+                "eval",
+                '{"condition": "known", "member_ids": [], "seed": 0}',
+                "member_ids is empty",
+                id="set-members-empty",
+            ),
+            pytest.param(
+                "eval",
+                '{"condition": "known", "member_ids": ["t1", "t1"], "seed": 0}',
+                "member_ids repeats an id: ['t1', 't1']",
+                id="set-member-repeated",
+            ),
         ],
     )
     def test_malformed_store_exits_2(self, capsys, tmp_path, command, line, message):
@@ -1117,6 +1129,13 @@ class TestEvalAndReports:
         )
         assert code == 1
         assert "out of range" in err
+
+    def test_fixed_set_index_without_fixed_set_exits_1(self, capsys, fixtures_dir, tmp_path):
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, *self.eval_args(fixtures_dir, out, "--fixed-set-index", "7"))
+        assert code == 1
+        assert "usage error: --fixed-set-index needs --fixed-set" in err
+        assert not out.exists()
 
     def test_cache_env_var(self, capsys, fixtures_dir, tmp_path, monkeypatch):
         cache = tmp_path / "envcache"

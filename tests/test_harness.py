@@ -538,6 +538,11 @@ class TestValidation:
         with pytest.raises(UsageError):
             toy_config(fixtures_dir, tmp_path, fixed_set_ids=())
 
+    def test_repeated_fixed_set_member_rejected(self, fixtures_dir, tmp_path):
+        message = r"fixed example set repeats an id: \['t1', 't3', 't1'\]"
+        with pytest.raises(UsageError, match=message):
+            toy_config(fixtures_dir, tmp_path, fixed_set_ids=("t1", "t3", "t1"))
+
     def test_unknown_strategy_rejected(self, fixtures_dir, tmp_path):
         with pytest.raises(UsageError):
             toy_config(fixtures_dir, tmp_path, ordering="sideways")

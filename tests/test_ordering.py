@@ -12,10 +12,10 @@ from iclforge.ordering import (
     answer_perplexity,
     greedy_permutation,
     peer_prefix,
-    select_quantile_answer,
     strategy_permutation,
 )
 from iclforge.prompting import render_prompt
+from iclforge.retrieval import Pool
 
 from oracles import (
     oracle_answer_perplexity,
@@ -23,10 +23,6 @@ from oracles import (
     oracle_per_answer_greedy_calls,
 )
 from rigs import CountingModel, FoldedDelimiterModel
-
-
-def example(answers, example_id="ex"):
-    return Example(id=example_id, question="q", answers=tuple(answers))
 
 
 def order(strategy, answers, model=None, prefix="", example_id="ex", seed=0):
@@ -55,16 +51,17 @@ class TestPeerPrefix:
 
     def test_an_example_held_twice_is_not_its_own_peer(self):
         bare = render_prompt([], "first?")
-        assert peer_prefix(self.t0, [self.t0, self.t0], self.table, 1) == bare
+        assert peer_prefix(self.t0, Pool.of([self.t0, self.t0], self.table), 1) == bare
         expected = render_prompt([("second?", ("b",))], "first?")
-        assert peer_prefix(self.t0, [self.t0, self.t1, self.t0], self.table, 2) == expected
+        assert peer_prefix(self.t0, Pool.of([self.t0, self.t1, self.t0], self.table), 2) == expected
 
     def test_k_zero_needs_no_embedding(self):
         outsider = Example(id="x", question="outside?", answers=("c",))
         bare = render_prompt([], "outside?")
-        assert peer_prefix(outsider, [self.t0, self.t1], self.table, 0) == bare
+        pool = Pool.of([self.t0, self.t1], self.table)
+        assert peer_prefix(outsider, pool, 0) == bare
         with pytest.raises(DataError, match="missing embedding for id x"):
-            peer_prefix(outsider, [self.t0, self.t1], self.table, 1)
+            peer_prefix(outsider, pool, 1)
 
 
 class TestAnswerPerplexity:
@@ -422,8 +419,6 @@ class TestOneAnswerSets:
         model = CountingModel(f1_mock)
         for strategy in ("perplexity", "reverse_perplexity"):
             assert strategy_permutation(strategy, ["new york"], model=model) == [0]
-        for x in (0.0, 0.5, 1.0):
-            assert select_quantile_answer(example(["new york"]), "", model, x) == "new york"
         assert model.counts == {}
 
     def test_blank_answer_rejected_before_any_call(self, f1_mock):
@@ -432,8 +427,6 @@ class TestOneAnswerSets:
             for strategy in ("perplexity", "reverse_perplexity"):
                 with pytest.raises(DataError):
                     strategy_permutation(strategy, answers, model=model)
-            with pytest.raises(DataError):
-                select_quantile_answer(example(answers), "", model, 0.5)
         assert model.counts == {}
 
 
@@ -484,9 +477,6 @@ class TestRepeatedAnswers:
             model = CountingModel(inner)
             order(strategy, answers, model)
             assert model.counts == calls, strategy
-        model = CountingModel(inner)
-        select_quantile_answer(example(answers), "", model, 0.5)
-        assert model.counts == {"score": 2}
 
     def test_random_rule_tables_match_scoring_every_copy(self):
         rng = np.random.default_rng(20261019)
@@ -497,9 +487,6 @@ class TestRepeatedAnswers:
             # the reference scores every copy, as a backend without repeats would
             per_copy = [answer_perplexity("p:", a, inner) for a in answers]
             by_perplexity = sorted(range(len(answers)), key=lambda i: per_copy[i])
-            descending = sorted(range(len(answers)), key=lambda i: (-per_copy[i], i))
-            x = float(rng.choice([0.0, 0.5, 1.0]))
-            rank = int(np.floor(x * (len(answers) - 1) + 0.5))
             cases = (
                 (
                     "greedy",
@@ -507,11 +494,6 @@ class TestRepeatedAnswers:
                     oracle_greedy_order(vocab, rules, DEFAULT_FLOOR, "p:", answers),
                 ),
                 ("perplexity", lambda m: order("perplexity", answers, m, "p:"), by_perplexity),
-                (
-                    "quantile",
-                    lambda m: select_quantile_answer(example(answers), "p:", m, x),
-                    answers[descending[rank]],
-                ),
             )
             for name, run, expected in cases:
                 model = CountingModel(inner)
@@ -560,33 +542,6 @@ class TestOrderRandom:
         assert set(counts) == set(itertools.permutations(range(3)))
         for permutation, count in counts.items():
             assert abs(count / trials - 1 / 6) < 0.02, permutation
-
-
-class TestQuantileSelection:
-    def rigged(self):
-        # pp: slow=high, mid=middle, fast=low
-        model = MockModel(
-            ["slow", "mid", "fast"],
-            (MockRule("", "fast", 16.0), MockRule("", "mid", 4.0), MockRule("", "slow", 1.0)),
-        )
-        return example(["slow", "mid", "fast"]), model
-
-    def test_full_quantile_is_most_known(self):
-        ex, model = self.rigged()
-        assert select_quantile_answer(ex, "", model, x=1.0) == "fast"
-
-    def test_zero_quantile_is_least_known(self):
-        ex, model = self.rigged()
-        assert select_quantile_answer(ex, "", model, x=0.0) == "slow"
-
-    def test_middle_quantile(self):
-        ex, model = self.rigged()
-        assert select_quantile_answer(ex, "", model, x=0.5) == "mid"
-
-    def test_out_of_range_rejected(self):
-        ex, model = self.rigged()
-        with pytest.raises(DataError):
-            select_quantile_answer(ex, "", model, x=1.5)
 
 
 class TestPermutationProperties:

@@ -16,6 +16,7 @@ from iclforge.profiling import (
     profile_example,
     save_profiles,
 )
+from iclforge.retrieval import Pool
 
 from rigs import JUNK, CountingModel, build_knowledge_rig
 
@@ -40,7 +41,7 @@ class TestProfileExample:
         dataset, table, model = rig
         example = dataset.examples[0]
         pool = [ex for ex in dataset if ex.id != example.id]
-        result = profile_example(example, pool, table, model)
+        result = profile_example(example, Pool.of(pool, table), model)
         assert result.f1_em == 1.0
         assert result.model_fingerprint == model.fingerprint
         assert len(result.answer_perplexities) == len(example.answers)
@@ -50,13 +51,13 @@ class TestProfileExample:
         dataset, table, model = rig
         example = dataset.examples[3]  # first "half" example
         pool = [ex for ex in dataset if ex.id != example.id]
-        assert profile_example(example, pool, table, model).f1_em == 0.5
+        assert profile_example(example, Pool.of(pool, table), model).f1_em == 0.5
 
     def test_unknown_scores_zero(self, rig):
         dataset, table, model = rig
         example = dataset.examples[6]
         pool = [ex for ex in dataset if ex.id != example.id]
-        assert profile_example(example, pool, table, model).f1_em == 0.0
+        assert profile_example(example, Pool.of(pool, table), model).f1_em == 0.0
 
     def test_half_of_four_answer_gold(self):
         # two of four gold answers predicted: precision 1, recall 0.5
@@ -82,7 +83,7 @@ class TestProfileExample:
             MockRule("the four marks?\nAnswers: k1 | k2", "\n", 9.0),
         ]
         model = MockModel(["k1", "k2", "k3", "k4", "f", "|", "\n"], tuple(rules))
-        result = profile_example(target, others, table, model)
+        result = profile_example(target, Pool.of(others, table), model)
         assert result.f1_em == pytest.approx(2 * (1.0 * 0.5) / 1.5)
 
     def test_pool_holding_the_example_gives_the_same_profile(self, rig):
@@ -92,10 +93,10 @@ class TestProfileExample:
         for example in dataset.examples[::3]:  # known, half, unknown
             others = [ex for ex in dataset if ex.id != example.id]
             alone = CountingModel(model)
-            expected = profile_example(example, others, table, alone)
+            expected = profile_example(example, Pool.of(others, table), alone)
             for pool in (list(dataset.examples), [example, *dataset.examples]):
                 held = CountingModel(model)
-                assert profile_example(example, pool, table, held) == expected
+                assert profile_example(example, Pool.of(pool, table), held) == expected
                 assert held.requests == alone.requests
 
     def test_empty_pool_rejected(self, rig):
@@ -104,25 +105,25 @@ class TestProfileExample:
         # a pool holding only the example is empty once the example is left out
         for pool in ([], [example], [example, example]):
             with pytest.raises(DataError, match="empty candidate pool"):
-                profile_example(example, pool, table, model)
+                profile_example(example, Pool.of(pool, table), model)
 
     def test_of_two_faults_the_pool_and_then_k_are_reported(self, rig):
         # an example with no embedding fails only once a peer is retrieved
         dataset, table, model = rig
         outsider = Example(id="x", question="outside?", answers=("a",))
         with pytest.raises(DataError, match="empty candidate pool"):
-            profile_example(outsider, [], table, model, k=0)
+            profile_example(outsider, Pool.of([], table), model, k=0)
         with pytest.raises(DataError, match="shot budget k must be at least 1"):
-            profile_example(outsider, list(dataset.examples), table, model, k=0)
+            profile_example(outsider, Pool.of(dataset.examples, table), model, k=0)
         with pytest.raises(DataError, match="missing embedding for id x"):
-            profile_example(outsider, list(dataset.examples), table, model, k=1)
+            profile_example(outsider, Pool.of(dataset.examples, table), model, k=1)
 
     def test_repeated_gold_answer_scored_once(self):
         target = Example(id="t", question="which letters?", answers=("alpha", "beta", "alpha"))
         peer = Example(id="o", question="filler?", answers=("f",))
         table = EmbeddingTable.from_vectors({"t": [1.0, 0.0], "o": [0.0, 1.0]})
         model = CountingModel(MockModel(["alpha", "beta", "f", "|", "\n"]))
-        result = profile_example(target, [peer], table, model)
+        result = profile_example(target, Pool.of([peer], table), model)
         assert model.counts["score"] == 2
         first, _, third = result.answer_perplexities
         assert first == third
@@ -132,13 +133,13 @@ class TestProfileExample:
         example = dataset.examples[0]
         pool = [ex for ex in dataset if ex.id != example.id]
         with pytest.raises(DataError):
-            profile_example(example, pool, table, model, k=0)
+            profile_example(example, Pool.of(pool, table), model, k=0)
 
     def test_avg_similarity_is_mean_over_pool(self, rig):
         dataset, table, model = rig
         example = dataset.examples[0]
         pool = [ex for ex in dataset if ex.id != example.id]
-        result = profile_example(example, pool, table, model)
+        result = profile_example(example, Pool.of(pool, table), model)
         expected = float(
             np.mean(
                 [float(np.dot(table.vector(example.id), table.vector(o.id))) for o in pool]

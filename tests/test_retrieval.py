@@ -128,17 +128,17 @@ class TestRetrieveSimilar:
         )
         query = next(ex for ex in pool if ex.id == "q")
         candidates = [ex for ex in pool if ex.id != "q"]
-        result = retrieve(query, candidates, table, RetrievalConfig("similar", k=2))
+        result = retrieve(query, Pool.of(candidates, table), RetrievalConfig("similar", k=2))
         assert [ex.id for ex in result] == ["p2", "p1"]
 
     def test_pool_smaller_than_k_errors(self):
         pool, table = make_pool({"q": [1.0], "p": [0.5]})
         query = next(ex for ex in pool if ex.id == "q")
         with pytest.raises(DataError, match="smaller than k"):
-            retrieve(query, [pool[0]], table, RetrievalConfig("similar", k=2))
+            retrieve(query, Pool.of([pool[0]], table), RetrievalConfig("similar", k=2))
         # the query left out of a pool that holds it leaves one candidate
         with pytest.raises(DataError, match="pool of 1 examples is smaller than k=2"):
-            retrieve(query, pool, table, RetrievalConfig("similar", k=2))
+            retrieve(query, Pool.of(pool, table), RetrievalConfig("similar", k=2))
 
     @given(
         st.integers(min_value=0, max_value=10_000),
@@ -165,7 +165,7 @@ class TestRetrieveSimilar:
         candidates = [ex for ex in pool if ex.id != "query"]
         pool_ids = [ex.id for ex in candidates]
         config = RetrievalConfig(strategy, k=k, seed=seed)
-        result = retrieve(query, pool if query_in_pool else candidates, table, config)
+        result = retrieve(query, Pool.of(pool if query_in_pool else candidates, table), config)
         if strategy == "similar":
             expected = oracle_top_k("query", pool_ids, vectors, k)
         elif strategy == "topical":
@@ -229,7 +229,8 @@ class TestRetrieveNearTies:
         query = next(ex for ex in pool if ex.id == "query")
         candidates = [ex for ex in pool if ex.id != "query"]
         pool_ids = [ex.id for ex in candidates]
-        result = retrieve(query, candidates, table, RetrievalConfig(strategy, k=k, seed=seed))
+        config = RetrievalConfig(strategy, k=k, seed=seed)
+        result = retrieve(query, Pool.of(candidates, table), config)
         if strategy == "similar":
             expected = oracle_top_k("query", pool_ids, vectors, k, numpy_dot)
         elif strategy == "topical":
@@ -258,7 +259,7 @@ class TestRetrieveNearTies:
         candidates = [ex for ex in pool if ex.id != "query"]
         pool_ids = [ex.id for ex in candidates]
         for k in (1, 3, 7):
-            result = retrieve(query, candidates, table, RetrievalConfig("similar", k=k))
+            result = retrieve(query, Pool.of(candidates, table), RetrievalConfig("similar", k=k))
             expected = oracle_top_k("query", pool_ids, vectors, k, numpy_dot)
             want = oracle_arrangement("query", expected, vectors, numpy_dot)
             assert [ex.id for ex in result] == want
@@ -274,8 +275,8 @@ class TestRetrieveNearTies:
             for prebuilt_pool in (Pool.of(others, table), built):
                 for strategy in retrieval.STRATEGIES:
                     config = RetrievalConfig(strategy, k=4, seed=3)
-                    listed = retrieve(query, others, table, config)
-                    assert retrieve(query, prebuilt_pool, table, config) == listed
+                    fresh = retrieve(query, Pool.of(others, table), config)
+                    assert retrieve(query, prebuilt_pool, config) == fresh
 
 
 class TestPoolLabels:
@@ -297,7 +298,7 @@ class TestPoolLabels:
         monkeypatch.setattr(retrieval, "kmeans", counting)
         config = RetrievalConfig("diverse", k=3, seed=1)
         for query in members[:3]:
-            retrieve(query, pool, table, config)
+            retrieve(query, pool, config)
         # each query clusters the other 19 rows afresh and keeps nothing in the pool
         assert len(calls) == 3
         for query, rows in zip(members, calls):
@@ -305,7 +306,7 @@ class TestPoolLabels:
             assert rows.tobytes() == np.stack([table.vector(i) for i in others]).tobytes()
         # so the first query from outside clusters the whole pool, and only it
         for query in outsiders:
-            retrieve(query, pool, table, config)
+            retrieve(query, pool, config)
         assert len(calls) == 4
         assert calls[3].tobytes() == np.stack([table.vector(ex.id) for ex in members]).tobytes()
 
@@ -335,7 +336,7 @@ class TestSimilarityCallBudget:
             return similarity(id_a, id_b, table)
 
         monkeypatch.setattr(retrieval, "similarity", counting)
-        result = retrieve(query, candidates, table, RetrievalConfig(strategy, k=5, seed=1))
+        result = retrieve(query, Pool.of(candidates, table), RetrievalConfig(strategy, k=5, seed=1))
         assert len(result) == 5
         assert len(calls) == expected
         assert len(set(calls)) == expected
@@ -348,9 +349,9 @@ class TestRetrieveDiverse:
         vectors["q"] = rng.normal(size=3).tolist()
         pool, table = make_pool(vectors)
         query = next(ex for ex in pool if ex.id == "q")
-        candidates = [ex for ex in pool if ex.id != "q"]
-        diverse = retrieve(query, candidates, table, RetrievalConfig("diverse", k=1, seed=5))
-        similar = retrieve(query, candidates, table, RetrievalConfig("similar", k=1))
+        candidates = Pool.of([ex for ex in pool if ex.id != "q"], table)
+        diverse = retrieve(query, candidates, RetrievalConfig("diverse", k=1, seed=5))
+        similar = retrieve(query, candidates, RetrievalConfig("similar", k=1))
         assert [ex.id for ex in diverse] == [ex.id for ex in similar]
 
     def test_two_separated_clusters_one_shot_each(self):
@@ -363,8 +364,8 @@ class TestRetrieveDiverse:
         }
         pool, table = make_pool(vectors)
         query = next(ex for ex in pool if ex.id == "q")
-        candidates = [ex for ex in pool if ex.id != "q"]
-        result = retrieve(query, candidates, table, RetrievalConfig("diverse", k=2, seed=0))
+        candidates = Pool.of([ex for ex in pool if ex.id != "q"], table)
+        result = retrieve(query, candidates, RetrievalConfig("diverse", k=2, seed=0))
         ids = {ex.id for ex in result}
         assert len(ids & {"a1", "a2"}) == 1
         assert len(ids & {"b1", "b2"}) == 1
@@ -377,14 +378,14 @@ class TestRetrieveDiverse:
         vectors["q"] = [0.0, 0.0]
         pool, table = make_pool(vectors)
         query = next(ex for ex in pool if ex.id == "q")
-        candidates = [ex for ex in pool if ex.id != "q"]
-        result = retrieve(query, candidates, table, RetrievalConfig("diverse", k=4, seed=1))
+        candidates = Pool.of([ex for ex in pool if ex.id != "q"], table)
+        result = retrieve(query, candidates, RetrievalConfig("diverse", k=4, seed=1))
         assert len({ex.id for ex in result}) == 4
 
 
 class TestLeaveOneOut:
     """`Pool.others` leaves an example out by its embedding row, so every copy of
-    it in a list pool goes; `retrieve` takes its candidates from it."""
+    it in a pool goes; `retrieve` takes its candidates from it."""
 
     @staticmethod
     def held_twice():
@@ -397,31 +398,31 @@ class TestLeaveOneOut:
     def test_others_are_every_candidate_but_the_copies(self):
         t0, held, rest, table = self.held_twice()
         pool = Pool.of(held, table)
-        assert pool.others(t0, table).tolist() == [2, 3, 4]
-        assert pool.others(rest[0], table).tolist() == [0, 1, 3, 4]
+        assert pool.others(t0).tolist() == [2, 3, 4]
+        assert pool.others(rest[0]).tolist() == [0, 1, 3, 4]
         # an example with no embedding has no copy in any pool
         outsider = Example(id="x", question="q", answers=("a",))
-        assert pool.others(outsider, table).tolist() == [0, 1, 2, 3, 4]
+        assert pool.others(outsider).tolist() == [0, 1, 2, 3, 4]
 
     @pytest.mark.parametrize("strategy", retrieval.STRATEGIES)
     def test_a_query_held_twice_is_never_its_own_shot(self, strategy):
         t0, held, rest, table = self.held_twice()
         config = RetrievalConfig(strategy, k=3, seed=0)
-        result = retrieve(t0, held, table, config)
+        result = retrieve(t0, Pool.of(held, table), config)
         assert t0 not in result
-        assert result == retrieve(t0, rest, table, config)
+        assert result == retrieve(t0, Pool.of(rest, table), config)
 
     def test_a_pool_of_only_the_query_is_empty(self):
         t0, _, _, table = self.held_twice()
         for pool in ([t0], [t0, t0]):
             with pytest.raises(DataError, match="pool of 0 examples is smaller than k=1"):
-                retrieve(t0, pool, table, RetrievalConfig("similar", k=1))
+                retrieve(t0, Pool.of(pool, table), RetrievalConfig("similar", k=1))
 
     def test_a_query_without_embedding_fails_before_the_pool_size(self):
         _, _, _, table = self.held_twice()
         outsider = Example(id="x", question="q", answers=("a",))
         with pytest.raises(DataError, match="missing embedding for id x"):
-            retrieve(outsider, [], table, RetrievalConfig("similar", k=1))
+            retrieve(outsider, Pool.of([], table), RetrievalConfig("similar", k=1))
 
 
 class TestRetrieveTopical:
@@ -440,14 +441,14 @@ class TestRetrieveTopical:
         pool, table = self.make_categorized()
         query = next(ex for ex in pool if ex.id == "q")
         candidates = [ex for ex in pool if ex.id != "q"]
-        result = retrieve(query, candidates, table, RetrievalConfig("topical", k=2))
+        result = retrieve(query, Pool.of(candidates, table), RetrievalConfig("topical", k=2))
         assert {ex.id for ex in result} == {"p1", "p2"}
 
     def test_backfills_sparse_category(self):
         pool, table = self.make_categorized()
         query = next(ex for ex in pool if ex.id == "q")
         candidates = [ex for ex in pool if ex.id != "q"]
-        result = retrieve(query, candidates, table, RetrievalConfig("topical", k=3))
+        result = retrieve(query, Pool.of(candidates, table), RetrievalConfig("topical", k=3))
         ids = {ex.id for ex in result}
         assert {"p1", "p2"} <= ids
         assert "p4" in ids  # most similar outside the category
@@ -457,7 +458,7 @@ class TestRetrieveTopical:
         query = next(ex for ex in pool if ex.id == "q")
         candidates = [ex for ex in pool if ex.id != "q"]
         with pytest.raises(DataError, match="category"):
-            retrieve(query, candidates, table, RetrievalConfig("topical", k=1))
+            retrieve(query, Pool.of(candidates, table), RetrievalConfig("topical", k=1))
 
 
 class TestRetrieveRandom:
@@ -468,8 +469,8 @@ class TestRetrieveRandom:
         pool, table = make_pool(vectors)
         query = next(ex for ex in pool if ex.id == "q")
         candidates = [ex for ex in pool if ex.id != "q"]
-        first = retrieve(query, candidates, table, RetrievalConfig("random", k=3, seed=5))
-        second = retrieve(query, candidates, table, RetrievalConfig("random", k=3, seed=5))
+        first = retrieve(query, Pool.of(candidates, table), RetrievalConfig("random", k=3, seed=5))
+        second = retrieve(query, Pool.of(candidates, table), RetrievalConfig("random", k=3, seed=5))
         assert [e.id for e in first] == [e.id for e in second]
         assert len({e.id for e in first}) == 3
         sims = [similarity("q", e.id, table) for e in first]
@@ -487,7 +488,7 @@ class TestRetrieveRandom:
                 sorted(
                     e.id
                     for e in retrieve(
-                        query, candidates, table, RetrievalConfig("random", k=3, seed=s)
+                        query, Pool.of(candidates, table), RetrievalConfig("random", k=3, seed=s)
                     )
                 )
             )
@@ -505,7 +506,7 @@ def test_all_strategies_never_return_query_and_respect_arrangement():
     query = next(ex for ex in pool if ex.id == "q")
     candidates = [ex for ex in pool if ex.id != "q"]
     for strategy in ("similar", "diverse", "topical", "random"):
-        result = retrieve(query, candidates, table, RetrievalConfig(strategy, k=5, seed=2))
+        result = retrieve(query, Pool.of(candidates, table), RetrievalConfig(strategy, k=5, seed=2))
         ids = [ex.id for ex in result]
         assert len(ids) == 5
         assert len(set(ids)) == 5

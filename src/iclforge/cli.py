@@ -236,8 +236,10 @@ def _cmd_eval(args) -> int:
     fields = {f.name for f in dataclasses.fields(RunConfig)}
     data.update((k, v) for k, v in vars(args).items() if k in fields and v is not None)
     if args.fixed_set:
-        if args.retrieval_strategy is not None:
-            raise UsageError("--fixed-set and --retrieval are mutually exclusive")
+        # the set fixes the shots and their number, from a flag or a --config alike
+        for key, flag in (("retrieval_strategy", "--retrieval"), ("k", "--k")):
+            if key in data:
+                raise UsageError(f"--fixed-set and {flag} are mutually exclusive")
         sets = load_sets(args.fixed_set)
         index = args.fixed_set_index or 0
         if not 0 <= index < len(sets):
@@ -245,6 +247,7 @@ def _cmd_eval(args) -> int:
                 f"--fixed-set-index {index} out of range (file holds {len(sets)} sets)"
             )
         data["fixed_set_ids"] = list(sets[index].member_ids)
+        data["k"] = len(data["fixed_set_ids"])  # the shots each prompt holds
     elif args.fixed_set_index is not None:
         raise UsageError("--fixed-set-index needs --fixed-set")
     if data.get("cache_dir") is None and os.environ.get(CACHE_ENV_VAR):

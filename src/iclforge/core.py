@@ -205,6 +205,8 @@ _KINDS = {
     dict: ("an object", dict.__instancecheck__),
     list: ("a list", list.__instancecheck__),
 }
+# kinds whose values, of exactly that type, are returned as they are
+_AS_IS = {str, int, list}
 
 
 class Fields:
@@ -230,6 +232,8 @@ class Fields:
         dict, returned as Fields; list, of elements of kind `of`), or `default` when
         one is given and the field is absent or null. An element error names `item`."""
         value = self.data.get(name)
+        if type(value) is kind and kind in _AS_IS and of is None:
+            return value
         if value is None and default is not ...:
             return default
         what, check = _KINDS[kind]
@@ -247,6 +251,11 @@ class Fields:
         if kind is dict:
             return Fields(value, self.source, self.line, self.error)
         return float(value) if kind is float else value
+
+
+# the C scanner json.loads wraps: (value, end) of the JSON value at an index
+_scan_once = json.JSONDecoder().scan_once
+_JSON_SPACE = " \t\n\r"
 
 
 def lone_surrogate(text: str, value) -> str | None:
@@ -268,13 +277,24 @@ def lone_surrogate(text: str, value) -> str | None:
 
 
 def decode_json(text: str, source, line: int | None = None):
-    """`text` as JSON; malformed JSON, or a lone surrogate escape, is a DataError
-    naming `source` and `line`."""
+    """`text`, line `line` of `source` with its newline if any, or without `line`
+    the whole of `source`, as JSON. Malformed JSON, a number int() refuses, or a
+    lone surrogate escape is a DataError naming `source` and `line`.
+
+    A value followed by JSON whitespace alone is kept from one scan; any other
+    text goes to json.loads, so values and messages are json.loads' own.
+    """
     try:
-        value = json.loads(text)
-    except json.JSONDecodeError as exc:
-        where = f"{source}: line {line}" if line else source
-        raise DataError(f"{where}: malformed JSON: {exc}") from exc
+        value, end = _scan_once(text, 0)
+    except (StopIteration, ValueError):  # no value at index 0, or a bad one
+        end = None
+    if end is None or (end != len(text) and text[end:].strip(_JSON_SPACE)):
+        try:
+            # a line's newline would move the position a message names
+            value = json.loads(text.rstrip("\n") if line else text)
+        except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
+            where = f"{source}: line {line}" if line else source
+            raise DataError(f"{where}: malformed JSON: {exc}") from exc
     # tested here, not only in lone_surrogate, so a line without a backslash (most
     # lines; every embedding line) costs one memchr and no call
     if "\\" in text:
@@ -331,9 +351,14 @@ def read_jsonl(
                     f'{{"format": "{FORMAT_VERSION}"}}'
                 )
         for lineno, raw in enumerate(fh, 2 if header else 1):
-            line = _decode(raw, path, lineno)
-            if line.strip():
-                fields = Fields(decode_json(line.rstrip("\n"), path, lineno), path, lineno)
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                line = _decode(raw, path, lineno)  # raises, naming the fault
+            # a line is never empty, so isspace() is True just where strip() would
+            # leave nothing, and it stops at the first other character, copying nothing
+            if not line.isspace():
+                fields = Fields(decode_json(line, path, lineno), path, lineno)
                 yield (line, fields) if texts else fields
 
 

@@ -220,6 +220,19 @@ class TestValidate:
                 "line 2: lone surrogate escape \\ud800",
                 id="question-lone-surrogate",
             ),
+            pytest.param(
+                "--train",
+                b'{"format": "icl-forge/v1"}\n'
+                b'{"id": "t1", "question": "q", "answers": ["a"], "n": 1%s}\n' % (b"0" * 4999),
+                "line 2: malformed JSON: Exceeds the limit",
+                id="dataset-int-beyond-the-digit-limit",
+            ),
+            pytest.param(
+                "--embeddings",
+                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [0.5, 1%s]}\n' % (b"0" * 4999),
+                "line 2: malformed JSON: Exceeds the limit",
+                id="embedding-int-beyond-the-digit-limit",
+            ),
         ],
     )
     def test_malformed_input_exits_2(self, capsys, tmp_path, flag, body, message):
@@ -1136,6 +1149,49 @@ class TestEvalAndReports:
         assert code == 1
         assert "usage error: --fixed-set-index needs --fixed-set" in err
         assert not out.exists()
+
+    def write_two_member_set(self, tmp_path) -> Path:
+        path = tmp_path / "sets.jsonl"
+        path.write_text('{"condition": "known", "member_ids": ["t1", "t2"], "seed": 0}\n')
+        return path
+
+    @pytest.mark.parametrize(
+        "extra, config, flag",
+        [
+            (["--k", "4"], None, "--k"),
+            (["--retrieval", "diverse"], None, "--retrieval"),
+            ([], {"k": 4}, "--k"),
+            ([], {"retrieval_strategy": "diverse"}, "--retrieval"),
+        ],
+        ids=["k-flag", "retrieval-flag", "k-in-config", "retrieval-in-config"],
+    )
+    def test_fixed_set_refuses_a_shot_budget_or_retrieval(
+        self, capsys, fixtures_dir, tmp_path, extra, config, flag
+    ):
+        """A fixed set fixes the shots, so nothing may ask for others, flag or config."""
+        if config is not None:
+            config_path = tmp_path / "run.json"
+            config_path.write_text(json.dumps(config), encoding="utf-8")
+            extra = ["--config", str(config_path)]
+        out = tmp_path / "out"
+        sets = self.write_two_member_set(tmp_path)
+        code, _, err = run_cli(
+            capsys, *self.eval_args(fixtures_dir, out, "--fixed-set", str(sets), *extra)
+        )
+        assert code == 1
+        assert f"usage error: --fixed-set and {flag} are mutually exclusive" in err
+        assert not out.exists()
+
+    def test_fixed_set_run_records_the_set_size_as_k(self, capsys, fixtures_dir, tmp_path):
+        out = tmp_path / "out"
+        sets = self.write_two_member_set(tmp_path)
+        code, _, _ = run_cli(capsys, *self.eval_args(fixtures_dir, out, "--fixed-set", str(sets)))
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config"]["k"] == 2
+        assert manifest["config"]["fixed_set_ids"] == ["t1", "t2"]
+        records = (out / "records.jsonl").read_text(encoding="utf-8").splitlines()
+        assert {tuple(json.loads(r)["shot_ids"]) for r in records} == {("t1", "t2")}
 
     def test_cache_env_var(self, capsys, fixtures_dir, tmp_path, monkeypatch):
         cache = tmp_path / "envcache"

@@ -13,10 +13,13 @@ from iclforge import core
 from iclforge.core import (
     Dataset,
     Example,
+    Fields,
     atomic_write_text,
+    decode_json,
     load_dataset,
     load_embeddings,
     normalize_answer,
+    read_json_object,
     read_jsonl,
     save_dataset,
     save_embeddings,
@@ -410,6 +413,194 @@ class TestReadJsonl:
         (example,) = load_dataset(path)
         assert example.question == "smile \U0001F600"
         assert example.answers == ("C:\\ud800",)
+
+
+def json_loads_decode(text, source, line=None):
+    """decode_json as json.loads alone makes it: the reference for its values and
+    messages."""
+    where = f"{source}: line {line}" if line else source
+    try:
+        value = json.loads(text)
+    except ValueError as exc:
+        raise DataError(f"{where}: malformed JSON: {exc}") from exc
+    escape = core.lone_surrogate(text, value)
+    if escape is not None:
+        raise DataError(f"{where}: lone surrogate escape {escape} is not UTF-8 text")
+    return value
+
+
+def outcome(decode, *args):
+    """("value", its JSON text) or ("error", the message) of `decode(*args)`; the
+    JSON text tells 1 from 1.0 and True, and NaN equals itself in it."""
+    try:
+        return "value", json.dumps(decode(*args))
+    except DataError as exc:
+        return "error", str(exc)
+
+
+# texts that json.loads reads, or refuses, each in its own way
+JSON_CASES = [
+    '{"a": 1}',
+    '{"a": 1}\r',  # a CRLF line once its newline is gone
+    '{"a": 1}\r\n',
+    '{"a": 1} \t ',
+    ' {"a": 1}',
+    '\t{"a": [1, 2.5]}  ',
+    "\ufeff{\"a\": 1}",  # a BOM
+    '{"a": 1} {"b": 2}',  # extra data
+    '{"a": 1}x',
+    "1 2",
+    '{"a": NaN, "b": Infinity, "c": -Infinity}',
+    "NaN",
+    '"\\ud83d\\ude00"',  # an escaped surrogate pair
+    '"\\ud800"',  # a lone surrogate
+    '{"q": "C:\\\\ud800"}',  # an escaped backslash before "ud800"
+    "\u00a0",
+    "\u2028",
+    '{"a": 1}\u00a0',
+    '{"a": 1}\u2028',
+    "",
+    "\n",
+    " ",
+    '{"a": ',
+    '{"a": 1,\n',
+    '{"a": 1}\n\n',
+    "[1, 2,]",
+    '{"a": "\t"}',  # a raw control character in a string
+    "-",
+    "1" * 5000,  # beyond int()'s digit limit
+    "[%s]" % ("1" * 4300),  # at it
+]
+
+
+def case_id(text: str) -> str:
+    return ascii(text)[:24]
+
+
+class TestReaderMatchesJsonLoads:
+    @pytest.mark.parametrize("text", JSON_CASES, ids=case_id)
+    def test_whole_text(self, text):
+        assert outcome(decode_json, text, "src") == outcome(json_loads_decode, text, "src")
+
+    @pytest.mark.parametrize("text", JSON_CASES, ids=case_id)
+    def test_line_without_its_newline(self, text):
+        # a line's newline is no part of its JSON, whatever its positions
+        expected = outcome(json_loads_decode, text.rstrip("\n"), "src", 4)
+        assert outcome(decode_json, text, "src", 4) == expected
+        assert outcome(decode_json, text + "\n", "src", 4) == expected
+
+    @given(
+        st.lists(
+            st.sampled_from(
+                ['{', '}', '[', ']', '"a"', ':', ',', '1', '-', '0.5', 'e5', 'NaN',
+                 'Infinity', 'true', 'null', ' ', '\t', '\r', '\n', '\ufeff', '\u00a0',
+                 '\u2028', '"\\ud800"', '"\\ud83d\\ude00"', 'x']
+            ),
+            max_size=12,
+        ).map("".join)
+    )
+    def test_any_text(self, text):
+        assert outcome(decode_json, text, "src") == outcome(json_loads_decode, text, "src")
+        assert outcome(decode_json, text, "src", 2) == outcome(
+            json_loads_decode, text.rstrip("\n"), "src", 2
+        )
+
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=8,
+    ), st.sampled_from(["", " ", "\t", "\r", " \t\r"]))
+    def test_any_value_with_trailing_space(self, value, space):
+        text = json.dumps(value) + space
+        assert outcome(decode_json, text, "src", 2) == outcome(json_loads_decode, text, "src", 2)
+
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n", b""])
+    @pytest.mark.parametrize("text", JSON_CASES, ids=case_id)
+    def test_read_jsonl(self, tmp_path, text, ending):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b'{"ok": 1}\n' + text.encode("utf-8") + ending)
+
+        def reference():
+            # the reader as json.loads alone makes it: lines end at b"\n" only, and
+            # a line that strip() empties is blank
+            *lines, last = path.read_bytes().split(b"\n")
+            for lineno, raw in enumerate([line + b"\n" for line in lines] + [last], 1):
+                line = raw.decode("utf-8")
+                if line.strip():
+                    value = json_loads_decode(line.rstrip("\n"), path, lineno)
+                    if not isinstance(value, dict):
+                        raise DataError(f"{path}: line {lineno}: record is not a JSON object")
+                    yield value
+
+        def read():
+            return [record.data for record in read_jsonl(path, "dataset")]
+
+        assert outcome(read) == outcome(lambda: list(reference()))
+
+    def test_texts_keep_each_line_as_read(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes('{"a": 1}\r\n\n \u00a0\n{"b": 2}'.encode("utf-8"))
+        assert [(text, f.data, f.line) for text, f in read_jsonl(path, "x", texts=True)] == [
+            ('{"a": 1}\r\n', {"a": 1}, 1),
+            ('{"b": 2}', {"b": 2}, 4),
+        ]
+
+    def test_truncated_whole_file_object_keeps_its_positions(self, tmp_path):
+        path = tmp_path / "m.json"
+        text = '{"vocab": ["a"],\n'
+        path.write_text(text, encoding="utf-8")
+        message = (
+            f"{path}: malformed JSON: Expecting property name enclosed in double quotes: "
+            "line 2 column 1 (char 17)"
+        )
+        assert outcome(json_loads_decode, text, path) == ("error", message)
+        with pytest.raises(DataError) as info:
+            read_json_object(path, "mock fixture")
+        assert str(info.value) == message
+
+
+class TestFieldsGet:
+    def fields(self, **data):
+        return Fields(data, "src", 3)
+
+    def test_exact_kinds_are_returned_as_they_are(self):
+        answers, record = ["x"], self.fields(id="q1", n=7, answers=None)
+        record.data["answers"] = answers
+        assert record.get("id", str) == "q1"
+        assert record.get("n", int) == 7
+        assert record.get("answers", list) is answers
+
+    def test_bool_is_not_an_int(self):
+        with pytest.raises(DataError, match=re.escape("src: line 3: n must be an int, got true")):
+            self.fields(n=True).get("n", int)
+
+    def test_int_for_float_is_a_float(self):
+        value = self.fields(x=2).get("x", float)
+        assert value == 2.0 and type(value) is float
+
+    @pytest.mark.parametrize("value, shown", [(float("nan"), "NaN"), (float("-inf"), "-Infinity")])
+    def test_a_float_is_checked_finite(self, value, shown):
+        with pytest.raises(DataError, match=f"x must be a finite number, got {shown}"):
+            self.fields(x=value).get("x", float)
+
+    def test_null_with_and_without_a_default(self):
+        record = self.fields(category=None)
+        assert record.get("category", str, None) is None
+        assert record.get("category", str, "none") == "none"
+        assert record.get("absent", int, 5) == 5
+        with pytest.raises(DataError, match="category must be a string, got null"):
+            record.get("category", str)
+        with pytest.raises(DataError, match="missing field 'absent'"):
+            record.get("absent", str)
+
+    def test_non_string_in_a_string_list(self):
+        record = self.fields(answers=["a", 7])
+        with pytest.raises(DataError, match=re.escape("answers[1] must be a string, got 7")):
+            record.get("answers", list, of=str)
+        with pytest.raises(DataError, match=re.escape("answer must be a string, got 7")):
+            record.get("answers", list, of=str, item="answer")
+        assert record.get("answers", list) == ["a", 7]
 
 
 class TestAtomicWriteText:

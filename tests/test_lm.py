@@ -457,6 +457,10 @@ class TestMockFixtureFile:
             ),
             ('{"vocab": ["a"], "floor": "0.1"}', "floor must be a finite number"),
             ('{"vocab": ["a", "b\\ud800"]}', "lone surrogate escape \\\\ud800"),
+            (
+                '{"vocab": ["a"], "floor": 1%s}' % ("0" * 4999),
+                "malformed JSON: Exceeds the limit",
+            ),
         ],
         ids=[
             "a-list",
@@ -468,6 +472,7 @@ class TestMockFixtureFile:
             "weight-missing",
             "floor-string",
             "vocab-lone-surrogate",
+            "int-beyond-the-digit-limit",
         ],
     )
     def test_malformed_fixture_names_file_and_field(self, tmp_path, body, message):
@@ -524,6 +529,23 @@ class TestCache:
             again = model.next_token_distribution("c", ["a"])
         assert again == expected
         assert "corrupt" in caplog.text
+
+    def test_entry_with_an_int_beyond_the_digit_limit_recomputed_as_a_miss(
+        self, tmp_path, caplog
+    ):
+        cache_dir = tmp_path / "cache"
+        model = CachedModel(mock(["a", "b"]), cache_dir)
+        expected = model.next_token_distribution("c", ["a"])
+        (entry,) = cache_dir.glob("*.json")
+        stored = entry.read_text(encoding="utf-8")
+        entry.write_text('{"n": 1%s, %s' % ("0" * 4999, stored[1:]), encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            again = model.next_token_distribution("c", ["a"])
+        assert again == expected
+        assert "discarding corrupt cache entry" in caplog.text
+        assert "Exceeds the limit" in caplog.text
+        assert (model.hits, model.misses) == (0, 2)
+        assert entry.read_text(encoding="utf-8") == stored
 
     @pytest.mark.parametrize(
         "op, response",

@@ -258,50 +258,37 @@ _scan_once = json.JSONDecoder().scan_once
 _JSON_SPACE = " \t\n\r"
 
 
-def lone_surrogate(text: str, value) -> str | None:
-    """The first lone surrogate in `value`, decoded from the JSON `text`, as a
-    ``\\uXXXX`` escape, or None. A string holding one cannot be written as UTF-8.
-
-    `text` was read as UTF-8, which admits no surrogate, so only a ``\\u`` escape
-    in it can make one; text without one costs a substring test.
-    """
-    # a one-character test is a memchr, ten times faster on a long line than the
-    # two-character one
-    if "\\" not in text or "\\u" not in text:
-        return None
-    try:
-        json.dumps(value, ensure_ascii=False).encode("utf-8")
-    except UnicodeEncodeError as exc:
-        return f"\\u{ord(exc.object[exc.start]):04x}"
-    return None
-
-
-def decode_json(text: str, source, line: int | None = None):
+def decode_json(text: str, source, line: int | None = None, error=DataError):
     """`text`, line `line` of `source` with its newline if any, or without `line`
-    the whole of `source`, as JSON. Malformed JSON, a number int() refuses, or a
-    lone surrogate escape is a DataError naming `source` and `line`.
+    the whole of `source`, as JSON. Malformed JSON, a number int() refuses, JSON
+    nested too deeply or a lone surrogate escape raises `error` (DataError for a
+    file, ProtocolError for a backend reply) naming `source` and `line`.
 
     A value followed by JSON whitespace alone is kept from one scan; any other
     text goes to json.loads, so values and messages are json.loads' own.
     """
     try:
         value, end = _scan_once(text, 0)
-    except (StopIteration, ValueError):  # no value at index 0, or a bad one
+    except (StopIteration, ValueError, RecursionError):  # no value at 0, a bad one, or a deep one
         end = None
-    if end is None or (end != len(text) and text[end:].strip(_JSON_SPACE)):
-        try:
+    try:
+        if end is None or (end != len(text) and text[end:].strip(_JSON_SPACE)):
             # a line's newline would move the position a message names
             value = json.loads(text.rstrip("\n") if line else text)
-        except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
-            where = f"{source}: line {line}" if line else source
-            raise DataError(f"{where}: malformed JSON: {exc}") from exc
-    # tested here, not only in lone_surrogate, so a line without a backslash (most
-    # lines; every embedding line) costs one memchr and no call
-    if "\\" in text:
-        escape = lone_surrogate(text, value)
-        if escape is not None:
-            where = f"{source}: line {line}" if line else source
-            raise DataError(f"{where}: lone surrogate escape {escape} is not UTF-8 text")
+        # text read as UTF-8 holds no surrogate, so only a \u escape can make a
+        # lone one, which UTF-8 cannot encode; a line without a backslash (most
+        # lines; every embedding line) costs one memchr, ten times faster on a
+        # long line than the two-character test
+        if "\\" in text and "\\u" in text:
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+    # a JSONDecodeError, an int of too many digits, nesting deeper than the
+    # recursion limit, or a lone surrogate (a UnicodeEncodeError)
+    except (ValueError, RecursionError) as exc:
+        where = f"{source}: line {line}" if line else source
+        if isinstance(exc, UnicodeEncodeError):
+            escape = f"\\u{ord(exc.object[exc.start]):04x}"
+            raise error(f"{where}: lone surrogate escape {escape} is not UTF-8 text") from exc
+        raise error(f"{where}: malformed JSON: {exc}") from exc
     return value
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .core import Fields, atomic_write_text, lone_surrogate, read_json_object
+from .core import Fields, atomic_write_text, decode_json, read_json_object
 from .errors import DataError, ProtocolError, TransportError, UsageError
 
 log = logging.getLogger(__name__)
@@ -225,7 +225,7 @@ class MockModel(LanguageModel):
         fixture = read_json_object(Path(path), "mock fixture")
         records = fixture.get("rules", list, [], of=dict)
         vocab = fixture.get("vocab", list, of=str)
-        # each rule shares its vocabulary token's string: json.loads makes one per occurrence
+        # each rule shares its vocabulary token's string: the decoder makes one per occurrence
         own = {token: token for token in vocab}
         rules = []
         for r in records:
@@ -432,13 +432,9 @@ class RemoteModel(LanguageModel):
             try:
                 # strict UTF-8, as a surrogate's bytes would decode to a lone one
                 text = raw.decode("utf-8-sig")
-                body = json.loads(text)
-            except ValueError as exc:  # UnicodeDecodeError is one
+            except UnicodeDecodeError as exc:
                 raise ProtocolError(f"{url} returned non-JSON body: {exc}") from exc
-            escape = lone_surrogate(text, body)
-            if escape is not None:
-                raise ProtocolError(f"{url} returned a lone surrogate escape {escape}")
-            return Fields(body, url, error=ProtocolError)
+            return Fields(decode_json(text, url, error=ProtocolError), url, error=ProtocolError)
         raise TransportError(f"backend unreachable after {self.retries + 1} attempts: {last_error}")
 
     def score_continuation(self, context: str, continuation: str) -> TokenScores:

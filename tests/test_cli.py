@@ -233,6 +233,12 @@ class TestValidate:
                 "line 2: malformed JSON: Exceeds the limit",
                 id="embedding-int-beyond-the-digit-limit",
             ),
+            pytest.param(
+                "--train",
+                b'{"format": "icl-forge/v1"}\n%s%s\n' % (b"[" * 100_000, b"]" * 100_000),
+                "line 2: malformed JSON: maximum recursion depth exceeded",
+                id="deep-nesting",
+            ),
         ],
     )
     def test_malformed_input_exits_2(self, capsys, tmp_path, flag, body, message):
@@ -1025,6 +1031,13 @@ class TestEvalAndReports:
         code, _, err = run_cli(capsys, "eval", "--config", str(config_path))
         assert code == 1
         assert "usage error" in err and "not a JSON object" in err
+
+    def test_config_file_nested_too_deeply_exits_1(self, capsys, tmp_path):
+        config_path = tmp_path / "run.json"
+        config_path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        code, _, err = run_cli(capsys, "eval", "--config", str(config_path))
+        assert code == 1
+        assert f"usage error: {config_path}: malformed JSON: maximum recursion depth" in err
 
     def test_eval_out_naming_a_file_exits_1(self, capsys, fixtures_dir, tmp_path):
         out = tmp_path / "afile"

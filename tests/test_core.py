@@ -423,9 +423,11 @@ def json_loads_decode(text, source, line=None):
         value = json.loads(text)
     except ValueError as exc:
         raise DataError(f"{where}: malformed JSON: {exc}") from exc
-    escape = core.lone_surrogate(text, value)
-    if escape is not None:
-        raise DataError(f"{where}: lone surrogate escape {escape} is not UTF-8 text")
+    try:
+        json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        escape = f"\\u{ord(exc.object[exc.start]):04x}"
+        raise DataError(f"{where}: lone surrogate escape {escape} is not UTF-8 text") from exc
     return value
 
 

@@ -460,7 +460,11 @@ class TestResume:
         assert len(report.records) == 1
         assert report.aggregates["n_examples"] == 1.0
 
-    @pytest.mark.parametrize("manifest", ["{", "[]", None], ids=["torn", "array", "missing"])
+    @pytest.mark.parametrize(
+        "manifest",
+        ["{", "[]", None, "[" * 100_000 + "]" * 100_000],
+        ids=["torn", "array", "missing", "deep-nesting"],
+    )
     def test_unreadable_manifest_restarts_run(self, fixtures_dir, tmp_path, manifest):
         out = tmp_path / "run"
         run_eval(toy_config(fixtures_dir, out))

@@ -547,6 +547,21 @@ class TestCache:
         assert (model.hits, model.misses) == (0, 2)
         assert entry.read_text(encoding="utf-8") == stored
 
+    def test_entry_nested_too_deeply_recomputed_as_a_miss(self, tmp_path, caplog):
+        cache_dir = tmp_path / "cache"
+        model = CachedModel(mock(["a", "b"]), cache_dir)
+        expected = model.next_token_distribution("c", ["a"])
+        (entry,) = cache_dir.glob("*.json")
+        stored = entry.read_text(encoding="utf-8")
+        entry.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            again = model.next_token_distribution("c", ["a"])
+        assert again == expected
+        assert "discarding corrupt cache entry" in caplog.text
+        assert "malformed JSON: maximum recursion depth exceeded" in caplog.text
+        assert (model.hits, model.misses) == (0, 2)
+        assert entry.read_text(encoding="utf-8") == stored
+
     @pytest.mark.parametrize(
         "op, response",
         [

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -146,7 +147,8 @@ def test_non_json_body_is_protocol_error_and_not_retried(server):
     url, failures = server
     failures["raw_body"] = b"<html>not json</html>"
     remote = RemoteModel(url, retries=3, backoff=0.01)
-    with pytest.raises(ProtocolError, match="non-JSON"):
+    message = f"{url}/v1/score: malformed JSON: Expecting value"
+    with pytest.raises(ProtocolError, match=re.escape(message)):
         remote.score_continuation("q", "a")
     assert failures["posts"] == 1
 
@@ -168,6 +170,36 @@ def test_lone_surrogate_reply_is_protocol_error_and_never_cached(
     model = CachedModel(RemoteModel(url, retries=3, backoff=0.01), tmp_path / "cache")
     with pytest.raises(ProtocolError, match=message):
         model.generate("q", ["\n"], 10)
+    assert failures["posts"] == 1
+    assert list((tmp_path / "cache").iterdir()) == []
+
+
+DEEP_NESTING = b"[" * 100_000 + b"]" * 100_000
+
+
+def test_deeply_nested_reply_is_protocol_error_and_never_cached(server, tmp_path):
+    url, failures = server
+    failures["raw_body"] = DEEP_NESTING
+    model = CachedModel(RemoteModel(url, retries=3, backoff=0.01), tmp_path / "cache")
+    message = f"{url}/v1/generate: malformed JSON: maximum recursion depth exceeded"
+    with pytest.raises(ProtocolError, match=re.escape(message)):
+        model.generate("q", ["\n"], 10)
+    assert failures["posts"] == 1
+    assert list((tmp_path / "cache").iterdir()) == []
+
+
+def test_deeply_nested_reply_exits_3(server, tmp_path, fixtures_dir, capsys):
+    from iclforge.cli import cli_dispatch
+
+    url, failures = server
+    failures["raw_body"] = DEEP_NESTING
+    code = cli_dispatch([
+        "order", "--train", str(fixtures_dir / "toy_train.jsonl"), "--id", "t1",
+        "--strategy", "perplexity", "--embeddings", str(fixtures_dir / "toy_embeddings.jsonl"),
+        "--backend", f"remote:{url}", "--cache-dir", str(tmp_path / "cache"),
+    ])
+    assert code == 3
+    assert "backend error: " in capsys.readouterr().err
     assert failures["posts"] == 1
     assert list((tmp_path / "cache").iterdir()) == []
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import io
+import itertools
 import json
 import logging
 import math
@@ -12,10 +13,10 @@ import os
 import re
 import string
 import sys
-import tempfile
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -35,16 +36,18 @@ def stable_hash(text: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write `text` to `path` through a temp file in the same directory.
+def atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
+    """Write `text`, or each of its pieces in turn, to `path` through a temp file in
+    the same directory, made with the mode open() gives (mkstemp would give 0o600).
 
     Readers see the old content or the new, never a torn file; a failed write
     removes its temp file and leaves `path` untouched.
     """
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -354,6 +357,32 @@ def read_json_object(path: Path, kind: str) -> Fields:
     return Fields(decode_json(read_text(path, kind), path), path)
 
 
+def encode_json(record: dict, target, line: int | None = None, **options) -> str:
+    """The JSON object `record` as json.dumps writes it with `options`, as line `line`
+    of the file `target` or the whole of it. JSON has no NaN or infinity: a field
+    holding one raises DataError naming `target`, `line` and the field."""
+    try:
+        return json.dumps(record, allow_nan=False, **options)
+    except ValueError:
+        for name, value in record.items():  # find the field that fails
+            try:
+                json.dumps(value, allow_nan=False)
+            except ValueError:
+                message = f"cannot write {name}: JSON has no NaN or infinity"
+                raise Fields(record, target, line).fail(message) from None
+        raise
+
+
+def write_jsonl(path: Path, records: Iterable[dict], header: bool = False, **options) -> None:
+    """Replace the JSON-lines file at `path` atomically: the format header when
+    `header`, then an `encode_json` line per record, each written as it is encoded.
+    A record that fails leaves the old file in place and no temp file behind."""
+    if header:
+        records = itertools.chain([{"format": FORMAT_VERSION}], records)
+    lines = (encode_json(r, path, n, **options) + "\n" for n, r in enumerate(records, 1))
+    atomic_write_text(path, lines)
+
+
 def load_dataset(path: str | Path, split: str = "train") -> Dataset:
     """Load a line-delimited dataset file, enforcing all Dataset invariants.
 
@@ -393,14 +422,12 @@ def load_dataset(path: str | Path, split: str = "train") -> Dataset:
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"format": FORMAT_VERSION}) + "\n")
-        for ex in dataset:
-            record = {"id": ex.id, "question": ex.question, "answers": list(ex.answers)}
-            if ex.category is not None:
-                record["category"] = ex.category
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    records = (
+        {"id": ex.id, "question": ex.question, "answers": list(ex.answers)}
+        | ({} if ex.category is None else {"category": ex.category})
+        for ex in dataset
+    )
+    write_jsonl(Path(path), records, header=True, ensure_ascii=False)
 
 
 def _may_hold_boolean(text: str, vec_id: str) -> bool:
@@ -450,26 +477,22 @@ def load_embeddings(path: str | Path, dataset: Dataset | None = None) -> Embeddi
         dim = size
     if not rows:
         raise DataError(f"{path}: no vectors")
-    matrix = np.frombuffer(values, np.float64).reshape(len(rows), dim)
-    # one check for the whole file, short-circuiting so that one boolean temporary
-    # is alive at a time; only when it fires is the file read again. An infinity
-    # holds no "a" or "u", and an int beyond the float range that rounds to the
-    # largest float reads as +-max, so those values are re-checked
-    if not np.isfinite(matrix).all() or any(
-        (matrix == value).any() for value in (_FLOAT_MAX, -_FLOAT_MAX)
-    ):
+    table = EmbeddingTable(rows, np.frombuffer(values, np.float64).reshape(len(rows), dim))
+    # every squared norm finite bounds every similarity and its error bound
+    # (Cauchy-Schwarz). An infinity, which holds no "a" or "u", and an int beyond
+    # the float range, which reads as +-the largest float, both overflow one, so
+    # only then is the file read again, to name such an element first
+    if not math.isfinite(table.max_norm):
         for record in read_jsonl(path, "embedding", header=True):
             record.get("vector", list, of=float)  # raises for a non-finite element
-    table = EmbeddingTable(rows, matrix)
+        norms = np.einsum("ij,ij->i", table.matrix, table.matrix).tolist()
+        vec_id = next(i for i, norm in zip(rows, norms) if not math.isfinite(norm))
+        raise DataError(f"{path}: the squared norm of vector {vec_id!r} is beyond the float range")
     if dataset is not None:
         table.require(dataset.ids())
     return table
 
 
 def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"format": FORMAT_VERSION}) + "\n")
-        for vec_id in sorted(table.rows):
-            record = {"id": vec_id, "vector": [float(x) for x in table.vector(vec_id)]}
-            fh.write(json.dumps(record) + "\n")
+    records = ({"id": i, "vector": table.vector(i).tolist()} for i in sorted(table.rows))
+    write_jsonl(Path(path), records, header=True)

@@ -33,6 +33,7 @@ from .core import (
     SPLITS,
     atomic_write_text,
     decode_json,
+    encode_json,
     load_dataset,
     load_embeddings,
     normalize_answer,
@@ -159,19 +160,17 @@ class ExampleRecord:
     raw_text: str
     scores: dict
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "id": self.example_id,
-                "prompt_sha256": self.prompt_sha256,
-                "shot_ids": list(self.shot_ids),
-                "answers": list(self.answers),
-                "raw_text": self.raw_text,
-                "scores": self.scores,
-            },
-            sort_keys=True,
-            ensure_ascii=False,
-        )
+    def to_json(self, path: Path, line: int) -> str:
+        """The record as line `line` of the records file `path`."""
+        record = {
+            "id": self.example_id,
+            "prompt_sha256": self.prompt_sha256,
+            "shot_ids": list(self.shot_ids),
+            "answers": list(self.answers),
+            "raw_text": self.raw_text,
+            "scores": self.scores,
+        }
+        return encode_json(record, path, line, sort_keys=True, ensure_ascii=False)
 
     @classmethod
     def from_fields(cls, record: Fields) -> "ExampleRecord":
@@ -288,7 +287,8 @@ def _write_manifest(out_dir: Path, command: str, payload: dict) -> dict:
         "written_at": datetime.now(timezone.utc).isoformat(),
         **payload,
     }
-    atomic_write_text(out_dir / MANIFEST_FILE, json.dumps(manifest, indent=2, sort_keys=True))
+    path = out_dir / MANIFEST_FILE
+    atomic_write_text(path, encode_json(manifest, path, indent=2, sort_keys=True))
     return manifest
 
 
@@ -468,7 +468,7 @@ def run_eval(config: RunConfig) -> EvalReport:
         _write_manifest(out_dir, "eval", manifest)
         for record in map_(evaluate, todo, todo_shots):
             records.append(record)
-            fh.write(record.to_json() + "\n")
+            fh.write(record.to_json(records_path, len(records)) + "\n")
             fh.flush()
 
     aggregates = compute_aggregates(records)

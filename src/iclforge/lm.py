@@ -34,18 +34,20 @@ import hashlib
 import json
 import logging
 import math
+import sys
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .core import Fields, atomic_write_text, decode_json, read_json_object
+from .core import Fields, atomic_write_text, decode_json, encode_json, read_json_object
 from .errors import DataError, ProtocolError, TransportError, UsageError
 
 log = logging.getLogger(__name__)
 
 DEFAULT_FLOOR = 1e-6
+_FLOAT_MAX = sys.float_info.max
 
 
 def _check_logprobs(logprobs: Sequence[float]) -> None:
@@ -201,7 +203,7 @@ class MockModel(LanguageModel):
                 raise DataError(f"rule context_suffix must be a string in {rule}")
             if not isinstance(token, str) or token not in vocab_set:
                 raise DataError(f"rule token {token!r} not in vocabulary")
-            if isinstance(w, bool) or not (isinstance(w, (int, float)) and 0 < w < math.inf):
+            if isinstance(w, bool) or not (isinstance(w, (int, float)) and 0 < w <= _FLOAT_MAX):
                 raise DataError(f"rule weight must be a positive finite number in {rule}")
             if suffix in index:
                 shared_suffixes.setdefault(suffix, [index[suffix]]).append(rule)
@@ -209,10 +211,18 @@ class MockModel(LanguageModel):
                 index[suffix] = rule
         if not 0 < floor < 1 / (len(vocab) + 1):
             raise DataError(f"floor probability {floor} out of range")
-        for suffix, group in shared_suffixes.items():
-            index[suffix] = tuple(group)
         self.vocab = tuple(vocab)
         self.floor = float(floor)
+        for suffix, group in shared_suffixes.items():
+            index[suffix] = group = tuple(group)
+            # a lone rule's token holds all of its suffix's mass; a group's weights
+            # may sum beyond the float range or leave a token a share of 0, and
+            # either would give a token probability 0, which has no log
+            if not all(p > 0.0 for p in self._shares(group).values()):
+                raise DataError(
+                    f"rule weights for context_suffix {suffix!r} sum beyond the float "
+                    "range or leave a token a probability of 0"
+                )
         self.generation_cap_hits = 0
         self._cap_lock = threading.Lock()
         self._vocab_set = vocab_set
@@ -232,7 +242,9 @@ class MockModel(LanguageModel):
             token, weight = r.get("token"), r.get("weight")
             if type(token) is str:
                 token = own.get(token, token)
-            if type(weight) is int:  # read as a float, so the fingerprint stays that of the float
+            # read as a float, so the fingerprint stays that of the float; an int
+            # beyond the float range stays an int, for the weight check to name
+            if type(weight) is int and abs(weight) <= _FLOAT_MAX:
                 weight = float(weight)
             rules.append(MockRule(r.get("context_suffix"), token, weight))
         try:
@@ -260,6 +272,10 @@ class MockModel(LanguageModel):
                     break
         else:
             return None
+        return self._shares(group)
+
+    def _shares(self, group: MockRule | tuple[MockRule, ...]) -> dict[str, float]:
+        """The probability of each token the rules of one suffix name."""
         named: dict[str, float] = {}
         for rule in (group,) if isinstance(group, MockRule) else group:
             named[rule.token] = named.get(rule.token, 0.0) + rule.weight
@@ -517,10 +533,8 @@ class CachedModel(LanguageModel):
         result = decode(Fields(response, path))
         with self._lock:
             self.misses += 1
-        body = json.dumps(
-            {"request": request, "response": response}, sort_keys=True, ensure_ascii=False
-        )
-        atomic_write_text(path, body)
+        entry = {"request": request, "response": response}
+        atomic_write_text(path, encode_json(entry, path, sort_keys=True, ensure_ascii=False))
         return result
 
     def score_continuation(self, context: str, continuation: str) -> TokenScores:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 import weakref
 from typing import Sequence
 
@@ -63,10 +64,18 @@ def _check_not_blank(answers: Sequence[str]) -> None:
 
 
 def answer_perplexity(prefix: str, answer: str, model: LanguageModel) -> float:
-    """Length-normalized perplexity of one answer given the prompt prefix."""
+    """Length-normalized perplexity of one answer given the prompt prefix.
+
+    A perplexity beyond the float range, as from finite logprobs averaging below
+    about -709.8 per token, saturates at the largest float.
+    """
     _check_not_blank([answer])
     scores = model.score_continuation(prefix, " " + answer)
-    return math.exp(-sum(scores.logprobs) / scores.token_count)
+    try:
+        # a sum of logprobs that overflows to -inf gives exp(inf), inf without an error
+        return min(math.exp(-sum(scores.logprobs) / scores.token_count), sys.float_info.max)
+    except OverflowError:
+        return sys.float_info.max
 
 
 def answer_perplexities(answers: Sequence[str], prefix: str, model: LanguageModel) -> list[float]:

@@ -8,14 +8,13 @@ and the example's average similarity to the rest of the candidate pool.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, EmbeddingTable, Example, atomic_write_text, derive_rng, read_jsonl
+from .core import Dataset, EmbeddingTable, Example, derive_rng, read_jsonl, write_jsonl
 from .errors import DataError
 from .lm import LanguageModel
 from .metrics import set_scores
@@ -101,8 +100,7 @@ def profile_dataset(
 
 def save_profiles(profiles: list[KnowledgeProfile], path: str | Path) -> None:
     """Replace the store at `path` atomically, one line per profile; a crash never tears it."""
-    lines = [json.dumps(vars(p), sort_keys=True) + "\n" for p in profiles]
-    atomic_write_text(Path(path), "".join(lines))
+    write_jsonl(Path(path), map(vars, profiles), sort_keys=True)
 
 
 def load_profiles(path: str | Path) -> list[KnowledgeProfile]:
@@ -235,8 +233,7 @@ def build_sets(
 
 def save_sets(sets: tuple[ExampleSet, ...] | list[ExampleSet], path: str | Path) -> None:
     """Replace the set file at `path` atomically, one line per set; a crash never tears it."""
-    lines = [json.dumps(vars(s), sort_keys=True) + "\n" for s in sets]
-    atomic_write_text(Path(path), "".join(lines))
+    write_jsonl(Path(path), map(vars, sets), sort_keys=True)
 
 
 def load_sets(path: str | Path) -> list[ExampleSet]:

@@ -110,6 +110,33 @@ class FoldedDelimiterModel(LanguageModel):
         return self.inner.generate(prompt, stop, max_tokens)
 
 
+class UnlikelyModel(LanguageModel):
+    """Backend whose score reply gives each token of a continuation in `unlikely`
+    the finite log-probability `logprob`, as a remote backend may for a very
+    unlikely answer; every other request is passed through to `inner`."""
+
+    def __init__(self, inner: LanguageModel, unlikely: set[str], logprob: float = -1000.0):
+        self.inner = inner
+        self.unlikely = unlikely
+        self.logprob = logprob
+
+    @property
+    def fingerprint(self) -> str:
+        return self.inner.fingerprint
+
+    def score_continuation(self, context: str, continuation: str) -> TokenScores:
+        scores = self.inner.score_continuation(context, continuation)
+        if continuation not in self.unlikely:
+            return scores
+        return TokenScores(scores.tokens, (self.logprob,) * scores.token_count)
+
+    def next_token_distribution(self, context: str, candidates: Sequence[str]) -> list[float]:
+        return self.inner.next_token_distribution(context, candidates)
+
+    def generate(self, prompt: str, stop: Sequence[str], max_tokens: int) -> str:
+        return self.inner.generate(prompt, stop, max_tokens)
+
+
 def chain_rules(anchor: str, tokens: list[str], weight: float = 100.0) -> list[dict]:
     """Rules forcing `tokens` to be emitted greedily once the context ends with `anchor`."""
     rules = []

@@ -239,6 +239,13 @@ class TestValidate:
                 "line 2: malformed JSON: maximum recursion depth exceeded",
                 id="deep-nesting",
             ),
+            pytest.param(
+                "--embeddings",
+                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [0.5, 0.25]}\n'
+                b'{"id": "b", "vector": [1e200, 1e200]}\n',
+                "the squared norm of vector 'b' is beyond the float range",
+                id="embedding-squared-norm-beyond-the-float-range",
+            ),
         ],
     )
     def test_malformed_input_exits_2(self, capsys, tmp_path, flag, body, message):
@@ -427,6 +434,35 @@ class TestOrder:
         assert (code, err) == (0, "")
         assert out.strip() == " | ".join(gold)
 
+    @pytest.mark.parametrize("strategy", ["perplexity", "greedy"])
+    def test_mock_weights_summing_beyond_the_float_range_exit_2(
+        self, capsys, fixtures_dir, tmp_path, strategy
+    ):
+        # t1's answers are "meadow river" and "stone river"
+        fixture = tmp_path / "mock.json"
+        rules = [
+            {"context_suffix": "Answers:", "token": token, "weight": 1.7e308}
+            for token in ("meadow", "stone")
+        ]
+        fixture.write_text(
+            json.dumps({"vocab": ["meadow", "stone", "river", "|"], "rules": rules}),
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(
+            capsys,
+            "order",
+            "--train", str(fixtures_dir / "toy_train.jsonl"),
+            "--id", "t1",
+            "--strategy", strategy,
+            "--backend", f"mock:{fixture}",
+            "--embeddings", str(fixtures_dir / "toy_embeddings.jsonl"),
+        )
+        assert (code, out) == (2, "")
+        assert (
+            f"data error: {fixture}: rule weights for context_suffix 'Answers:' sum beyond "
+            "the float range or leave a token a probability of 0"
+        ) in err
+
     def test_negative_k_is_a_usage_error(self, capsys, knowledge_files):
         code, out, err = run_cli(
             capsys,
@@ -500,6 +536,65 @@ class TestProfileAndBuildSets:
         manifest = json.loads((sets_dir / "manifest.json").read_text(encoding="utf-8"))
         store_bytes = (profile_dir / "profiles.jsonl").read_bytes()
         assert manifest["input_sha256"] == {"profiles": hashlib.sha256(store_bytes).hexdigest()}
+
+    def test_profile_refuses_embeddings_whose_squared_norms_overflow(
+        self, capsys, fixtures_dir, tmp_path
+    ):
+        # every element finite, but 1e200 squared is beyond the float range: the
+        # store would hold an avg_similarity of Infinity, which is not JSON
+        from iclforge.core import load_dataset
+
+        ids = load_dataset(fixtures_dir / "toy_train.jsonl").ids()
+        embeddings = tmp_path / "emb.jsonl"
+        embeddings.write_text(
+            '{"format": "icl-forge/v1"}\n'
+            + "".join(json.dumps({"id": i, "vector": [1e200] * 4}) + "\n" for i in ids),
+            encoding="utf-8",
+        )
+        out = tmp_path / "profiles"
+        code, _, err = run_cli(
+            capsys,
+            "profile",
+            "--train", str(fixtures_dir / "toy_train.jsonl"),
+            "--embeddings", str(embeddings),
+            "--backend", f"mock:{fixtures_dir / 'mock_toy.json'}",
+            "--out", str(out),
+        )
+        assert code == 2
+        message = f"{embeddings}: the squared norm of vector '{ids[0]}' is beyond the float range"
+        assert f"data error: {message}" in err
+        assert not (out / "profiles.jsonl").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_profile_refuses_to_write_an_average_similarity_that_overflows(
+        self, capsys, fixtures_dir, tmp_path
+    ):
+        # each squared norm, and so each similarity, is finite (1.69e308), but the
+        # mean of five of them overflows: the writer refuses the store
+        from iclforge.core import load_dataset
+
+        ids = load_dataset(fixtures_dir / "toy_train.jsonl").ids()
+        embeddings = tmp_path / "emb.jsonl"
+        embeddings.write_text(
+            '{"format": "icl-forge/v1"}\n'
+            + "".join(json.dumps({"id": i, "vector": [1.3e154]}) + "\n" for i in ids),
+            encoding="utf-8",
+        )
+        out = tmp_path / "profiles"
+        code, _, err = run_cli(
+            capsys,
+            "profile",
+            "--train", str(fixtures_dir / "toy_train.jsonl"),
+            "--embeddings", str(embeddings),
+            "--backend", f"mock:{fixtures_dir / 'mock_toy.json'}",
+            "--out", str(out),
+        )
+        assert code == 2
+        store = out / "profiles.jsonl"
+        message = f"{store}: line 1: cannot write avg_similarity: JSON has no NaN or infinity"
+        assert f"data error: {message}" in err
+        assert not store.exists()
+        assert list(out.glob("*.tmp")) == []
 
     def test_manifests_key_for_key(self, capsys, knowledge_files, tmp_path):
         profile_dir, sets_dir = tmp_path / "profiles", tmp_path / "sets"

@@ -257,6 +257,17 @@ class TestLoadEmbeddings:
 
         n, dim = int(rng.integers(1, 60)), int(rng.integers(1, 9))
         rows = [(f"v{int(i)}", [element() for _ in range(dim)]) for i in rng.permutation(n)]
+        floats = np.array([[float(x) for x in row] for _, row in rows], dtype=np.float64)
+        # a table with a squared row norm beyond the float range is refused, naming
+        # its first such row; the other rows load as float() of each element
+        finite = np.isfinite(np.einsum("ij,ij->i", floats, floats))
+        if not finite.all():
+            first = rows[int(np.argmin(finite))][0]
+            with pytest.raises(DataError, match=f"squared norm of vector '{first}' is beyond"):
+                load_embeddings(self.embedding_file(tmp_path, rows))
+            rows = [row for row, keep in zip(rows, finite) if keep]
+            n = len(rows)
+        assert n > 0
         table = load_embeddings(self.embedding_file(tmp_path, rows))
         expected = np.array([[float(x) for x in row] for _, row in rows], dtype=np.float64)
         assert table.matrix.shape == expected.shape

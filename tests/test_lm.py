@@ -372,8 +372,11 @@ class TestMockFixtureFile:
         ]
         rng.shuffle(rules)
         floor = rng.choice([DEFAULT_FLOOR, 0.01, 1e-9])
-        model = mock(vocab, rules, floor=floor)
-        assert model.fingerprint == canonical_fingerprint(vocab, rules, floor)
+        # the fingerprint of the table itself: one this varied puts weights such as
+        # 5e-324 and 1e308 in one suffix group, which a MockModel refuses to build
+        table = tuple(MockRule(*r) for r in rules)
+        fingerprint = iclforge.lm._mock_fingerprint(tuple(vocab), table, floor)
+        assert fingerprint == canonical_fingerprint(vocab, rules, floor)
 
     def test_random_fixture_file_fingerprint_is_the_canonical_json(self, tmp_path):
         rng = random.Random(3000)
@@ -461,6 +464,16 @@ class TestMockFixtureFile:
                 '{"vocab": ["a"], "floor": 1%s}' % ("0" * 4999),
                 "malformed JSON: Exceeds the limit",
             ),
+            (
+                '{"vocab": ["a"], "rules": [{"context_suffix": "", "token": "a", "weight": 1%s}]}'
+                % ("0" * 400),
+                "weight must be a positive finite number",
+            ),
+            (
+                '{"vocab": ["a", "b"], "rules": [{"context_suffix": "x", "token": "a", "weight": '
+                '1.7e308}, {"context_suffix": "x", "token": "b", "weight": 1.7e308}]}',
+                "rule weights for context_suffix 'x' sum beyond the float range",
+            ),
         ],
         ids=[
             "a-list",
@@ -473,6 +486,8 @@ class TestMockFixtureFile:
             "floor-string",
             "vocab-lone-surrogate",
             "int-beyond-the-digit-limit",
+            "weight-int-beyond-the-float-range",
+            "weights-of-one-suffix-beyond-the-float-range",
         ],
     )
     def test_malformed_fixture_names_file_and_field(self, tmp_path, body, message):
@@ -492,6 +507,34 @@ class TestMockFixtureFile:
             )
             models.append(MockModel.from_file(path))
         assert models[0].fingerprint == models[1].fingerprint
+
+
+class TestWeightGroups:
+    """The rules of one suffix share its mass by weight; a group whose weights sum
+    beyond the float range, or leave a token a share of 0, would give that token
+    probability 0, which has no log, so the mock refuses it."""
+
+    @pytest.mark.parametrize(
+        "weights",
+        [(1.7e308, 1.7e308), (5e-324, 1e308), (1e308, 1e308, 5e-324)],
+        ids=["sum-overflows", "share-underflows", "one-token-twice"],
+    )
+    def test_group_leaving_a_token_no_probability_is_refused(self, weights):
+        tokens = ["meadow", "stone", "meadow"][: len(weights)]
+        rules = [("Answers:", t, w) for t, w in zip(tokens, weights)]
+        with pytest.raises(DataError, match="context_suffix 'Answers:' sum beyond the float"):
+            mock(["meadow", "stone", "river"], rules)
+
+    @pytest.mark.parametrize("weight", [1.7976931348623157e308, 5e-324])
+    def test_a_lone_rule_holds_its_whole_share(self, weight):
+        model = mock(["meadow", "stone"], [("Answers:", "meadow", weight), ("x", "stone", 1.0)])
+        scores = model.score_continuation("Answers:", " meadow stone")
+        assert all(math.isfinite(lp) for lp in scores.logprobs)
+        assert model.generate("Answers:", stop=["\n"], max_tokens=1) == "meadow"
+
+    def test_extreme_weights_of_one_group_that_keep_every_share_build(self):
+        model = mock(["a", "b"], [("x", "a", 1e-150), ("x", "b", 1e-150), ("x", "a", 1e150)])
+        assert all(math.isfinite(lp) for lp in model.next_token_distribution("x", ["a", "b"]))
 
 
 class TestCache:

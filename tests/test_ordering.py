@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from iclforge.ordering import (
     answer_perplexity,
     greedy_permutation,
     peer_prefix,
+    perplexity_permutation,
     strategy_permutation,
 )
 from iclforge.prompting import render_prompt
@@ -22,7 +24,7 @@ from oracles import (
     oracle_greedy_order,
     oracle_per_answer_greedy_calls,
 )
-from rigs import CountingModel, FoldedDelimiterModel
+from rigs import CountingModel, FoldedDelimiterModel, UnlikelyModel
 
 
 def order(strategy, answers, model=None, prefix="", example_id="ex", seed=0):
@@ -126,6 +128,23 @@ class TestOrderPerplexity:
         pps = [answer_perplexity("", a, f1_mock) for a in answers]
         expected = sorted(range(3), key=lambda i: pps[i])
         assert result == expected
+
+
+class TestPerplexitySaturation:
+    """A finite reply whose logprobs average below about -709.8 per token makes a
+    perplexity beyond the float range, which saturates at the largest float."""
+
+    @pytest.mark.parametrize("logprob", [-1000.0, -1e308], ids=["mean-beyond-exp", "sum-to-inf"])
+    def test_saturates_at_the_largest_float(self, f1_mock, logprob):
+        # -1e308 twice sums to -inf, whose exp is inf without an OverflowError
+        model = UnlikelyModel(f1_mock, {" new york"}, logprob)
+        assert answer_perplexity("", "new york", model) == sys.float_info.max
+
+    def test_saturated_answers_keep_their_index_order(self, f1_mock):
+        answers = ["new york", "boston", "new jersey"]
+        model = UnlikelyModel(f1_mock, {" new york", " new jersey"})
+        assert perplexity_permutation(answers, "", model) == [1, 0, 2]
+        assert order("reverse_perplexity", answers, model) == [2, 0, 1]
 
 
 class TestOrderGreedy:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from iclforge.profiling import (
 )
 from iclforge.retrieval import Pool
 
-from rigs import JUNK, CountingModel, build_knowledge_rig
+from rigs import JUNK, CountingModel, UnlikelyModel, build_knowledge_rig
 
 
 def profile(example_id: str, f1: float, avg_sim: float = 0.5) -> KnowledgeProfile:
@@ -146,6 +148,16 @@ class TestProfileExample:
             )
         )
         assert result.avg_similarity == pytest.approx(expected)
+
+
+    def test_a_saturated_perplexity_is_stored_and_read_back(self, rig, tmp_path):
+        dataset, table, model = rig
+        example = dataset.examples[0]
+        unlikely = UnlikelyModel(model, {" " + a for a in example.answers})
+        result = profile_example(example, Pool.of(dataset.examples, table), unlikely)
+        assert result.answer_perplexities == (sys.float_info.max,) * len(example.answers)
+        save_profiles([result], tmp_path / "p.jsonl")
+        assert load_profiles(tmp_path / "p.jsonl") == [result]
 
 
 class TestProfileDataset:

@@ -79,6 +79,7 @@ GENERATION_STOP = "\n"
 SIGNIFICANCE_LEVEL = 0.05
 
 SCORE_KEYS = ("em", "p_em", "r_em", "f1_em", "p_f1", "r_f1", "f1_f1", "answer_count")
+RECORD_SCORE_KEYS = SCORE_KEYS + ("not_in_prompt_p", "not_in_prompt_r")
 
 # a RunConfig field's annotation -> (description, check of its value)
 _CONFIG_KINDS = {
@@ -175,7 +176,7 @@ class ExampleRecord:
     @classmethod
     def from_fields(cls, record: Fields) -> "ExampleRecord":
         scores = record.get("scores", dict)
-        for key in SCORE_KEYS + ("not_in_prompt_p", "not_in_prompt_r"):
+        for key in RECORD_SCORE_KEYS:
             scores.get(key, float, None if key.startswith("not_in_prompt") else ...)
         return cls(
             example_id=record.get("id", str),
@@ -653,7 +654,7 @@ def compute_aggregates(records: Sequence[ExampleRecord]) -> dict[str, float]:
     if not records:
         raise DataError("no records to aggregate")
     aggregates: dict[str, float] = {"n_examples": float(len(records))}
-    for key in SCORE_KEYS + ("not_in_prompt_p", "not_in_prompt_r"):
+    for key in RECORD_SCORE_KEYS:
         values = [r.scores[key] for r in records if r.scores.get(key) is not None]
         if values:
             aggregates[key] = sum(values) / len(values)
@@ -682,8 +683,19 @@ def load_report(out_dir: str | Path) -> EvalReport:
     aggregates = compute_aggregates(records)
     if summary_path.exists():
         # each value is a finite float, which repr() writes as a JSON number
-        rows = (line.partition("\t") for line in read_text(summary_path, "summary").split("\n"))
-        values = {k: decode_json(v, f"{summary_path}: {k}") for k, _, v in rows if k.strip()}
+        known = {"n_examples", *RECORD_SCORE_KEYS, *(f"phi_{s}" for s in ORDERING_STRATEGIES)}
+        values, lines = {}, {}
+        for number, line in enumerate(read_text(summary_path, "summary").split("\n"), 1):
+            key, _, text = line.partition("\t")
+            if not key.strip():
+                continue
+            where = f"{summary_path}: line {number}"
+            if key in lines:
+                raise DataError(f"{where}: key {key!r} repeats line {lines[key]}")
+            if key not in known:
+                raise DataError(f"{where}: unknown summary key {key!r}")
+            lines[key] = number
+            values[key] = decode_json(text, f"{summary_path}: {key}")
         summary = Fields(values, summary_path)
         stored = {key: summary.get(key, float) for key in summary.data}
         for key, value in aggregates.items():

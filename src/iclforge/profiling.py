@@ -9,6 +9,7 @@ and the example's average similarity to the rest of the candidate pool.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,7 +55,8 @@ def profile_example(
     """Profile one example against the pool it will serve alongside.
 
     Its peers and its average similarity are over `Pool.others` of the
-    example, the average in pool order, both read from the pool's table. A
+    example, the average in pool order, both read from the pool's table. An
+    average beyond the float range is refused before any backend call. A
     repeated gold answer is scored once.
     """
     others = pool.others(example)
@@ -62,14 +64,19 @@ def profile_example(
         raise DataError("empty candidate pool")
     if k < 1:
         raise DataError("shot budget k must be at least 1")
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        avg_similarity = float(
+            np.mean([similarity(example.id, pool.ids[i], pool.table) for i in others.tolist()])
+        )
+    if not math.isfinite(avg_similarity):
+        raise DataError(
+            f"example {example.id!r}: its average similarity to the pool is beyond the float range"
+        )
     prefix = peer_prefix(example, pool, k)
     raw = model.generate(prefix, stop=["\n"], max_tokens=PROFILE_MAX_TOKENS)
     predicted = parse_answers(raw)
     f1_em = set_scores(predicted, example.answers, matcher="exact").f1
     perplexities = tuple(answer_perplexities(example.answers, prefix, model))
-    avg_similarity = float(
-        np.mean([similarity(example.id, pool.ids[i], pool.table) for i in others.tolist()])
-    )
     return KnowledgeProfile(
         example_id=example.id,
         f1_em=f1_em,

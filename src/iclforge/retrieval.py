@@ -157,6 +157,9 @@ def kmeans(vectors: np.ndarray, k: int, seed: int, max_iter: int = KMEANS_MAX_IT
 
     Iterates until the assignment stabilizes or `max_iter` passes. An empty
     cluster is re-seeded with the point currently farthest from its centroid.
+    Every centre lies within the points' hull, so no point-to-centre distance
+    exceeds twice the largest distance to the first centre; points whose
+    squared distances could overflow are refused.
     """
     points = np.asarray(vectors, dtype=np.float64)
     n = len(points)
@@ -165,7 +168,12 @@ def kmeans(vectors: np.ndarray, k: int, seed: int, max_iter: int = KMEANS_MAX_IT
     rng = derive_rng(seed, "kmeans")
     centers = np.empty((k, points.shape[1]), dtype=np.float64)
     centers[0] = points[int(rng.integers(n))]
-    d2 = _sq_distances(points, centers[:1])[:, 0]  # to the nearest centre so far
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        d2 = _sq_distances(points, centers[:1])[:, 0]  # to the nearest centre so far
+        if not math.isfinite(4.0 * float(d2.sum())):
+            raise DataError(
+                f"cannot cluster {n} vectors: their squared distances overflow the float range"
+            )
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from iclforge.cli import cli_dispatch
+from iclforge.profiling import load_sets
 
-from rigs import build_knowledge_rig
+from rigs import CountingModel, build_knowledge_rig
 
 
 GOOD_PROFILE = {
@@ -463,6 +464,25 @@ class TestOrder:
             "the float range or leave a token a probability of 0"
         ) in err
 
+    @pytest.mark.parametrize("k", ["0", "5"])
+    @pytest.mark.parametrize("strategy", ["perplexity", "greedy"])
+    def test_prints_a_permutation_of_each_toy_example(self, capsys, fixtures_dir, strategy, k):
+        from iclforge.core import load_dataset
+
+        for example in load_dataset(fixtures_dir / "toy_train.jsonl"):
+            code, out, err = run_cli(
+                capsys,
+                "order",
+                "--train", str(fixtures_dir / "toy_train.jsonl"),
+                "--id", example.id,
+                "--strategy", strategy,
+                "--k", k,
+                "--embeddings", str(fixtures_dir / "toy_embeddings.jsonl"),
+                "--backend", f"mock:{fixtures_dir / 'mock_toy.json'}",
+            )
+            assert (code, err) == (0, "")
+            assert sorted(out.rstrip("\n").split(" | ")) == sorted(example.answers)
+
     def test_negative_k_is_a_usage_error(self, capsys, knowledge_files):
         code, out, err = run_cli(
             capsys,
@@ -481,22 +501,30 @@ class TestOrder:
 
 class TestRetrieve:
     def test_prints_k_shots(self, capsys, fixtures_dir):
-        code, out, _ = run_cli(
-            capsys,
-            "retrieve",
-            "--train", str(fixtures_dir / "toy_train.jsonl"),
-            "--eval", str(fixtures_dir / "toy_eval.jsonl"),
-            "--embeddings", str(fixtures_dir / "toy_embeddings.jsonl"),
-            "--id", "e1",
-            "--k", "3",
-        )
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert len(lines) == 3
-        # ascending similarity; most similar shot printed last
-        sims = [float(line.split("\t")[1]) for line in lines]
-        assert sims == sorted(sims)
-        assert lines[-1].startswith("t1\t")
+        from iclforge.core import load_dataset
+
+        # each eval id's nearest training example, which only random may leave out
+        nearest = {"e1": "t1", "e2": "t3", "e3": "t5"}
+        for query in load_dataset(fixtures_dir / "toy_eval.jsonl", "dev"):
+            for retrieval in ("similar", "diverse", "topical", "random"):
+                code, out, _ = run_cli(
+                    capsys,
+                    "retrieve",
+                    "--train", str(fixtures_dir / "toy_train.jsonl"),
+                    "--eval", str(fixtures_dir / "toy_eval.jsonl"),
+                    "--embeddings", str(fixtures_dir / "toy_embeddings.jsonl"),
+                    "--id", query.id,
+                    "--retrieval", retrieval,
+                    "--k", "5",
+                )
+                assert code == 0
+                lines = out.strip().splitlines()
+                assert len(lines) == 5
+                # ascending similarity; most similar shot printed last
+                sims = [float(line.split("\t")[1]) for line in lines]
+                assert sims == sorted(sims)
+                if retrieval != "random":
+                    assert lines[-1].startswith(f"{nearest[query.id]}\t")
 
 
 class TestProfileAndBuildSets:
@@ -565,14 +593,24 @@ class TestProfileAndBuildSets:
         assert f"data error: {message}" in err
         assert not (out / "profiles.jsonl").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_profile_refuses_to_write_an_average_similarity_that_overflows(
-        self, capsys, fixtures_dir, tmp_path
+        self, capsys, fixtures_dir, tmp_path, monkeypatch
     ):
         # each squared norm, and so each similarity, is finite (1.69e308), but the
-        # mean of five of them overflows: the writer refuses the store
+        # mean of five of them overflows: the first example is refused before any
+        # backend call, and numpy warns of nothing
+        from iclforge import harness
         from iclforge.core import load_dataset
+        from iclforge.lm import make_backend
 
+        built: list[CountingModel] = []
+
+        def counting_backend(spec, cache_dir=None):
+            built.append(CountingModel(make_backend(spec, cache_dir)))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "make_backend", counting_backend)
         ids = load_dataset(fixtures_dir / "toy_train.jsonl").ids()
         embeddings = tmp_path / "emb.jsonl"
         embeddings.write_text(
@@ -590,11 +628,10 @@ class TestProfileAndBuildSets:
             "--out", str(out),
         )
         assert code == 2
-        store = out / "profiles.jsonl"
-        message = f"{store}: line 1: cannot write avg_similarity: JSON has no NaN or infinity"
-        assert f"data error: {message}" in err
-        assert not store.exists()
-        assert list(out.glob("*.tmp")) == []
+        message = "example 't1': its average similarity to the pool is beyond the float range"
+        assert err == f"data error: {message}\n"
+        assert sum(built[0].counts.values()) == 0
+        assert not (out / "profiles.jsonl").exists()
 
     def test_manifests_key_for_key(self, capsys, knowledge_files, tmp_path):
         profile_dir, sets_dir = tmp_path / "profiles", tmp_path / "sets"
@@ -1209,16 +1246,6 @@ class TestEvalAndReports:
             "--backend", knowledge_files["mock"],
             "--out", str(profile_dir),
         )
-        sets_dir = tmp_path / "sets"
-        run_cli(
-            capsys,
-            "build-sets",
-            "--profiles", str(profile_dir / "profiles.jsonl"),
-            "--condition", "known",
-            "--n-sets", "2",
-            "--set-size", "3",
-            "--out", str(sets_dir),
-        )
         base = [
             "eval",
             "--train", knowledge_files["train"],
@@ -1228,23 +1255,31 @@ class TestEvalAndReports:
             "--eval-split", "dev",
             "--strategy", "alphabet",
         ]
-        code, _, _ = run_cli(
-            capsys,
-            *base,
-            "--fixed-set", str(sets_dir / "sets.jsonl"),
-            "--fixed-set-index", "1",
-            "--out", str(tmp_path / "run"),
-        )
-        assert code == 0
-        record = json.loads(
-            (tmp_path / "run" / "records.jsonl").read_text(encoding="utf-8").splitlines()[0]
-        )
-        assert len(record["shot_ids"]) == 3
+        for condition in ("unknown", "known"):
+            sets = tmp_path / condition / "sets.jsonl"
+            run_cli(
+                capsys,
+                "build-sets",
+                "--profiles", str(profile_dir / "profiles.jsonl"),
+                "--condition", condition,
+                "--n-sets", "2",
+                "--set-size", "3",
+                "--out", str(sets.parent),
+            )
+            run = tmp_path / condition / "run"
+            code, _, _ = run_cli(
+                capsys, *base, "--fixed-set", str(sets), "--fixed-set-index", "1", "--out", str(run)
+            )
+            assert code == 0
+            members = load_sets(sets)[1].member_ids
+            assert len(members) == 3
+            records = (run / "records.jsonl").read_text(encoding="utf-8").splitlines()
+            assert records and all(tuple(json.loads(r)["shot_ids"]) == members for r in records)
 
         code, _, err = run_cli(
             capsys,
             *base,
-            "--fixed-set", str(sets_dir / "sets.jsonl"),
+            "--fixed-set", str(sets),
             "--fixed-set-index", "9",
             "--out", str(tmp_path / "run2"),
         )

@@ -125,13 +125,20 @@ class TestDeterminism:
         first = toy_config(
             fixtures_dir, tmp_path / "one", ordering="greedy", cache_dir=str(cache)
         )
-        run_eval(first)
+        misses = run_eval(first).manifest["counts"]["cache_misses"]
         second = toy_config(
             fixtures_dir, tmp_path / "two", ordering="greedy", cache_dir=str(cache)
         )
         report = run_eval(second)
+        assert misses > 0
         assert report.manifest["counts"]["cache_misses"] == 0
+        assert report.manifest["counts"]["cache_hits"] == misses
         assert report_bytes(tmp_path / "one") == report_bytes(tmp_path / "two")
+        # greedy splits the answers itself on the mock, which tokenizes on spaces,
+        # so no answer line is ever scored
+        requests = [json.loads(p.read_text(encoding="utf-8"))["request"] for p in cache.glob("*.json")]
+        scored = [r["continuation"] for r in requests if r["op"] == "score"]
+        assert not [c for c in scored if " | " in c]
 
 
 class TestSingleFlightPlanning:
@@ -685,6 +692,18 @@ class TestLoadReport:
                 lambda text: re.sub(r"(?m)^f1_em\t.*$", "f1_em\tnan", text),
                 r"summary\.tsv: f1_em: malformed JSON",
                 id="summary-nan",
+            ),
+            pytest.param(
+                SUMMARY_FILE,
+                lambda text: "em\t0.123\n" + text,
+                r"summary\.tsv: line 3: key 'em' repeats line 1",
+                id="summary-key-repeated",
+            ),
+            pytest.param(
+                SUMMARY_FILE,
+                lambda text: text + "zz\t0.5\n",
+                r"summary\.tsv: line 13: unknown summary key 'zz'",
+                id="summary-key-unknown",
             ),
             pytest.param(
                 "manifest.json",

@@ -76,6 +76,14 @@ class TestKmeans:
         with pytest.raises(DataError):
             kmeans(np.zeros((2, 2)), k=3, seed=0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_squared_distances_that_overflow_error(self):
+        # each squared norm (6.4e307) is finite, but +8e153 and -8e153 lie
+        # 2.56e308 apart squared, which k-means++ seeding cannot sum
+        points = np.array([[8e153], [-8e153], [8e153], [-8e153]])
+        with pytest.raises(DataError, match="squared distances overflow the float range"):
+            kmeans(points, k=2, seed=0)
+
     def test_two_tight_pairs_cocluster(self):
         points = [[0.0, 0.0], [0.1, 0.0], [10.0, 10.0], [10.1, 10.0]]
         labels = kmeans(np.array(points), k=2, seed=0).tolist()

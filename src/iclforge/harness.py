@@ -589,8 +589,8 @@ def adherence_for_records(
 
     Model strategies score a record's answers after `prompt(record)`, the
     prompt it was generated from; it is asked for only then, once per record
-    with answers. Predictions that cannot be reordered (20 or more answers)
-    are skipped.
+    with answers, and skip a prediction of 20 or more answers, which they
+    cannot reorder.
     """
     if strategy == "random":
         raise DataError("adherence against the random strategy is not defined")
@@ -673,17 +673,20 @@ def load_report(out_dir: str | Path) -> EvalReport:
     records = _parse_records(records_path)
     if not records:
         raise DataError(f"{records_path} holds no records")
-    manifest = {}
+    # adherence to random is undefined, and a run's phi is that of its own ordering
+    manifest, phis = {}, {f"phi_{s}" for s in ORDERING_STRATEGIES if s != "random"}
     manifest_path = out_dir / MANIFEST_FILE
     if manifest_path.exists():
         fields = read_json_object(manifest_path, "manifest")
-        fields.get("config", dict, None)  # adherence re-renders prompts from it
+        config = fields.get("config", dict, None)  # adherence re-renders prompts from it
         manifest = fields.data
+        if config is not None:
+            phis &= {f"phi_{config.data.get('ordering')}"}
     summary_path = out_dir / SUMMARY_FILE
     aggregates = compute_aggregates(records)
     if summary_path.exists():
         # each value is a finite float, which repr() writes as a JSON number
-        known = {"n_examples", *RECORD_SCORE_KEYS, *(f"phi_{s}" for s in ORDERING_STRATEGIES)}
+        known = {"n_examples", *RECORD_SCORE_KEYS, *phis}
         values, lines = {}, {}
         for number, line in enumerate(read_text(summary_path, "summary").split("\n"), 1):
             key, _, text = line.partition("\t")
@@ -698,6 +701,10 @@ def load_report(out_dir: str | Path) -> EvalReport:
             values[key] = decode_json(text, f"{summary_path}: {key}")
         summary = Fields(values, summary_path)
         stored = {key: summary.get(key, float) for key in summary.data}
+        for key in phis & stored.keys():
+            if not 0.0 <= stored[key] <= 100.0:
+                where = f"{summary_path}: line {lines[key]}"
+                raise DataError(f"{where}: {key} {stored[key]!r} is outside [0, 100]")
         for key, value in aggregates.items():
             if stored.get(key) != value:  # written with repr, so equal bit for bit
                 raise DataError(

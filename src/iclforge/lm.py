@@ -39,7 +39,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .core import Fields, atomic_write_text, decode_json, encode_json, read_json_object
 from .errors import DataError, ProtocolError, TransportError, UsageError
@@ -109,14 +109,27 @@ class LanguageModel(abc.ABC):
         """Per-token log-probabilities of `continuation` given `context`."""
 
     @abc.abstractmethod
-    def next_token_distribution(
-        self, context: str, candidates: Sequence[str]
-    ) -> list[float]:
+    def next_token_distribution(self, context: str, candidates: Sequence[str]) -> list[float]:
         """Log-probability of each candidate as the single next token."""
 
     @abc.abstractmethod
     def generate(self, prompt: str, stop: Sequence[str], max_tokens: int) -> str:
         """Greedy generation, truncated before the first stop string."""
+
+
+def _check_request(op: str, payload: dict) -> None:
+    """Refuse a request that no backend may be sent, whatever its tokenizer."""
+    if op == "score" and not payload["continuation"]:
+        raise DataError("continuation must be non-empty")
+    candidates = payload.get("candidates")
+    if op == "next_token" and not candidates:
+        raise DataError("candidate list is empty")
+    if op == "next_token" and len(set(candidates)) != len(candidates):
+        raise DataError("candidate list has duplicates")
+    if op == "generate" and payload["max_tokens"] < 1:
+        raise DataError("max_tokens must be at least 1")
+    if op == "generate" and not all(payload["stop"]):
+        raise DataError("stop strings must be non-empty")
 
 
 def _tokenize_with_offsets(text: str) -> list[tuple[str, int]]:
@@ -304,8 +317,7 @@ class MockModel(LanguageModel):
         return min(t for t, p in named.items() if p == best_prob)
 
     def score_continuation(self, context: str, continuation: str) -> TokenScores:
-        if not continuation:
-            raise DataError("continuation must be non-empty")
+        _check_request("score", {"continuation": continuation})
         spans = _tokenize_with_offsets(continuation)
         if not spans:
             raise DataError(f"continuation {continuation!r} has no tokens")
@@ -317,24 +329,15 @@ class MockModel(LanguageModel):
             logprobs.append(math.log(prob))
         return TokenScores(tuple(tokens), tuple(logprobs))
 
-    def next_token_distribution(
-        self, context: str, candidates: Sequence[str]
-    ) -> list[float]:
-        if not candidates:
-            raise DataError("candidate list is empty")
-        if len(set(candidates)) != len(candidates):
-            raise DataError("candidate list has duplicates")
+    def next_token_distribution(self, context: str, candidates: Sequence[str]) -> list[float]:
+        _check_request("next_token", {"candidates": candidates})
         for candidate in candidates:
             if not candidate or " " in candidate:
                 raise DataError(f"candidate {candidate!r} is not a single token")
         return [math.log(p) for p in self._probabilities(context, candidates)]
 
     def generate(self, prompt: str, stop: Sequence[str], max_tokens: int) -> str:
-        if max_tokens < 1:
-            raise DataError("max_tokens must be at least 1")
-        for s in stop:
-            if not s:
-                raise DataError("stop strings must be non-empty")
+        _check_request("generate", {"stop": stop, "max_tokens": max_tokens})
         text = ""
         for step in range(max_tokens):
             token = self._greedy_token(prompt + " " + text if step else prompt)
@@ -347,18 +350,35 @@ class MockModel(LanguageModel):
         return text
 
 
-def _token_scores(response: Fields) -> TokenScores:
-    return TokenScores(
-        tuple(response.get("tokens", list, of=str)), tuple(response.get("logprobs", list, of=float))
-    )
-
-
-def _candidate_logprobs(response: Fields, candidates: Sequence[str]) -> list[float]:
-    logprobs = response.get("logprobs", list, of=float)
+def _candidate_logprobs(reply: Fields, payload: dict) -> list[float]:
+    logprobs, candidates = reply.get("logprobs", list, of=float), payload["candidates"]
     if len(logprobs) != len(candidates):
-        raise response.fail(f"{len(logprobs)} logprobs for {len(candidates)} candidates")
+        raise reply.fail(f"{len(logprobs)} logprobs for {len(candidates)} candidates")
     _check_logprobs(logprobs)
     return logprobs
+
+
+class _Op(NamedTuple):
+    """A backend op: its ``LanguageModel`` method; ``decode``, from a reply (a remote
+    body or a cached response, which share one shape) and the request's payload to
+    the method's value; ``encode``, from that value back to a reply."""
+
+    method: str
+    decode: Callable[[Fields, dict], object]
+    encode: Callable[[object], dict]
+
+
+_OPS = {
+    "score": _Op(
+        "score_continuation",
+        lambda reply, payload: TokenScores(
+            tuple(reply.get("tokens", list, of=str)), tuple(reply.get("logprobs", list, of=float))
+        ),
+        lambda scores: {"tokens": list(scores.tokens), "logprobs": list(scores.logprobs)},
+    ),
+    "next_token": _Op("next_token_distribution", _candidate_logprobs, lambda v: {"logprobs": v}),
+    "generate": _Op("generate", lambda reply, _: reply.get("text", str), lambda v: {"text": v}),
+}
 
 
 class RemoteModel(LanguageModel):
@@ -393,12 +413,14 @@ class RemoteModel(LanguageModel):
             parts.port  # raises ValueError for a port that is not a number
         except ValueError as exc:
             raise UsageError(f"bad remote URL {base_url!r}: {exc}") from exc
-        # urllib neither strips nor sends credentials in the URL: http.client
-        # would read "pass@host" as the port
-        has_credentials = parts.username is not None
-        if parts.scheme not in ("http", "https") or not parts.hostname or has_credentials:
+        # urllib neither strips nor sends credentials in the URL (http.client would
+        # read "pass@host" as the port), and a query or a fragment, even an empty
+        # one, would swallow the /v1/<op> appended to it
+        has_extras = parts.username is not None or "?" in base_url or "#" in base_url
+        if parts.scheme not in ("http", "https") or not parts.hostname or has_extras:
             raise UsageError(
-                f"bad remote URL {base_url!r}; expected http(s)://host[:port] without credentials"
+                f"bad remote URL {base_url!r}; expected http(s)://host[:port][/path] "
+                "without credentials, query or fragment"
             )
         self.timeout = timeout
         self.retries = retries
@@ -410,7 +432,9 @@ class RemoteModel(LanguageModel):
     def fingerprint(self) -> str:
         return f"remote:{self.base_url}"
 
-    def _post(self, endpoint: str, payload: dict) -> Fields:
+    def _ask(self, op: str, **payload):
+        """`op`'s value for `payload`, posted to ``/v1/<op>``."""
+        _check_request(op, payload)
         # one connection per request, shared by no thread; a kept-alive
         # connection measured slower against a localhost server (44 ms a call,
         # a delayed-ACK stall, against 0.23 ms for a fresh one)
@@ -418,7 +442,7 @@ class RemoteModel(LanguageModel):
         import urllib.error
         import urllib.request
 
-        url = f"{self.base_url}{endpoint}"
+        url = f"{self.base_url}/v1/{op}"
         data = json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):
@@ -450,29 +474,18 @@ class RemoteModel(LanguageModel):
                 text = raw.decode("utf-8-sig")
             except UnicodeDecodeError as exc:
                 raise ProtocolError(f"{url} returned non-JSON body: {exc}") from exc
-            return Fields(decode_json(text, url, error=ProtocolError), url, error=ProtocolError)
+            reply = decode_json(text, url, error=ProtocolError)
+            return _OPS[op].decode(Fields(reply, url, error=ProtocolError), payload)
         raise TransportError(f"backend unreachable after {self.retries + 1} attempts: {last_error}")
 
     def score_continuation(self, context: str, continuation: str) -> TokenScores:
-        if not continuation:
-            raise DataError("continuation must be non-empty")
-        body = self._post("/v1/score", {"context": context, "continuation": continuation})
-        return _token_scores(body)
+        return self._ask("score", context=context, continuation=continuation)
 
-    def next_token_distribution(
-        self, context: str, candidates: Sequence[str]
-    ) -> list[float]:
-        if not candidates:
-            raise DataError("candidate list is empty")
-        body = self._post("/v1/next_token", {"context": context, "candidates": list(candidates)})
-        return _candidate_logprobs(body, candidates)
+    def next_token_distribution(self, context: str, candidates: Sequence[str]) -> list[float]:
+        return self._ask("next_token", context=context, candidates=list(candidates))
 
     def generate(self, prompt: str, stop: Sequence[str], max_tokens: int) -> str:
-        body = self._post(
-            "/v1/generate",
-            {"prompt": prompt, "stop": list(stop), "max_tokens": int(max_tokens)},
-        )
-        return body.get("text", str)
+        return self._ask("generate", prompt=prompt, stop=list(stop), max_tokens=int(max_tokens))
 
 
 class CachedModel(LanguageModel):
@@ -481,7 +494,8 @@ class CachedModel(LanguageModel):
     Keys are content hashes over the canonicalized request (including the
     inner backend's fingerprint). An entry that is not JSON, holds another
     request or whose response has the wrong shape for its op (the shape of a
-    remote reply) is discarded, recomputed and counted as a miss.
+    remote reply) is discarded, recomputed and counted as a miss. A request no
+    backend may be sent is refused before the lookup.
 
     ``splits_on_spaces`` is the inner backend's, so greedy asks a cache over the
     mock for no answer line, just as it asks the bare mock for none.
@@ -537,48 +551,25 @@ class CachedModel(LanguageModel):
         atomic_write_text(path, encode_json(entry, path, sort_keys=True, ensure_ascii=False))
         return result
 
-    def score_continuation(self, context: str, continuation: str) -> TokenScores:
-        request = {
-            "op": "score",
-            "fingerprint": self.fingerprint,
-            "context": context,
-            "continuation": continuation,
-        }
-
-        def compute() -> dict:
-            scores = self.inner.score_continuation(context, continuation)
-            return {"tokens": list(scores.tokens), "logprobs": list(scores.logprobs)}
-
-        return self._fetch(request, compute, _token_scores)
-
-    def next_token_distribution(
-        self, context: str, candidates: Sequence[str]
-    ) -> list[float]:
-        request = {
-            "op": "next_token",
-            "fingerprint": self.fingerprint,
-            "context": context,
-            "candidates": list(candidates),
-        }
+    def _ask(self, op: str, **payload):
+        """`op`'s value for `payload`, from the cache or, on a miss, from the
+        inner backend's public method, looked up now and called positionally."""
+        _check_request(op, payload)
+        method, decode, encode = _OPS[op]
         return self._fetch(
-            request,
-            lambda: {"logprobs": self.inner.next_token_distribution(context, candidates)},
-            lambda response: _candidate_logprobs(response, candidates),
+            {"op": op, "fingerprint": self.fingerprint, **payload},
+            lambda: encode(getattr(self.inner, method)(*payload.values())),
+            lambda response: decode(response, payload),
         )
+
+    def score_continuation(self, context: str, continuation: str) -> TokenScores:
+        return self._ask("score", context=context, continuation=continuation)
+
+    def next_token_distribution(self, context: str, candidates: Sequence[str]) -> list[float]:
+        return self._ask("next_token", context=context, candidates=list(candidates))
 
     def generate(self, prompt: str, stop: Sequence[str], max_tokens: int) -> str:
-        request = {
-            "op": "generate",
-            "fingerprint": self.fingerprint,
-            "prompt": prompt,
-            "stop": list(stop),
-            "max_tokens": int(max_tokens),
-        }
-        return self._fetch(
-            request,
-            lambda: {"text": self.inner.generate(prompt, stop, max_tokens)},
-            lambda response: response.get("text", str),
-        )
+        return self._ask("generate", prompt=prompt, stop=list(stop), max_tokens=int(max_tokens))
 
 
 def make_backend(spec: str, cache_dir: str | Path | None = None) -> LanguageModel:

@@ -706,6 +706,24 @@ class TestLoadReport:
                 id="summary-key-unknown",
             ),
             pytest.param(
+                SUMMARY_FILE,
+                lambda text: text.replace("phi_greedy\t100.0", "phi_greedy\t-7.0"),
+                r"summary\.tsv: line 10: phi_greedy -7\.0 is outside \[0, 100\]",
+                id="phi-below-0",
+            ),
+            pytest.param(
+                SUMMARY_FILE,
+                lambda text: text + "phi_alphabet\t0.5\n",
+                r"summary\.tsv: line 13: unknown summary key 'phi_alphabet'",
+                id="phi-of-another-ordering",
+            ),
+            pytest.param(
+                SUMMARY_FILE,
+                lambda text: text + "phi_random\t1e300\n",
+                r"summary\.tsv: line 13: unknown summary key 'phi_random'",
+                id="phi-random",
+            ),
+            pytest.param(
                 "manifest.json",
                 lambda text: "[1]",
                 r"manifest\.json: not a JSON object",
@@ -746,6 +764,19 @@ class TestLoadReport:
         path.write_text(tamper(path.read_text(encoding="utf-8")), encoding="utf-8")
         with pytest.raises(DataError, match=message):
             adherence_from_report(out, "greedy")
+
+    def test_without_a_config_any_phi_but_phi_random_loads(self, fixtures_dir, tmp_path):
+        # adherence to random is undefined, so no run writes phi_random
+        out = tmp_path / "run"
+        run_eval(toy_config(fixtures_dir, out, ordering="greedy"))
+        (out / "manifest.json").unlink()
+        summary = out / SUMMARY_FILE
+        text = summary.read_text(encoding="utf-8")
+        summary.write_text(text + "phi_alphabet\t0.5\n", encoding="utf-8")
+        assert load_report(out).aggregates["phi_alphabet"] == 0.5
+        summary.write_text(text + "phi_random\t50.0\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"line 13: unknown summary key 'phi_random'"):
+            load_report(out)
 
     def test_line_separator_inside_a_record(self, fixtures_dir, tmp_path):
         # records are split on newlines only, not on every Unicode line break

@@ -683,6 +683,18 @@ class TestCache:
         assert not errors
         assert model.hits + model.misses == 16
 
+    def test_a_refused_request_is_refused_before_the_lookup(self, tmp_path):
+        model = CachedModel(mock(["a", "b"]), tmp_path)
+        request = {"op": "generate", "fingerprint": model.fingerprint}
+        request.update(prompt="q", stop=[], max_tokens=0)
+        canonical = json.dumps(request, sort_keys=True, ensure_ascii=False)
+        path = tmp_path / f"{hashlib.sha256(canonical.encode('utf-8')).hexdigest()}.json"
+        entry = {"request": request, "response": {"text": "a"}}
+        path.write_text(json.dumps(entry), encoding="utf-8")
+        with pytest.raises(DataError, match="max_tokens must be at least 1"):
+            model.generate("q", [], 0)
+        assert (model.hits, model.misses) == (0, 0)
+
 
 class TestMakeBackend:
     def test_mock_spec(self, fixtures_dir, tmp_path):
@@ -713,6 +725,11 @@ class TestMakeBackend:
             "http://127.0.0.1:8000/\u00e9",
             "http://h\u00e9st:8000",
             "http://127.0.0.1:8000/a b",
+            # a query or a fragment would swallow the /v1/<op> appended to the URL
+            "http://127.0.0.1:8000/#frag",
+            "http://127.0.0.1:8000/api?key=1",
+            "http://127.0.0.1:8000/api?",
+            "http://127.0.0.1:8000/api#",
         ],
     )
     def test_remote_url_needs_an_http_scheme_and_a_host(self, url):

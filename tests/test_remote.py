@@ -13,7 +13,7 @@ from urllib.parse import urlsplit
 
 import pytest
 
-from iclforge.errors import ProtocolError, TransportError
+from iclforge.errors import DataError, ProtocolError, TransportError
 from iclforge.lm import CachedModel, LanguageModel, MockModel, MockRule, RemoteModel
 from iclforge.ordering import greedy_permutation
 
@@ -110,6 +110,51 @@ def test_remote_matches_mock(server, backing_model):
         backing_model.next_token_distribution("q", ["a", "b"])
     )
     assert remote.generate("q", ["\n"], 10) == backing_model.generate("q", ["\n"], 10)
+
+
+# what no backend may be sent: (method, arguments, message)
+REFUSED = {
+    "empty-continuation": ("score_continuation", ("q", ""), "continuation must be non-empty"),
+    "no-candidates": ("next_token_distribution", ("q", []), "candidate list is empty"),
+    "repeated-candidates": (
+        "next_token_distribution", ("q", ["a", "b", "a"]), "candidate list has duplicates"
+    ),
+    "max-tokens-0": ("generate", ("q", ["\n"], 0), "max_tokens must be at least 1"),
+    "empty-stop": ("generate", ("q", ["\n", ""], 5), "stop strings must be non-empty"),
+}
+# what the mock's tokenizer cannot take, which a remote backend may
+UNTOKENIZABLE = {
+    "blank-continuation": ("score_continuation", ("q", "  "), "continuation '  ' has no tokens"),
+    "two-token-candidate": (
+        "next_token_distribution", ("q", ["a b"]), "candidate 'a b' is not a single token"
+    ),
+}
+
+
+REFUSALS = [
+    pytest.param(case, backend, id=f"{case}-{backend}")
+    for cases, backends in [
+        (REFUSED, ["mock", "remote", "cached-mock", "cached-remote"]),
+        (UNTOKENIZABLE, ["mock", "cached-mock"]),
+    ]
+    for case in cases
+    for backend in backends
+]
+
+
+@pytest.mark.parametrize("case, backend", REFUSALS)
+def test_a_refused_request_sends_nothing_and_caches_nothing(
+    server, backing_model, tmp_path, case, backend
+):
+    url, failures = server
+    method, args, message = {**REFUSED, **UNTOKENIZABLE}[case]
+    model = RemoteModel(url, backoff=0.01) if "remote" in backend else backing_model
+    if backend.startswith("cached"):
+        model = CachedModel(model, tmp_path / "cache")
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        getattr(model, method)(*args)
+    assert failures.get("posts", 0) == 0
+    assert list(tmp_path.rglob("*")) == ([tmp_path / "cache"] if "cached" in backend else [])
 
 
 def test_transient_errors_are_retried(server):

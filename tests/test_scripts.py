@@ -1,4 +1,5 @@
-"""The two scripts under `scripts/`: fixture regeneration and the toy run."""
+"""The two scripts under `scripts/` (fixture regeneration and the toy run) and
+the names `perfbench/tracing.py` patches in the package."""
 
 from __future__ import annotations
 
@@ -7,12 +8,13 @@ import sys
 from pathlib import Path
 
 from iclforge.cli import cli_dispatch
+from iclforge.harness import RunConfig, run_eval
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+REPO = Path(__file__).resolve().parents[1]
 
 
 def load_script(name: str):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, REPO / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -42,3 +44,38 @@ def test_toy_run_then_adherence_reprints_its_phi(capsys, tmp_path, monkeypatch):
     capsys.readouterr()
     assert cli_dispatch(["adherence", "--report", str(greedy), "--strategy", "greedy"]) == 0
     assert tsv(capsys.readouterr().out)["phi"] == summary["phi_greedy"]
+
+
+def test_tracer_patches_each_backend_op_of_each_backend_class(
+    fixtures_dir, tmp_path, monkeypatch
+):
+    # the benchmark's tracer wraps score_continuation, next_token_distribution and
+    # generate in each backend class's own body; an op method renamed or inherited
+    # fails install, or leaves its calls out of the spans
+    spec = importlib.util.spec_from_file_location("tracing", REPO / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "tracing", tracing)  # its dataclass looks it up
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    counts = []
+    try:
+        tracer.install()
+        for run in ("cold", "warm"):
+            config = RunConfig(
+                train_path=str(fixtures_dir / "toy_train.jsonl"),
+                eval_path=str(fixtures_dir / "toy_eval.jsonl"),
+                embeddings_path=str(fixtures_dir / "toy_embeddings.jsonl"),
+                backend=f"mock:{fixtures_dir / 'mock_toy.json'}",
+                out_dir=str(tmp_path / run),
+                ordering="greedy",
+                cache_dir=str(tmp_path / "cache"),
+            )
+            counts.append(run_eval(config).manifest["counts"])
+    finally:
+        tracer.uninstall()
+    names = [span.name for span in tracer.spans]
+    hits = sum(c["cache_hits"] for c in counts)
+    misses = sum(c["cache_misses"] for c in counts)
+    assert hits > 0 and misses > 0
+    assert sum(name.startswith("lm.cache.") for name in names) == hits + misses
+    assert sum(name in ("lm.score", "lm.next_token", "lm.generate") for name in names) == misses

@@ -44,6 +44,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _path(text: str) -> str:
+    """argparse type of every flag naming a file or directory: never empty."""
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path names no file or directory")
+    return text
+
+
 def _cache_dir(args) -> str | None:
     return args.cache_dir or os.environ.get(CACHE_ENV_VAR) or None
 
@@ -54,42 +61,42 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     p = sub.add_parser("validate", help="check dataset and embedding files")
-    p.add_argument("--train")
-    p.add_argument("--eval", dest="eval_path")
-    p.add_argument("--embeddings")
+    p.add_argument("--train", type=_path)
+    p.add_argument("--eval", dest="eval_path", type=_path)
+    p.add_argument("--embeddings", type=_path)
 
     p = sub.add_parser("profile", help="write a knowledge profile store")
-    p.add_argument("--train", required=True)
-    p.add_argument("--embeddings", required=True)
+    p.add_argument("--train", type=_path, required=True)
+    p.add_argument("--embeddings", type=_path, required=True)
     p.add_argument("--backend", required=True)
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--cache-dir")
-    p.add_argument("--out", required=True)
+    p.add_argument("--cache-dir", type=_path)
+    p.add_argument("--out", type=_path, required=True)
 
     p = sub.add_parser("build-sets", help="sample in-context example sets by condition")
-    p.add_argument("--profiles", required=True)
+    p.add_argument("--profiles", type=_path, required=True)
     p.add_argument("--condition", required=True, choices=CONDITIONS)
     p.add_argument("--n-sets", type=int, default=4)
     p.add_argument("--set-size", type=int, default=5)
     p.add_argument("--median-n", type=int, help="median-similarity filter size")
     p.add_argument("--band", default="0.4,0.6", help="halfknown f1 band lo,hi")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_path, required=True)
 
     p = sub.add_parser("order", help="print one example's answers under a strategy")
-    p.add_argument("--train", required=True)
+    p.add_argument("--train", type=_path, required=True)
     p.add_argument("--id", required=True)
     p.add_argument("--strategy", required=True, choices=ORDERING_STRATEGIES)
     p.add_argument("--backend")
-    p.add_argument("--embeddings")
+    p.add_argument("--embeddings", type=_path)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cache-dir")
+    p.add_argument("--cache-dir", type=_path)
 
     p = sub.add_parser("retrieve", help="print the shots retrieved for one query")
-    p.add_argument("--train", required=True)
-    p.add_argument("--eval", dest="eval_path", required=True)
-    p.add_argument("--embeddings", required=True)
+    p.add_argument("--train", type=_path, required=True)
+    p.add_argument("--eval", dest="eval_path", type=_path, required=True)
+    p.add_argument("--embeddings", type=_path, required=True)
     p.add_argument("--id", required=True)
     p.add_argument("--retrieval", default="similar", choices=RETRIEVAL_STRATEGIES)
     p.add_argument("--k", type=int, default=5)
@@ -97,38 +104,38 @@ def _build_parser() -> _Parser:
 
     # each flag's dest is the RunConfig field it sets; unset flags stay None
     p = sub.add_parser("eval", help="run the full evaluation pipeline")
-    p.add_argument("--config", help="JSON config file mirroring the run fields")
-    p.add_argument("--train", dest="train_path")
-    p.add_argument("--eval", dest="eval_path")
-    p.add_argument("--embeddings", dest="embeddings_path")
+    p.add_argument("--config", type=_path, help="JSON config file mirroring the run fields")
+    p.add_argument("--train", dest="train_path", type=_path)
+    p.add_argument("--eval", dest="eval_path", type=_path)
+    p.add_argument("--embeddings", dest="embeddings_path", type=_path)
     p.add_argument("--backend")
     p.add_argument("--retrieval", dest="retrieval_strategy", choices=RETRIEVAL_STRATEGIES)
     p.add_argument("--strategy", dest="ordering", choices=ORDERING_STRATEGIES)
     p.add_argument("--k", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", dest="out_dir")
-    p.add_argument("--cache-dir")
+    p.add_argument("--out", dest="out_dir", type=_path)
+    p.add_argument("--cache-dir", type=_path)
     p.add_argument("--jobs", type=int)
     p.add_argument("--max-tokens", type=int)
     p.add_argument("--eval-split", choices=SPLITS)
-    p.add_argument("--fixed-set", help="sets file produced by build-sets")
+    p.add_argument("--fixed-set", type=_path, help="sets file produced by build-sets")
     p.add_argument("--fixed-set-index", type=int, help="set to use from --fixed-set (default 0)")
     p.add_argument("--no-adherence", dest="compute_adherence", action="store_false", default=None)
 
     p = sub.add_parser("adherence", help="compute ordering adherence from a report")
-    p.add_argument("--report", required=True)
+    p.add_argument("--report", type=_path, required=True)
     p.add_argument("--strategy", required=True, choices=ORDERING_STRATEGIES)
     p.add_argument("--backend", help="override the backend recorded in the manifest")
-    p.add_argument("--cache-dir")
+    p.add_argument("--cache-dir", type=_path)
 
     p = sub.add_parser("compare", help="paired bootstrap comparison of two runs")
-    p.add_argument("--report-a", required=True)
-    p.add_argument("--report-b", required=True)
+    p.add_argument("--report-a", type=_path, required=True)
+    p.add_argument("--report-b", type=_path, required=True)
     p.add_argument("--resamples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("report", help="render the summary table from a report")
-    p.add_argument("--report", required=True)
+    p.add_argument("--report", type=_path, required=True)
 
     return parser
 

@@ -93,6 +93,8 @@ _CONFIG_KINDS = {
         or isinstance(v, (list, tuple)) and all(isinstance(i, str) for i in v),
     ),
 }
+# RunConfig fields naming a file or directory; "" would mean the working directory
+_PATH_FIELDS = ("train_path", "eval_path", "embeddings_path", "out_dir", "cache_dir")
 
 
 @dataclass
@@ -120,6 +122,8 @@ class RunConfig:
             value = getattr(self, f.name)
             if not check(value):
                 raise UsageError(f"{f.name} must be {what}, got {value!r}")
+            if value == "" and f.name in _PATH_FIELDS:
+                raise UsageError(f"{f.name} must be a non-empty path, got ''")
         if self.fixed_set_ids is not None:
             self.fixed_set_ids = tuple(self.fixed_set_ids)
         if self.ordering not in ORDERING_STRATEGIES:

@@ -47,9 +47,11 @@ def set_scores(
 ) -> SetScores:
     """Set-level precision/recall/F1 with answer-level correctness `matcher`.
 
-    The exact matcher counts an answer correct iff its normalized form appears
-    in the normalized reference set; the token matcher uses the best token F1
-    against any reference answer.
+    Each (predicted, gold) pair is scored once into a P×G match table: 1.0 or
+    0.0 for equal normalized forms under the exact matcher, their token F1
+    under the token matcher. An answer's correctness is its best match, so
+    precision is the mean of the row maxima and recall the mean of the column
+    maxima. Token F1 is symmetric bit for bit, so the one table serves both.
     """
     if matcher not in MATCHERS:
         raise DataError(f"unknown matcher {matcher!r}")
@@ -58,16 +60,12 @@ def set_scores(
     if not pred:
         return SetScores(0.0, 0.0, 0.0, matcher)
     if matcher == "exact":
-        norm_gold = {normalize_answer(g) for g in gold}
-        norm_pred = {normalize_answer(p) for p in pred}
-        correct: Callable[[str, set[str]], float] = (
-            lambda a, ref: float(normalize_answer(a) in ref)
-        )
-        precision = sum(correct(p, norm_gold) for p in pred) / len(pred)
-        recall = sum(correct(g, norm_pred) for g in gold) / len(gold)
+        norm_gold = [normalize_answer(g) for g in gold]
+        table = [[float(p == g) for g in norm_gold] for p in map(normalize_answer, pred)]
     else:
-        precision = sum(max(token_f1(p, g) for g in gold) for p in pred) / len(pred)
-        recall = sum(max(token_f1(g, p) for p in pred) for g in gold) / len(gold)
+        table = [[token_f1(p, g) for g in gold] for p in pred]
+    precision = sum(map(max, table)) / len(pred)
+    recall = sum(map(max, zip(*table))) / len(gold)
     return SetScores(precision, recall, _f1(precision, recall), matcher)
 
 

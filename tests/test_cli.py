@@ -247,6 +247,25 @@ class TestValidate:
                 "the squared norm of vector 'b' is beyond the float range",
                 id="embedding-squared-norm-beyond-the-float-range",
             ),
+            pytest.param(
+                "--embeddings",
+                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": []}\n',
+                "line 2: vector must be a non-empty list",
+                id="embedding-vector-empty",
+            ),
+            pytest.param(
+                "--embeddings",
+                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [0.5]}\n'
+                b'{"id": "a", "vector": [0.25]}\n',
+                "line 3: duplicate id 'a'",
+                id="embedding-duplicate-id",
+            ),
+            pytest.param(
+                "--embeddings",
+                b'{"format": "icl-forge/v1"}\n',
+                "no vectors",
+                id="embedding-file-without-vectors",
+            ),
         ],
     )
     def test_malformed_input_exits_2(self, capsys, tmp_path, flag, body, message):
@@ -340,6 +359,71 @@ class TestUsageErrors:
         assert code == 1
         assert f"usage error: --resamples must be at least 1000, got {resamples}" in err
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("validate", "--train"), ("validate", "--eval"), ("validate", "--embeddings"),
+            ("profile", "--train"), ("profile", "--embeddings"), ("profile", "--cache-dir"),
+            ("profile", "--out"),
+            ("build-sets", "--profiles"), ("build-sets", "--out"),
+            ("order", "--train"), ("order", "--embeddings"), ("order", "--cache-dir"),
+            ("retrieve", "--train"), ("retrieve", "--eval"), ("retrieve", "--embeddings"),
+            ("eval", "--config"), ("eval", "--train"), ("eval", "--eval"),
+            ("eval", "--embeddings"), ("eval", "--out"), ("eval", "--cache-dir"),
+            ("eval", "--fixed-set"),
+            ("adherence", "--report"), ("adherence", "--cache-dir"),
+            ("compare", "--report-a"), ("compare", "--report-b"),
+            ("report", "--report"),
+        ],
+    )
+    def test_empty_path_flag_exits_1(
+        self, capsys, fixtures_dir, tmp_path, monkeypatch, command, flag
+    ):
+        # "" would name the working directory or no file; each command is
+        # otherwise runnable, so the empty flag is the only fault
+        monkeypatch.delenv("ICLFORGE_CACHE", raising=False)
+        train, evals, emb = (
+            str(fixtures_dir / name)
+            for name in ("toy_train.jsonl", "toy_eval.jsonl", "toy_embeddings.jsonl")
+        )
+        backend = f"mock:{fixtures_dir / 'mock_toy.json'}"
+        run = tmp_path / "run"
+        eval_argv = ["eval", "--train", train, "--eval", evals, "--embeddings", emb,
+                     "--backend", backend, "--strategy", "greedy"]
+        store = tmp_path / "profiles.jsonl"
+        lines = [{**GOOD_PROFILE, "example_id": f"t{i}"} for i in range(3)]
+        store.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        argv = {
+            "validate": ["validate", "--train", train, "--eval", evals, "--embeddings", emb],
+            "profile": ["profile", "--train", train, "--embeddings", emb, "--backend", backend,
+                        "--out", str(tmp_path / "out")],
+            "build-sets": ["build-sets", "--profiles", str(store), "--condition", "random",
+                           "--n-sets", "1", "--set-size", "2", "--out", str(tmp_path / "out")],
+            "order": ["order", "--train", train, "--id", "t1", "--strategy", "greedy",
+                      "--backend", backend, "--embeddings", emb],
+            "retrieve": ["retrieve", "--train", train, "--eval", evals, "--embeddings", emb,
+                         "--id", "e1"],
+            "eval": [*eval_argv, "--out", str(tmp_path / "out")],
+            "adherence": ["adherence", "--report", str(run), "--strategy", "greedy"],
+            "compare": ["compare", "--report-a", str(run), "--report-b", str(run)],
+            "report": ["report", "--report", str(run)],
+        }[command]
+        if flag in argv:
+            argv[argv.index(flag) + 1] = ""
+        else:
+            argv += [flag, ""]
+        if command in ("adherence", "compare", "report"):
+            assert run_cli(capsys, *eval_argv, "--out", str(run))[0] == 0
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert f"usage error: argument {flag}: an empty path names no file" in err
+        assert out == ""
+        assert list(cwd.iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
 
 class TestOrder:
@@ -764,6 +848,32 @@ class TestProfileAndBuildSets:
         assert f"usage error: cannot make output directory {out}" in err
         assert out.read_text(encoding="utf-8") == "kept\n"
 
+    def test_build_sets_median_n_keeps_the_candidates_nearest_the_median(
+        self, capsys, tmp_path
+    ):
+        store = tmp_path / "profiles.jsonl"
+        lines = [
+            {**GOOD_PROFILE, "example_id": f"t{i}", "avg_similarity": sim}
+            for i, sim in enumerate([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+        ]
+        store.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        out = tmp_path / "sets"
+        code, _, err = run_cli(
+            capsys,
+            "build-sets",
+            "--profiles", str(store),
+            "--condition", "known",
+            "--n-sets", "1",
+            "--set-size", "4",
+            "--median-n", "4",
+            "--out", str(out),
+        )
+        assert code == 0, err
+        (only,) = load_sets(out / "sets.jsonl")
+        assert sorted(only.member_ids) == ["t1", "t2", "t3", "t4"]
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["counts"]["eligible"] == 4
+
     def test_build_sets_out_naming_a_file_exits_1(self, capsys, tmp_path):
         store = tmp_path / "profiles.jsonl"
         lines = [{**GOOD_PROFILE, "example_id": f"t{i}"} for i in range(3)]
@@ -1017,8 +1127,12 @@ class TestEvalAndReports:
 
     @pytest.mark.parametrize(
         "change, message",
-        [({"k": "2"}, "bad config: "), ({"colour": "red"}, "bad config: unknown config keys")],
-        ids=["k-a-string", "unknown-key"],
+        [
+            ({"k": "2"}, "bad config: "),
+            ({"colour": "red"}, "bad config: unknown config keys"),
+            ({"cache_dir": ""}, "bad config: cache_dir must be a non-empty path, got ''"),
+        ],
+        ids=["k-a-string", "unknown-key", "cache-dir-empty"],
     )
     def test_adherence_on_a_bad_manifest_config_exits_2(
         self, capsys, fixtures_dir, tmp_path, change, message
@@ -1062,14 +1176,16 @@ class TestEvalAndReports:
             ({"train_path": 5}, "train_path must be a string, got 5"),
             ({"cache_dir": 5}, "cache_dir must be a string or null, got 5"),
             ({"fixed_set_ids": ["t1", 2]}, "fixed_set_ids must be a list of strings or null"),
+            # the parser never sees a --config file's fields; "" would cache into the cwd
+            ({"cache_dir": ""}, "cache_dir must be a non-empty path, got ''"),
         ],
         ids=[
             "k-a-float", "seed-a-string", "train-path-a-number", "cache-dir-a-number",
-            "fixed-set-member-a-number",
+            "fixed-set-member-a-number", "cache-dir-empty",
         ],
     )
     def test_config_file_field_of_a_wrong_type_exits_1(
-        self, capsys, fixtures_dir, tmp_path, change, message
+        self, capsys, fixtures_dir, tmp_path, monkeypatch, change, message
     ):
         config = {
             "train_path": str(fixtures_dir / "toy_train.jsonl"),
@@ -1081,9 +1197,13 @@ class TestEvalAndReports:
         }
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps(config), encoding="utf-8")
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
         code, _, err = run_cli(capsys, "eval", "--config", str(config_path))
         assert code == 1
         assert f"usage error: {message}" in err
+        assert list(cwd.iterdir()) == []
         assert not (tmp_path / "out").exists()
 
     def test_config_file_with_flag_overrides(self, capsys, fixtures_dir, tmp_path):
@@ -1342,3 +1462,17 @@ class TestEvalAndReports:
         code, _, _ = run_cli(capsys, *self.eval_args(fixtures_dir, tmp_path / "a"))
         assert code == 0
         assert any(cache.glob("*.json"))
+
+    def test_empty_cache_env_var_means_no_cache(
+        self, capsys, fixtures_dir, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("ICLFORGE_CACHE", "")
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, *self.eval_args(fixtures_dir, out))
+        assert code == 0, err
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config"]["cache_dir"] is None
+        assert list(cwd.iterdir()) == []

@@ -29,6 +29,7 @@ from iclforge.harness import (
     EvalReport,
     ExampleRecord,
     RunConfig,
+    adherence_for_records,
     adherence_from_report,
     compare_runs,
     load_report,
@@ -569,6 +570,13 @@ class TestValidation:
         with pytest.raises(UsageError, match=f"^{field} must be "):
             toy_config(fixtures_dir, tmp_path, **{field: value})
 
+    @pytest.mark.parametrize(
+        "field", ["train_path", "eval_path", "embeddings_path", "out_dir", "cache_dir"]
+    )
+    def test_empty_path_rejected(self, fixtures_dir, tmp_path, field):
+        with pytest.raises(UsageError, match=f"^{field} must be a non-empty path, got ''$"):
+            RunConfig(**{**toy_config(fixtures_dir, tmp_path).to_dict(), field: ""})
+
     def test_negative_ordering_prefix_k_rejected(self, fixtures_dir, tmp_path):
         assert toy_config(fixtures_dir, tmp_path, ordering_prefix_k=0).ordering_prefix_k == 0
         with pytest.raises(UsageError, match="^ordering_prefix_k must be at least 0, got -1$"):
@@ -987,6 +995,28 @@ class TestAdherenceThroughHarness:
         train.write_text(edited, encoding="utf-8")
         with pytest.raises(DataError, match="does not match"):
             adherence_from_report(out, "greedy")
+
+
+class TestAdherenceForRecords:
+    def record(self, example_id, answers):
+        return ExampleRecord(example_id, "0" * 64, (), tuple(answers), "", {})
+
+    def test_model_strategies_skip_a_prediction_of_20_answers(self, uniform_mock):
+        small = self.record("e1", ["b", "a"])
+        big = self.record("e2", [f"a{i:02d}" for i in range(20)])
+        prompts = []
+
+        def prompt(record):
+            prompts.append(record.example_id)
+            return "Answers:"
+
+        alone = adherence_for_records([small], "perplexity", uniform_mock, 0, prompt)
+        both = adherence_for_records([small, big], "perplexity", uniform_mock, 0, prompt)
+        assert both == alone
+        assert both.examples_counted == 1
+        assert prompts == ["e1", "e1", "e2"]
+        # a strategy without a model reorders any number of answers
+        assert adherence_for_records([big], "alphabet", None, 0, None).examples_counted == 1
 
 
 class TestAnswerCountDeltas:

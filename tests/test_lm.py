@@ -573,6 +573,22 @@ class TestCache:
         assert again == expected
         assert "corrupt" in caplog.text
 
+    def test_entry_of_another_request_recomputed_as_a_miss(self, tmp_path, caplog):
+        cache_dir = tmp_path / "cache"
+        model = CachedModel(mock(["a", "b"]), cache_dir)
+        expected = model.next_token_distribution("c", ["a"])
+        (entry,) = cache_dir.glob("*.json")
+        stored = json.loads(entry.read_text(encoding="utf-8"))
+        other = {**stored["request"], "context": "d"}
+        entry.write_text(json.dumps({**stored, "request": other}), encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            again = model.next_token_distribution("c", ["a"])
+        assert again == expected
+        assert "discarding corrupt cache entry" in caplog.text
+        assert "request mismatch" in caplog.text
+        assert (model.hits, model.misses) == (0, 2)
+        assert json.loads(entry.read_text(encoding="utf-8")) == stored
+
     def test_entry_with_an_int_beyond_the_digit_limit_recomputed_as_a_miss(
         self, tmp_path, caplog
     ):

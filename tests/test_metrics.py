@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iclforge.core import Prediction, normalize_answer
@@ -23,6 +23,15 @@ from oracles import oracle_set_scores
 SYMBOLS = [f"s{i}" for i in range(10)]
 
 answer_strategy = st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=3).map(" ".join)
+
+# words that share tokens, normalize to nothing ("the", "!!") or keep only a
+# token once punctuation goes ("s1!"), so matches, partial overlaps and empty
+# answers are all common
+PIECES = ["s1", "s2", "S1", "s1!", "the", "an", "!!", "...", "-", "s3 s1"]
+rough_answer = st.one_of(
+    st.lists(st.sampled_from(PIECES), max_size=4).map(" ".join),
+    st.text(alphabet="s12 !.-", max_size=6),
+)
 
 
 def prediction(answers, example_id="e"):
@@ -120,6 +129,50 @@ class TestSetScores:
         backward = set_scores(gold, pred, matcher="exact")
         assert forward.precision == pytest.approx(backward.recall, abs=1e-12)
         assert forward.recall == pytest.approx(backward.precision, abs=1e-12)
+
+
+def two_pass_set_scores(pred, gold, matcher):
+    """`set_scores` as two passes: exact set membership, or token F1 each way."""
+    if not pred:
+        return 0.0, 0.0, 0.0
+    if matcher == "exact":
+        norm_gold = {normalize_answer(g) for g in gold}
+        norm_pred = {normalize_answer(p) for p in pred}
+        precision = sum(float(normalize_answer(p) in norm_gold) for p in pred) / len(pred)
+        recall = sum(float(normalize_answer(g) in norm_pred) for g in gold) / len(gold)
+    else:
+        precision = sum(max(token_f1(p, g) for g in gold) for p in pred) / len(pred)
+        recall = sum(max(token_f1(g, p) for p in pred) for g in gold) / len(gold)
+    if precision + recall == 0.0:
+        return precision, recall, 0.0
+    return precision, recall, 2.0 * precision * recall / (precision + recall)
+
+
+class TestMatchTable:
+    """One table of pair scores gives the two-pass formula's floats, bit for bit."""
+
+    @given(
+        st.lists(rough_answer, max_size=7),
+        st.lists(rough_answer, min_size=1, max_size=7),
+        st.sampled_from(["exact", "token_f1"]),
+    )
+    @example([], ["the"], "exact")
+    @example([], ["s1"], "token_f1")
+    @example(["s1", "s1", "S1!"], ["s1", "s2", "s1"], "exact")
+    @example(["s1 s2", "s2 s1", "s1"], ["s1", "s2 s2", "s1"], "token_f1")
+    @example(["the", "!!"], ["an", "s1"], "token_f1")
+    @example(["!!", "..."], ["-", "s2 s1"], "exact")
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_two_pass_formula(self, pred, gold, matcher):
+        got = set_scores(pred, gold, matcher=matcher)
+        want = two_pass_set_scores(pred, gold, matcher)
+        assert [x.hex() for x in (got.precision, got.recall, got.f1)] == [x.hex() for x in want]
+
+    @given(rough_answer, rough_answer)
+    @example("s1 s2 s3", "s1 s1 s3")
+    @settings(max_examples=400, deadline=None)
+    def test_token_f1_is_symmetric_bit_for_bit(self, a, b):
+        assert token_f1(a, b).hex() == token_f1(b, a).hex()
 
 
 class TestSetExactMatch:

@@ -255,6 +255,14 @@ class TestMedianSimilarityFilter:
         with pytest.raises(DataError, match="requested 4"):
             median_similarity_filter(profiles, 4)
 
+    def test_a_median_nothing_compares_with_leaves_no_side_to_take(self):
+        profiles = [profile("p0", 0.0, avg_sim=float("nan")), profile("p1", 0.0, avg_sim=0.1)]
+        message = (
+            "cannot take 1 below and 1 above the median: 0 below, 0 above, 0 at the median"
+        )
+        with pytest.raises(DataError, match=f"^{message}$"):
+            median_similarity_filter(profiles, 2)
+
     def test_output_is_closest_first(self):
         sims = [0.0, 0.45, 0.5, 0.56, 1.0]
         profiles = [profile(f"p{i}", 0.0, avg_sim=s) for i, s in enumerate(sims)]
@@ -313,6 +321,11 @@ class TestBuildSets:
         profiles = [profile("a", 0.0), profile("b", 1.0)]
         with pytest.raises(DataError, match="1 qualifying"):
             build_sets(profiles, "unknown", n_sets=1, set_size=2, seed=0)
+
+    def test_known_fallback_needs_as_many_profiles_as_members(self):
+        profiles = [profile("a", 1.0), profile("b", 0.5), profile("c", 0.0)]
+        with pytest.raises(DataError, match="^need 4 candidates but only 3 profiled$"):
+            build_sets(profiles, "known", n_sets=2, set_size=2, seed=0)
 
     def test_deterministic_per_seed(self):
         first = build_sets(self.make_profiles(), "random", n_sets=2, set_size=5, seed=8)

@@ -111,16 +111,32 @@ def save_profiles(profiles: list[KnowledgeProfile], path: str | Path) -> None:
 
 
 def load_profiles(path: str | Path) -> list[KnowledgeProfile]:
-    return [
-        KnowledgeProfile(
-            example_id=record.get("example_id", str),
-            f1_em=record.get("f1_em", float),
-            answer_perplexities=tuple(record.get("answer_perplexities", list, of=float)),
-            avg_similarity=record.get("avg_similarity", float),
-            model_fingerprint=record.get("model_fingerprint", str),
+    """The profiles of the store at `path`. Each holds what `profile_example` can
+    write: a set-level F1 in [0, 1] and one or more perplexities, each at least 1
+    (the exp of a mean of non-positive logprobs)."""
+    profiles = []
+    for record in read_jsonl(Path(path), "profile store"):
+        example_id = record.get("example_id", str)
+        f1_em = record.get("f1_em", float)
+        if not 0.0 <= f1_em <= 1.0:
+            raise record.fail(f"f1_em must lie in [0, 1], got {f1_em!r}")
+        perplexities = tuple(record.get("answer_perplexities", list, of=float))
+        if not perplexities:
+            raise record.fail("answer_perplexities is empty")
+        for i, perplexity in enumerate(perplexities):
+            if perplexity < 1.0:
+                message = f"answer_perplexities[{i}] must be at least 1, got {perplexity!r}"
+                raise record.fail(message)
+        profiles.append(
+            KnowledgeProfile(
+                example_id=example_id,
+                f1_em=f1_em,
+                answer_perplexities=perplexities,
+                avg_similarity=record.get("avg_similarity", float),
+                model_fingerprint=record.get("model_fingerprint", str),
+            )
         )
-        for record in read_jsonl(Path(path), "profile store")
-    ]
+    return profiles
 
 
 def median_similarity_filter(profiles: list[KnowledgeProfile], n: int) -> list[str]:
@@ -134,7 +150,12 @@ def median_similarity_filter(profiles: list[KnowledgeProfile], n: int) -> list[s
         raise DataError("n must be positive")
     if n > len(profiles):
         raise DataError(f"requested {n} candidates from {len(profiles)} profiles")
-    median = float(np.median([p.avg_similarity for p in profiles]))
+    similarities = [p.avg_similarity for p in profiles]
+    with np.errstate(over="ignore"):  # the two middle values' sum may overflow
+        median = float(np.median(similarities))
+    if math.isinf(median):  # halve each before adding, as the sum is beyond the float range
+        ordered = sorted(similarities)
+        median = ordered[(len(ordered) - 1) // 2] / 2 + ordered[len(ordered) // 2] / 2
 
     def closeness(p: KnowledgeProfile) -> tuple[float, str]:
         return (abs(p.avg_similarity - median), p.example_id)

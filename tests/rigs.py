@@ -5,12 +5,18 @@ returns what the test needs to drive the pipeline end to end. Generation
 behavior is forced through rule chains: a rule anchored at a context suffix
 emits the first token, and follow-up rules keyed on the growing suffix emit
 the rest.
+
+`split_loads` and `with_filler` make `load_embeddings` parse a small file in
+pieces, in forked children, as it does a large one on a host with several CPUs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
+import os
+import sys
 import threading
 import time
 from collections import Counter
@@ -18,7 +24,9 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import pytest
 
+from iclforge import core
 from iclforge.core import Dataset, EmbeddingTable, Example, save_dataset, save_embeddings
 from iclforge.lm import LanguageModel, MockModel, MockRule, TokenScores
 from iclforge.ordering import random_permutation
@@ -328,3 +336,63 @@ def build_listcont_rig(out: Path, seed: int) -> dict:
     _write_mock(out / "mock.json", vocab, rules)
     paths["lengths"] = dict(STRATEGY_LIST_LENGTHS)
     return paths
+
+
+# where load_embeddings may split a file at all
+needs_fork = pytest.mark.skipif(
+    sys.platform != "linux" or sys.version_info >= (3, 12),
+    reason="an embedding load is split only on Linux before CPython 3.12",
+)
+
+
+@contextlib.contextmanager
+def split_loads(cpus: int = 2, piece_bytes: int | None = None):
+    """Make `load_embeddings` see `cpus` usable CPUs (2 to 4 split a file; 1 loads
+    it whole) and, when given, `piece_bytes` as its piece size. Yields the pids of
+    the children it forks, as they are forked."""
+    if not 1 <= cpus <= 4:
+        raise ValueError(f"tests split a file into at most 4 pieces, not {cpus}")
+    forks: list[int] = []
+    fork = os.fork
+
+    def counted_fork() -> int:
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        patch.setattr(os, "fork", counted_fork)
+        if piece_bytes is not None:
+            patch.setattr(core, "_PIECE_BYTES", piece_bytes)
+        yield forks
+
+
+def _dimension(rows: bytes) -> int:
+    """The length of the first non-empty vector among the embedding lines `rows`, or 1."""
+    for line in rows.splitlines():
+        try:
+            vector = json.loads(line)["vector"]
+        except (ValueError, TypeError, KeyError):  # not JSON, or no object with a vector
+            continue
+        if isinstance(vector, list) and vector:
+            return len(vector)
+    return 1
+
+
+def with_filler(body: bytes, where: str) -> tuple[bytes, int, int]:
+    """The embedding file `body` with good rows of its dimension added after its own
+    rows (`where` "first-piece") or before them ("later-piece"), and the offsets
+    where its own rows begin and end. The filler holds two lines or more, and more
+    bytes than `body`, so a split into two pieces cuts inside it, leaving `body`'s
+    rows in that piece."""
+    header, rows = body.split(b"\n", 1)
+    vector = b", ".join([b"0.5"] * _dimension(rows))
+    line = b'{"id": "fill%d", "vector": [%s]}\n'
+    filler = b""
+    while len(filler) <= len(body) or filler.count(b"\n") < 2:
+        filler += line % (len(filler), vector)
+    start = len(header) + 1 + (len(filler) if where == "later-piece" else 0)
+    parts = [filler, rows] if where == "later-piece" else [rows, filler]
+    return b"\n".join([header, b"".join(parts)]), start, start + len(rows)

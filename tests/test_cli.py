@@ -3,14 +3,16 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
+from iclforge import core
 from iclforge.cli import cli_dispatch
 from iclforge.profiling import load_sets
 
-from rigs import CountingModel, build_knowledge_rig
+from rigs import CountingModel, build_knowledge_rig, needs_fork, split_loads, with_filler
 
 
 GOOD_PROFILE = {
@@ -53,6 +55,203 @@ def knowledge_files(tmp_path):
     return {"train": str(train), "embeddings": str(embeddings), "mock": f"mock:{mock}"}
 
 
+# (flag, file body, message) of validate on a malformed input file
+MALFORMED_INPUTS = [
+        pytest.param(
+            "--train",
+            b'{"format": "icl-forge/v1"}\n{"id": "t\xff"}\n',
+            "line 2: not valid UTF-8",
+            id="non-utf8",
+        ),
+        pytest.param(
+            "--train",
+            b'{"format": "icl-forge/v1"}\n["t1", "q", ["a"]]\n',
+            "line 2: record is not",
+            id="dataset-array",
+        ),
+        pytest.param(
+            "--embeddings",
+            b'{"format": "icl-forge/v1"}\n["t1", [1.0]]\n',
+            "line 2: record is not",
+            id="embedding-array",
+        ),
+        pytest.param(
+            "--train",
+            b'{"format": "icl-forge/v1"}\n{"id": "t1", "question": "q", "answers": 5}\n',
+            "line 2: answers must be a list",
+            id="answers-a-number",
+        ),
+        pytest.param(
+            "--train",
+            b'{"format": "icl-forge/v1"}\n{"id": "t1", "question": "q", "answers": "boston"}\n',
+            "line 2: answers must be a list",
+            id="answers-a-string",
+        ),
+        pytest.param(
+            "--train",
+            b'{"format": "icl-forge/v1"}\n{"id": "t1", "question": null, "answers": ["a"]}\n',
+            "line 2: question must be a string, got null",
+            id="question-null",
+        ),
+        pytest.param(
+            "--train",
+            b'{"format": "icl-forge/v1"}\n{"id": "t1", "question": "q", "answers": ["a", 7]}\n',
+            "line 2: answer must be a string, got 7",
+            id="answer-a-number",
+        ),
+        pytest.param(
+            "--train",
+            b'{"format": "icl-forge/v1"}\n'
+            b'{"id": "t1", "question": "q", "answers": ["a"], "category": 3}\n',
+            "line 2: category must be a string, got 3",
+            id="category-a-number",
+        ),
+        pytest.param(
+            "--train",
+            b'{"format": "icl-forge/v1"}\n{"id": 1, "question": "q", "answers": ["a"]}\n',
+            "line 2: id must be a string, got 1",
+            id="id-a-number",
+        ),
+        pytest.param(
+            "--embeddings",
+            b'{"format": "icl-forge/v1"}\n{"id": 1, "vector": [1.0]}\n',
+            "line 2: id must be a string, got 1",
+            id="embedding-id-a-number",
+        ),
+        pytest.param(
+            "--embeddings",
+            b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [1.0, 0.5]}\n'
+            b'{"id": "b", "vector": [1.0, NaN]}\n',
+            "line 3: vector[1] must be a finite number, got NaN",
+            id="embedding-nan",
+        ),
+        pytest.param(
+            "--embeddings",
+            b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [1.0, Infinity]}\n',
+            "line 2: vector[1] must be a finite number, got Infinity",
+            id="embedding-infinity",
+        ),
+        pytest.param(
+            "--embeddings",
+            b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": ["1.5", 0.5]}\n',
+            'line 2: vector[0] must be a finite number, got "1.5"',
+            id="embedding-a-string",
+        ),
+        pytest.param(
+            "--embeddings",
+            b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [0.5, 0.25]}\n'
+            b'{"id": "b", "vector": [true, false]}\n',
+            "line 3: vector[0] must be a finite number, got true",
+            id="embedding-a-bool",
+        ),
+        pytest.param(
+            "--embeddings",
+            b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [0.5, 0.25]}\n'
+            b'{"id": "b", "vector": [0.5, true]}\n',
+            "line 3: vector[1] must be a finite number, got true",
+            id="embedding-a-bool-among-floats",
+        ),
+        pytest.param(
+            "--embeddings",
+            b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [1, true]}\n',
+            "line 2: vector[1] must be a finite number, got true",
+            id="embedding-a-bool-among-ints",
+        ),
+        pytest.param(
+            "--embeddings",
+            b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [0.0, false]}\n',
+            "line 2: vector[1] must be a finite number, got false",
+            id="embedding-false-among-floats",
+        ),
+        pytest.param(
+            "--embeddings",
+            b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [[1.0], [2.0]]}\n',
+            "line 2: vector[0] must be a finite number, got [1.0]",
+            id="embedding-nested",
+        ),
+        pytest.param(
+            "--embeddings",
+            b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [1e999]}\n',
+            "line 2: vector[0] must be a finite number, got Infinity",
+            id="embedding-overflow",
+        ),
+        pytest.param(
+            "--embeddings",
+            b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [1' + b"0" * 400 + b']}\n',
+            "line 2: vector[0] must be a finite number, got 1000",
+            id="embedding-int-beyond-float",
+        ),
+        pytest.param(
+            "--embeddings",
+            b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [0.5, 0.25, 0.125, 1.5]}\n'
+            b'{"id": "b", "vector": [0.5, 0.75, 2, "x"]}\n',
+            'line 3: vector[3] must be a finite number, got "x"',
+            id="embedding-a-string-after-good-elements",
+        ),
+        pytest.param(
+            "--embeddings",
+            # float() of it is the largest float, but the int itself is beyond it
+            b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [0.5, 0.25]}\n'
+            b'{"id": "b", "vector": [0.5, %d]}\n' % (int(sys.float_info.max) + 1),
+            "line 3: vector[1] must be a finite number, got 17976931348623157",
+            id="embedding-int-rounding-to-the-largest-float",
+        ),
+        pytest.param(
+            "--train",
+            b'{"format": "icl-forge/v1"}\n'
+            b'{"id": "t1", "question": "q\\ud800", "answers": ["a"]}\n',
+            "line 2: lone surrogate escape \\ud800",
+            id="question-lone-surrogate",
+        ),
+        pytest.param(
+            "--train",
+            b'{"format": "icl-forge/v1"}\n'
+            b'{"id": "t1", "question": "q", "answers": ["a"], "n": 1%s}\n' % (b"0" * 4999),
+            "line 2: malformed JSON: Exceeds the limit",
+            id="dataset-int-beyond-the-digit-limit",
+        ),
+        pytest.param(
+            "--embeddings",
+            b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [0.5, 1%s]}\n' % (b"0" * 4999),
+            "line 2: malformed JSON: Exceeds the limit",
+            id="embedding-int-beyond-the-digit-limit",
+        ),
+        pytest.param(
+            "--train",
+            b'{"format": "icl-forge/v1"}\n%s%s\n' % (b"[" * 100_000, b"]" * 100_000),
+            "line 2: malformed JSON: maximum recursion depth exceeded",
+            id="deep-nesting",
+        ),
+        pytest.param(
+            "--embeddings",
+            b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [0.5, 0.25]}\n'
+            b'{"id": "b", "vector": [1e200, 1e200]}\n',
+            "the squared norm of vector 'b' is beyond the float range",
+            id="embedding-squared-norm-beyond-the-float-range",
+        ),
+        pytest.param(
+            "--embeddings",
+            b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": []}\n',
+            "line 2: vector must be a non-empty list",
+            id="embedding-vector-empty",
+        ),
+        pytest.param(
+            "--embeddings",
+            b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [0.5]}\n'
+            b'{"id": "a", "vector": [0.25]}\n',
+            "line 3: duplicate id 'a'",
+            id="embedding-duplicate-id",
+        ),
+        pytest.param(
+            "--embeddings",
+            b'{"format": "icl-forge/v1"}\n',
+            "no vectors",
+            id="embedding-file-without-vectors",
+        ),
+]
+EMBEDDING_FAULTS = [case for case in MALFORMED_INPUTS if case.id.startswith("embedding-")]
+
+
 class TestValidate:
     def test_well_formed_files(self, capsys, fixtures_dir):
         code, out, _ = run_cli(
@@ -72,208 +271,34 @@ class TestValidate:
         assert code == 2
         assert "data error" in err
 
-    @pytest.mark.parametrize(
-        "flag, body, message",
-        [
-            pytest.param(
-                "--train",
-                b'{"format": "icl-forge/v1"}\n{"id": "t\xff"}\n',
-                "line 2: not valid UTF-8",
-                id="non-utf8",
-            ),
-            pytest.param(
-                "--train",
-                b'{"format": "icl-forge/v1"}\n["t1", "q", ["a"]]\n',
-                "line 2: record is not",
-                id="dataset-array",
-            ),
-            pytest.param(
-                "--embeddings",
-                b'{"format": "icl-forge/v1"}\n["t1", [1.0]]\n',
-                "line 2: record is not",
-                id="embedding-array",
-            ),
-            pytest.param(
-                "--train",
-                b'{"format": "icl-forge/v1"}\n{"id": "t1", "question": "q", "answers": 5}\n',
-                "line 2: answers must be a list",
-                id="answers-a-number",
-            ),
-            pytest.param(
-                "--train",
-                b'{"format": "icl-forge/v1"}\n{"id": "t1", "question": "q", "answers": "boston"}\n',
-                "line 2: answers must be a list",
-                id="answers-a-string",
-            ),
-            pytest.param(
-                "--train",
-                b'{"format": "icl-forge/v1"}\n{"id": "t1", "question": null, "answers": ["a"]}\n',
-                "line 2: question must be a string, got null",
-                id="question-null",
-            ),
-            pytest.param(
-                "--train",
-                b'{"format": "icl-forge/v1"}\n{"id": "t1", "question": "q", "answers": ["a", 7]}\n',
-                "line 2: answer must be a string, got 7",
-                id="answer-a-number",
-            ),
-            pytest.param(
-                "--train",
-                b'{"format": "icl-forge/v1"}\n'
-                b'{"id": "t1", "question": "q", "answers": ["a"], "category": 3}\n',
-                "line 2: category must be a string, got 3",
-                id="category-a-number",
-            ),
-            pytest.param(
-                "--train",
-                b'{"format": "icl-forge/v1"}\n{"id": 1, "question": "q", "answers": ["a"]}\n',
-                "line 2: id must be a string, got 1",
-                id="id-a-number",
-            ),
-            pytest.param(
-                "--embeddings",
-                b'{"format": "icl-forge/v1"}\n{"id": 1, "vector": [1.0]}\n',
-                "line 2: id must be a string, got 1",
-                id="embedding-id-a-number",
-            ),
-            pytest.param(
-                "--embeddings",
-                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [1.0, 0.5]}\n'
-                b'{"id": "b", "vector": [1.0, NaN]}\n',
-                "line 3: vector[1] must be a finite number, got NaN",
-                id="embedding-nan",
-            ),
-            pytest.param(
-                "--embeddings",
-                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [1.0, Infinity]}\n',
-                "line 2: vector[1] must be a finite number, got Infinity",
-                id="embedding-infinity",
-            ),
-            pytest.param(
-                "--embeddings",
-                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": ["1.5", 0.5]}\n',
-                'line 2: vector[0] must be a finite number, got "1.5"',
-                id="embedding-a-string",
-            ),
-            pytest.param(
-                "--embeddings",
-                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [0.5, 0.25]}\n'
-                b'{"id": "b", "vector": [true, false]}\n',
-                "line 3: vector[0] must be a finite number, got true",
-                id="embedding-a-bool",
-            ),
-            pytest.param(
-                "--embeddings",
-                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [0.5, 0.25]}\n'
-                b'{"id": "b", "vector": [0.5, true]}\n',
-                "line 3: vector[1] must be a finite number, got true",
-                id="embedding-a-bool-among-floats",
-            ),
-            pytest.param(
-                "--embeddings",
-                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [1, true]}\n',
-                "line 2: vector[1] must be a finite number, got true",
-                id="embedding-a-bool-among-ints",
-            ),
-            pytest.param(
-                "--embeddings",
-                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [0.0, false]}\n',
-                "line 2: vector[1] must be a finite number, got false",
-                id="embedding-false-among-floats",
-            ),
-            pytest.param(
-                "--embeddings",
-                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [[1.0], [2.0]]}\n',
-                "line 2: vector[0] must be a finite number, got [1.0]",
-                id="embedding-nested",
-            ),
-            pytest.param(
-                "--embeddings",
-                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [1e999]}\n',
-                "line 2: vector[0] must be a finite number, got Infinity",
-                id="embedding-overflow",
-            ),
-            pytest.param(
-                "--embeddings",
-                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [1' + b"0" * 400 + b']}\n',
-                "line 2: vector[0] must be a finite number, got 1000",
-                id="embedding-int-beyond-float",
-            ),
-            pytest.param(
-                "--embeddings",
-                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [0.5, 0.25, 0.125, 1.5]}\n'
-                b'{"id": "b", "vector": [0.5, 0.75, 2, "x"]}\n',
-                'line 3: vector[3] must be a finite number, got "x"',
-                id="embedding-a-string-after-good-elements",
-            ),
-            pytest.param(
-                "--embeddings",
-                # float() of it is the largest float, but the int itself is beyond it
-                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [0.5, 0.25]}\n'
-                b'{"id": "b", "vector": [0.5, %d]}\n' % (int(sys.float_info.max) + 1),
-                "line 3: vector[1] must be a finite number, got 17976931348623157",
-                id="embedding-int-rounding-to-the-largest-float",
-            ),
-            pytest.param(
-                "--train",
-                b'{"format": "icl-forge/v1"}\n'
-                b'{"id": "t1", "question": "q\\ud800", "answers": ["a"]}\n',
-                "line 2: lone surrogate escape \\ud800",
-                id="question-lone-surrogate",
-            ),
-            pytest.param(
-                "--train",
-                b'{"format": "icl-forge/v1"}\n'
-                b'{"id": "t1", "question": "q", "answers": ["a"], "n": 1%s}\n' % (b"0" * 4999),
-                "line 2: malformed JSON: Exceeds the limit",
-                id="dataset-int-beyond-the-digit-limit",
-            ),
-            pytest.param(
-                "--embeddings",
-                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [0.5, 1%s]}\n' % (b"0" * 4999),
-                "line 2: malformed JSON: Exceeds the limit",
-                id="embedding-int-beyond-the-digit-limit",
-            ),
-            pytest.param(
-                "--train",
-                b'{"format": "icl-forge/v1"}\n%s%s\n' % (b"[" * 100_000, b"]" * 100_000),
-                "line 2: malformed JSON: maximum recursion depth exceeded",
-                id="deep-nesting",
-            ),
-            pytest.param(
-                "--embeddings",
-                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [0.5, 0.25]}\n'
-                b'{"id": "b", "vector": [1e200, 1e200]}\n',
-                "the squared norm of vector 'b' is beyond the float range",
-                id="embedding-squared-norm-beyond-the-float-range",
-            ),
-            pytest.param(
-                "--embeddings",
-                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": []}\n',
-                "line 2: vector must be a non-empty list",
-                id="embedding-vector-empty",
-            ),
-            pytest.param(
-                "--embeddings",
-                b'{"format": "icl-forge/v1"}\n{"id": "a", "vector": [0.5]}\n'
-                b'{"id": "a", "vector": [0.25]}\n',
-                "line 3: duplicate id 'a'",
-                id="embedding-duplicate-id",
-            ),
-            pytest.param(
-                "--embeddings",
-                b'{"format": "icl-forge/v1"}\n',
-                "no vectors",
-                id="embedding-file-without-vectors",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("flag, body, message", MALFORMED_INPUTS)
     def test_malformed_input_exits_2(self, capsys, tmp_path, flag, body, message):
         path = tmp_path / "input.jsonl"
         path.write_bytes(body)
         code, _, err = run_cli(capsys, "validate", flag, str(path))
         assert code == 2
         assert f"data error: {path}: {message}" in err
+
+    @needs_fork
+    @pytest.mark.parametrize("where", ["first-piece", "later-piece"])
+    @pytest.mark.parametrize("flag, body, message", EMBEDDING_FAULTS)
+    def test_malformed_embeddings_exit_as_in_a_load_whole(
+        self, capsys, tmp_path, flag, body, message, where
+    ):
+        path = tmp_path / "input.jsonl"
+        data, start, end = with_filler(body, where)
+        path.write_bytes(data)
+        whole = run_cli(capsys, "validate", flag, str(path))
+        with split_loads(cpus=2, piece_bytes=1) as forks:
+            cuts = core._cuts(path)
+            split = run_cli(capsys, "validate", flag, str(path))
+        assert cuts[1] >= end if where == "first-piece" else cuts[1] <= start
+        assert len(forks) == 1
+        assert split == whole
+        # filler gives the file without vectors its vectors
+        assert whole[0] == (2 if start < end else 0)
+        if where == "first-piece" and start < end:
+            assert f"data error: {path}: {message}" in split[2]
 
     def test_nothing_to_do_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "validate")
@@ -874,6 +899,33 @@ class TestProfileAndBuildSets:
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["counts"]["eligible"] == 4
 
+    def test_build_sets_median_n_of_two_similarities_near_the_float_maximum(
+        self, capsys, tmp_path
+    ):
+        # their sum overflows, so the median halves each before adding
+        store = tmp_path / "profiles.jsonl"
+        lines = [
+            {**GOOD_PROFILE, "example_id": f"t{i}", "avg_similarity": sim}
+            for i, sim in enumerate([1e308, 1.5e308])
+        ]
+        store.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        out = tmp_path / "sets"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(
+                capsys,
+                "build-sets",
+                "--profiles", str(store),
+                "--condition", "known",
+                "--n-sets", "1",
+                "--set-size", "2",
+                "--median-n", "2",
+                "--out", str(out),
+            )
+        assert code == 0, err
+        (only,) = load_sets(out / "sets.jsonl")
+        assert sorted(only.member_ids) == ["t0", "t1"]
+
     def test_build_sets_out_naming_a_file_exits_1(self, capsys, tmp_path):
         store = tmp_path / "profiles.jsonl"
         lines = [{**GOOD_PROFILE, "example_id": f"t{i}"} for i in range(3)]
@@ -935,6 +987,32 @@ class TestProfileAndBuildSets:
                     ),
                     ("avg_similarity", "0.5", 'avg_similarity must be a finite number, got "0.5"'),
                     ("model_fingerprint", None, "model_fingerprint must be a string, got null"),
+                ]
+            ),
+            # values profile never writes: a set-level F1 lies in [0, 1], and each
+            # answer has a perplexity of at least 1
+            *(
+                pytest.param(
+                    "build-sets",
+                    json.dumps({**GOOD_PROFILE, field: value}),
+                    message,
+                    id=f"profile-{name}",
+                )
+                for name, field, value, message in [
+                    ("f1_em-above-1", "f1_em", 2.0, "f1_em must lie in [0, 1], got 2.0"),
+                    ("f1_em-below-0", "f1_em", -0.5, "f1_em must lie in [0, 1], got -0.5"),
+                    (
+                        "answer_perplexities-empty",
+                        "answer_perplexities",
+                        [],
+                        "answer_perplexities is empty",
+                    ),
+                    (
+                        "answer_perplexity-below-1",
+                        "answer_perplexities",
+                        [1.5, 0.5],
+                        "answer_perplexities[1] must be at least 1, got 0.5",
+                    ),
                 ]
             ),
             pytest.param(

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iclforge import core
@@ -25,6 +28,8 @@ from iclforge.core import (
     save_embeddings,
 )
 from iclforge.errors import DataError
+
+from rigs import needs_fork, split_loads, with_filler
 
 HEADER = '{"format": "icl-forge/v1"}'
 
@@ -290,6 +295,24 @@ class TestLoadEmbeddings:
         # a row array per line, then a stacked copy, would peak above twice the matrix
         assert peak < 1.5 * table.matrix.nbytes
 
+    @needs_fork
+    def test_split_load_peaks_near_one_matrix(self, tmp_path):
+        rng = np.random.default_rng(0)
+        rows = [(f"e{i}", rng.standard_normal(64).tolist()) for i in range(2000)]
+        path = self.embedding_file(tmp_path, rows)
+        with split_loads(cpus=2) as forks:
+            load_embeddings(path)
+            tracemalloc.start()
+            try:
+                table = load_embeddings(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(forks) == 2  # one child a load, so the traced load was split
+        # the parent's share: reading its piece whole, or a child's rows whole
+        # before copying them, would each peak above 1.5 matrices
+        assert peak < 1.5 * table.matrix.nbytes
+
     @pytest.fixture
     def passes(self, monkeypatch):
         """The read_jsonl passes load_embeddings makes, one list of arguments each."""
@@ -340,6 +363,252 @@ class TestLoadEmbeddings:
         assert again.dim == table.dim
         for key in table.rows:
             assert list(again.vector(key)) == list(table.vector(key))
+
+
+# any float or int whose square, times four, stays in the float range
+ELEMENT = st.one_of(
+    st.floats(min_value=-1e100, max_value=1e100),
+    st.integers(min_value=-(2**70), max_value=2**70),
+)
+BLANK = st.sampled_from(["", " ", "\t "])
+
+
+@st.composite
+def embedding_lines(draw) -> list[str]:
+    """The lines after the header of an embedding file, blank lines among them."""
+    dim = draw(st.integers(1, 4))
+    lines = []
+    for vec_id in draw(st.lists(ANY_TEXT, min_size=1, max_size=10, unique=True)):
+        lines += draw(st.lists(BLANK, max_size=2))
+        vector = draw(st.lists(ELEMENT, min_size=dim, max_size=dim))
+        lines.append(json.dumps({"id": vec_id, "vector": vector}))
+    return lines + draw(st.lists(BLANK, max_size=2))
+
+
+def fd_count() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+ROW = '{"id": "a", "vector": [1]}'
+
+
+@needs_fork
+class TestSplitLoad:
+    """A file of two or more pieces loads in pieces, in forked children, to the
+    table and the errors of a load of it whole."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        lines=embedding_lines(),
+        ending=st.sampled_from(["\n", "\r\n"]),
+        final_newline=st.booleans(),
+        cpus=st.integers(2, 4),
+        piece_bytes=st.integers(1, 96),
+    )
+    # a cut right after the header, so piece 0 holds no row
+    @example(lines=[ROW], ending="\n", final_newline=True, cpus=2, piece_bytes=1)
+    # a cut at a blank line
+    @example(
+        lines=[ROW, *[""] * 20, ROW.replace('"a"', '"b"')],
+        ending="\n",
+        final_newline=True,
+        cpus=2,
+        piece_bytes=1,
+    )
+    def test_same_rows_and_bits_as_a_load_whole(
+        self, tmp_path_factory, lines, ending, final_newline, cpus, piece_bytes
+    ):
+        path = tmp_path_factory.mktemp("split") / "e.jsonl"
+        data = (ending.join([HEADER, *lines]) + (ending if final_newline else "")).encode()
+        path.write_bytes(data)
+        whole = load_embeddings(path)  # a file this small is never split
+        with split_loads(cpus, piece_bytes) as forks:
+            cuts = core._cuts(path)
+            table = load_embeddings(path)
+        assert len(forks) == max(len(cuts) - 2, 0)
+        assert cuts[0] == 0 and cuts[-1] == len(data)
+        assert all(data[cut - 1 : cut] == b"\n" for cut in cuts[1:-1])
+        assert list(table.rows.items()) == list(whole.rows.items())
+        assert table.matrix.tobytes() == whole.matrix.tobytes()
+        assert table.matrix.flags.c_contiguous and not table.matrix.flags.writeable
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "lines, cut_at",
+        [
+            ([ROW], "after-header"),
+            ([ROW, *[""] * 20, ROW.replace('"a"', '"b"')], "blank-line"),
+        ],
+    )
+    def test_the_cuts_the_examples_make(self, tmp_path, lines, cut_at):
+        path = tmp_path / "e.jsonl"
+        write_lines(path, HEADER, *lines)
+        data = path.read_bytes()
+        with split_loads(cpus=2, piece_bytes=1):
+            cuts = core._cuts(path)
+        assert len(cuts) == 3
+        if cut_at == "after-header":
+            assert cuts[1] == len(HEADER) + 1
+        else:
+            assert data[cuts[1] - 1 : cuts[1] + 1] == b"\n\n"
+
+    @pytest.mark.parametrize("where", ["first-piece", "later-piece"])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # TestLoadEmbeddings' faults
+            ['{"id": "q1", "vector": [1, 0, 0, 0]}', '{"id": "q2", "vector": [0, 1, 0, 0, 0]}'],
+            [
+                '{"id": "aqua", "vector": [1.0, 0.0, 0.5]}',
+                '{"id": "aqua", "vector": [0.0, 1.0, 0.5]}',
+            ],
+            ['{"id": "\\u0061", "vector": [true, 1.0, 0.5]}'],
+            ['{"id": "sauna", "vector": [0.0, 1.0, false]}'],
+            ['{"id": "q1", "vector": [0.0, NaN, 0.5]}'],
+            ['{"id": "q1", "vector": [1e200, 0.5]}', '{"id": "q2", "vector": [1e200, 1e200]}'],
+            ['{"id": "q1", "vector": [%d, 0.5]}' % 2**1030],
+        ],
+        ids=["dimension", "duplicate", "true", "false", "nan", "squared-norm", "int-beyond-float"],
+    )
+    def test_a_fault_reads_as_in_a_load_whole(self, tmp_path, rows, where):
+        path = tmp_path / "e.jsonl"
+        body, start, end = with_filler(("\n".join([HEADER, *rows]) + "\n").encode(), where)
+        path.write_bytes(body)
+        with pytest.raises(DataError) as whole:
+            load_embeddings(path)
+        with split_loads(cpus=2, piece_bytes=1) as forks:
+            cuts = core._cuts(path)
+            with pytest.raises(DataError) as split:
+                load_embeddings(path)
+        assert cuts[1] >= end if where == "first-piece" else cuts[1] <= start
+        assert len(forks) == 1
+        assert str(split.value) == str(whole.value)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "tail, first_in_child, message",
+        [
+            # r0 in piece 0 and again, as the last line, in piece 1
+            (['{"id": "r0", "vector": [0.5, 0.5]}'], "r21", "line 42: duplicate id 'r0'"),
+            # lines of near one length, so the cut falls where the dimension changes
+            (
+                [f'{{"id": "s{i:02d}", "vector": [0.500000]}}' for i in range(40)],
+                "s00",
+                r"line 42: dimension mismatch \(expected 2, got 1\)",
+            ),
+        ],
+        ids=["repeated-id", "dimension"],
+    )
+    def test_a_fault_across_pieces_reads_as_in_a_load_whole(
+        self, tmp_path, tail, first_in_child, message
+    ):
+        # each piece is good alone; only the parent sees the repeat or the mismatch
+        rows = [f'{{"id": "r{i:02d}", "vector": [0.5, 0.5]}}' for i in range(40)]
+        rows[0] = '{"id": "r0", "vector": [0.5, 0.5]}'
+        path = tmp_path / "e.jsonl"
+        write_lines(path, HEADER, *rows, *tail)
+        with split_loads(cpus=2, piece_bytes=1) as forks:
+            cut = core._cuts(path)[1]
+            with pytest.raises(DataError, match=f"^{path}: {message}$"):
+                load_embeddings(path)
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert path.read_bytes()[cut:].startswith(b'{"id": "%s"' % first_in_child.encode())
+
+    def rows_file(self, tmp_path, bad_row=None):
+        rows = [f'{{"id": "r{i}", "vector": [0.5, 0.25]}}' for i in range(60)]
+        if bad_row is not None:
+            rows[bad_row] = '{"id": "bad", "vector": [0.5, "x"]}'
+        path = tmp_path / "e.jsonl"
+        write_lines(path, HEADER, *rows)
+        return path
+
+    @pytest.mark.parametrize(
+        "bad_row", [None, 2, 57], ids=["success", "fault-in-piece-0", "fault-in-a-child"]
+    )
+    def test_no_child_or_descriptor_is_left(self, tmp_path, bad_row):
+        path = self.rows_file(tmp_path, bad_row)
+        open_before = fd_count()
+        with split_loads(cpus=3, piece_bytes=1) as forks:
+            if bad_row is None:
+                assert len(load_embeddings(path)) == 60
+            else:
+                with pytest.raises(DataError, match=f"line {bad_row + 2}: vector\\[1\\]"):
+                    load_embeddings(path)
+        assert len(forks) == 2
+        assert_no_child_left()
+        assert fd_count() == open_before
+
+    def test_no_child_or_descriptor_is_left_after_an_interrupt(self, tmp_path, monkeypatch):
+        path = self.rows_file(tmp_path)
+        open_before = fd_count()
+
+        def interrupted(reader, buffer):
+            raise KeyboardInterrupt  # as Ctrl-C while the parent waits on a child
+
+        monkeypatch.setattr(core, "_read_into", interrupted)
+        with split_loads(cpus=3, piece_bytes=1) as forks:
+            with pytest.raises(KeyboardInterrupt):
+                load_embeddings(path)
+        assert len(forks) == 2
+        assert_no_child_left()
+        assert fd_count() == open_before
+
+
+class TestNoSplit:
+    """Where a fork is unsafe or cannot pay, a load never forks."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "e.jsonl"
+        write_lines(path, HEADER, *[f'{{"id": "r{i}", "vector": [0.5, {i}]}}' for i in range(40)])
+        return path
+
+    @needs_fork
+    def test_two_cpus_split_it(self, path):  # the control for the cases below
+        with split_loads(cpus=2, piece_bytes=1) as forks:
+            assert len(load_embeddings(path)) == 40
+        assert len(forks) == 1
+
+    def test_one_cpu(self, path):
+        with split_loads(cpus=1, piece_bytes=1) as forks:
+            assert len(load_embeddings(path)) == 40
+        assert forks == []
+
+    def test_a_file_under_two_pieces(self, path):
+        with split_loads(cpus=2, piece_bytes=path.stat().st_size // 2 + 1) as forks:
+            assert len(load_embeddings(path)) == 40
+        assert forks == []
+
+    def test_no_sched_getaffinity(self, path):
+        with split_loads(cpus=2, piece_bytes=1) as forks, pytest.MonkeyPatch.context() as patch:
+            patch.delattr(os, "sched_getaffinity")
+            assert len(load_embeddings(path)) == 40
+        assert forks == []
+
+    def test_cpython_3_12(self, path):
+        with split_loads(cpus=2, piece_bytes=1) as forks, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sys, "version_info", (3, 12, 0, "final", 0))
+            assert len(load_embeddings(path)) == 40
+        assert forks == []
+
+    def test_another_thread_alive(self, path):
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            with split_loads(cpus=2, piece_bytes=1) as forks:
+                assert len(load_embeddings(path)) == 40
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
 
 
 class TestReadJsonl:
